@@ -113,6 +113,25 @@ type packet = {
   mutable generation : int;  (** table activations seen when injected *)
 }
 
+(* Checks a route the simulator is about to follow: every hop leaves the
+   node the previous hop entered, starting at [src], on a VL the buffers
+   exist for. The hot loop relies on both. *)
+let check_route net ~vls ~src hops_vls =
+  ignore
+    (List.fold_left
+       (fun node (c, v) ->
+          if Network.src net c <> node then
+            invalid_arg "Sim.run: route does not follow its channels";
+          if v < 0 || v >= vls then
+            invalid_arg "Sim.run: path VL outside the table's VL range";
+          Network.dst net c)
+       src hops_vls)
+
+let validate_telemetry fn (t : telemetry_config) =
+  if t.sample_every < 1 then invalid_arg (fn ^ ": sample_every must be >= 1");
+  if t.max_samples < 1 then invalid_arg (fn ^ ": max_samples must be >= 1");
+  if t.latency_bins < 1 then invalid_arg (fn ^ ": latency_bins must be >= 1")
+
 let run_impl ~(config : config) ~(telem : telemetry_config option)
     ~(swaps : swap list) (table : Table.t) ~traffic =
   if not (config.injection_rate > 0.0 && config.injection_rate <= 1.0) then
@@ -144,18 +163,12 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
   (* Split messages into MTU packets; the initial table must route every
      pair (same contract as the static entry points). *)
   let packets = ref [] in
-  let npackets = ref 0 in
   List.iter
     (fun { Traffic.src; dst; bytes } ->
        if not (Network.is_terminal net src && Network.is_terminal net dst)
        then invalid_arg "Sim.run: traffic endpoints must be terminals";
        (match Table.path_with_vls table ~src ~dest:dst with
-        | Some hops_vls ->
-          List.iter
-            (fun (_, v) ->
-               if v < 0 || v >= vls then
-                 invalid_arg "Sim.run: path VL outside the table's VL range")
-            hops_vls
+        | Some hops_vls -> check_route net ~vls ~src hops_vls
         | None -> invalid_arg "Sim.run: unrouted source-destination pair");
        let remaining = ref bytes in
        while !remaining > 0 do
@@ -165,29 +178,86 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
            { p_src = src; p_dst = dst; bytes = chunk;
              flits = flits_of_bytes chunk; hops = [||]; hop_vl = [||];
              injected = 0; inject_cycle = -1; generation = 0 }
-           :: !packets;
-         incr npackets
+           :: !packets
        done)
     traffic;
   let packets = Array.of_list (List.rev !packets) in
   let total_packets = Array.length packets in
-  (* Flit encoding: packet id * 2 + tail flag. *)
-  let inj_queue = Array.make nn [] in
-  Array.iteri
-    (fun pid p -> inj_queue.(p.p_src) <- pid :: inj_queue.(p.p_src))
-    packets;
-  let inj_queue =
-    Array.map (fun l -> Queue.of_seq (List.to_seq (List.rev l))) inj_queue
+  (* Flit encoding: packet id, hop index and tail flag in one int. The
+     hop index is the flit's position on its packet's route — the route
+     index of the channel it was last sent on. A route visits each node
+     at most once ([Table.path] cuts loops), so it has fewer than [nn]
+     hops and never repeats a channel. *)
+  let hop_bits =
+    let rec bits b = if 1 lsl b >= nn then b else bits (b + 1) in
+    bits 0
   in
+  let hop_mask = (1 lsl hop_bits) - 1 in
+  let encode pid hop tail =
+    (((pid lsl hop_bits) lor hop) lsl 1) lor Bool.to_int tail
+  in
+  let flit_pid flit = flit lsr (hop_bits + 1) in
+  let flit_hop flit = (flit lsr 1) land hop_mask in
+  (* Per-node injection queues: the packet ids of each source node, in
+     id order, laid out contiguously; [inj_next] is each node's cursor
+     and [inj_end] one past its last packet. *)
+  let inj_end = Array.make nn 0 in
+  Array.iter (fun p -> inj_end.(p.p_src) <- inj_end.(p.p_src) + 1) packets;
+  for n = 1 to nn - 1 do
+    inj_end.(n) <- inj_end.(n) + inj_end.(n - 1)
+  done;
+  let inj_next =
+    Array.init nn (fun n -> if n = 0 then 0 else inj_end.(n - 1))
+  in
+  let inj_pids = Array.make total_packets 0 in
+  let fill = Array.copy inj_next in
+  Array.iteri
+    (fun pid p ->
+       inj_pids.(fill.(p.p_src)) <- pid;
+       fill.(p.p_src) <- fill.(p.p_src) + 1)
+    packets;
   (* Receive-side FIFO, sender-side credit counter and wormhole owner,
-     one each per (channel, vl). *)
+     one each per (channel, vl) unit. Credits bound a unit's buffered
+     plus on-wire flits by [buffer_flits], so each FIFO is a fixed ring
+     of that depth in one flat array. *)
   let unit_id c vl = (c * vls) + vl in
-  let fifos = Array.init (nc * vls) (fun _ -> Queue.create ()) in
-  let credits = Array.make (nc * vls) config.buffer_flits in
-  let owner = Array.make (nc * vls) (-1) in
-  (* Buffered flits per node: lets idle links be skipped. *)
-  let node_flits = Array.make nn 0 in
-  let pipe = Queue.create () in
+  let nu = nc * vls in
+  let depth = max 0 config.buffer_flits in
+  let fifo = Array.make (nu * depth) 0 in
+  let fifo_head = Array.make nu 0 in
+  let fifo_len = Array.make nu 0 in
+  let credits = Array.make nu config.buffer_flits in
+  let owner = Array.make nu (-1) in
+  (* Head-request cache: the output unit the head flit of each unit asks
+     for (-1 when the unit is empty), and per output channel the units
+     asking for it, as an intrusive doubly linked list ([req_first] per
+     channel, [req_next]/[req_prev] per unit, -1 terminated). Both
+     change only when a unit's head changes, so arbitration touches only
+     requesting heads, and an output nobody requests costs one read. *)
+  let req = Array.make nu (-1) in
+  let req_first = Array.make nc (-1) in
+  let req_next = Array.make nu (-1) in
+  let req_prev = Array.make nu (-1) in
+  (* Each unit's place in its receiving node's round-robin order: input
+     channels in [Network.in_channels] order, VLs within each. *)
+  let arb_pos = Array.make nu 0 in
+  for n = 0 to nn - 1 do
+    Array.iteri
+      (fun i ci ->
+         for vl = 0 to vls - 1 do
+           arb_pos.(unit_id ci vl) <- (i * vls) + vl
+         done)
+      (Network.in_channels net n)
+  done;
+  (* The link pipe: (landing cycle, unit, flit) triples in a ring. Link
+     latency is constant, so send order is landing order. Each channel
+     sends at most one flit per cycle and a flit lands [link_latency]
+     cycles later, and every flit on a wire holds a credit, so the pipe
+     never holds more than either bound. *)
+  let pipe_cap = nc * min (max 0 config.link_latency + 1) (vls * depth) in
+  let pipe = Array.make (3 * pipe_cap) 0 in
+  let pipe_head = ref 0 in
+  let pipe_len = ref 0 in
   let delivered_packets = ref 0 in
   let delivered_bytes = ref 0 in
   let dropped_packets = ref 0 in
@@ -210,9 +280,10 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
   let next_swap = ref 0 in
   let draining = ref false in
   let moved = ref false in
-  let latency_sum = ref 0.0 in
-  let latencies = ref [] in
-  let latency_max = ref 0.0 in
+  (* Packet latencies in delivery order. *)
+  let latencies = Array.make total_packets 0 in
+  let latency_sum = ref 0 in
+  let latency_max = ref 0 in
   (* Flits moved per channel, for link utilization (each link carries at
      most one flit per cycle, so transmits / cycles is in [0, 1]). *)
   let link_tx = Array.make nc 0 in
@@ -221,18 +292,14 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
   let ring =
     match telem with
     | None -> [||]
-    | Some t -> Array.make (max 1 t.max_samples) None
+    | Some t -> Array.make t.max_samples None
   in
   let ring_written = ref 0 in
   (* Per-(channel, VL) occupancy accumulators: unlike the ring, these
      cover every sample ever taken, so congestion attribution sees the
      whole run even when the ring wrapped. *)
-  let unit_occ_sum =
-    if telem = None then [||] else Array.make (nc * vls) 0
-  in
-  let unit_occ_peak =
-    if telem = None then [||] else Array.make (nc * vls) 0
-  in
+  let unit_occ_sum = if telem = None then [||] else Array.make nu 0 in
+  let unit_occ_peak = if telem = None then [||] else Array.make nu 0 in
   (* Injection throttling: a per-node token bucket capped at one token,
      refilled by [injection_rate] tokens per cycle; each injected flit
      spends one. At rate 1.0 the gate is compiled out, keeping the
@@ -255,13 +322,13 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
             ("vls", Span.Int vls) ]
     else Span.null_handle
   in
-  let take_sample (t : telemetry_config) =
+  let take_sample () =
     let link_occupancy = Array.make nc 0 in
     let vl_occupancy = Array.make vls 0 in
     for c = 0 to nc - 1 do
       for vl = 0 to vls - 1 do
         let u = unit_id c vl in
-        let q = Queue.length fifos.(u) in
+        let q = fifo_len.(u) in
         link_occupancy.(c) <- link_occupancy.(c) + q;
         vl_occupancy.(vl) <- vl_occupancy.(vl) + q;
         unit_occ_sum.(u) <- unit_occ_sum.(u) + q;
@@ -282,14 +349,10 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
            (Array.mapi
               (fun vl q -> ("vl" ^ string_of_int vl, Span.Int q))
               vl_occupancy))
-    end;
-    ignore t
+    end
   in
   (* {2 Swap bookkeeping} *)
-  let buffered_flits_total () =
-    Array.fold_left (fun acc q -> acc + Queue.length q) 0 fifos
-    + Queue.length pipe
-  in
+  let buffered_flits_total () = Array.fold_left ( + ) 0 fifo_len + !pipe_len in
   (* Stamp what the swap disrupts at request time: the packets (and
      their flits) already committed to the pre-swap table. *)
   let request_swap k =
@@ -351,22 +414,55 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
       end
     done
   in
-  let hop_index p c =
-    let rec go i =
-      if i >= Array.length p.hops then -1
-      else if p.hops.(i) = c then i
-      else go (i + 1)
-    in
-    go 0
+  (* {2 Unit FIFOs} *)
+  let head_flit u = fifo.((u * depth) + fifo_head.(u)) in
+  (* Record what the (new) head flit of [u] requests: the next hop of
+     its route. A buffered flit sits on a switch, so its route goes on. *)
+  let set_head_request u =
+    if fifo_len.(u) = 0 then req.(u) <- -1
+    else begin
+      let flit = head_flit u in
+      let p = packets.(flit_pid flit) in
+      let h = flit_hop flit + 1 in
+      let o = p.hops.(h) in
+      req.(u) <- unit_id o p.hop_vl.(h);
+      let first = req_first.(o) in
+      req_prev.(u) <- -1;
+      req_next.(u) <- first;
+      if first >= 0 then req_prev.(first) <- u;
+      req_first.(o) <- u
+    end
   in
-  let transmit c vl pid tail =
+  let fifo_push u flit =
+    let n = fifo_len.(u) in
+    let slot = fifo_head.(u) + n in
+    let slot = if slot >= depth then slot - depth else slot in
+    fifo.((u * depth) + slot) <- flit;
+    fifo_len.(u) <- n + 1;
+    if n = 0 then set_head_request u
+  in
+  let fifo_pop u =
+    let prev = req_prev.(u) and next = req_next.(u) in
+    if prev >= 0 then req_next.(prev) <- next
+    else req_first.(req.(u) / vls) <- next;
+    if next >= 0 then req_prev.(next) <- prev;
+    let h = fifo_head.(u) + 1 in
+    fifo_head.(u) <- (if h = depth then 0 else h);
+    fifo_len.(u) <- fifo_len.(u) - 1;
+    set_head_request u
+  in
+  let transmit c u flit =
     Obs.incr c_flits;
     link_tx.(c) <- link_tx.(c) + 1;
-    credits.(unit_id c vl) <- credits.(unit_id c vl) - 1;
-    owner.(unit_id c vl) <- (if tail then -1 else pid);
-    Queue.add
-      (!cycle + config.link_latency, c, vl, (pid * 2) + Bool.to_int tail)
-      pipe;
+    credits.(u) <- credits.(u) - 1;
+    owner.(u) <- (if flit land 1 = 1 then -1 else flit_pid flit);
+    assert (!pipe_len < pipe_cap);
+    let slot = !pipe_head + !pipe_len in
+    let slot = if slot >= pipe_cap then slot - pipe_cap else slot in
+    pipe.(3 * slot) <- !cycle + config.link_latency;
+    pipe.((3 * slot) + 1) <- u;
+    pipe.((3 * slot) + 2) <- flit;
+    incr pipe_len;
     moved := true
   in
   (* Assign a packet its route from the active table on first contact.
@@ -382,28 +478,26 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
       | exception Invalid_argument _ -> false
       | None -> false
       | Some hops_vls ->
+        check_route net ~vls ~src:p.p_src hops_vls;
         p.hops <- Array.of_list (List.map fst hops_vls);
         p.hop_vl <- Array.of_list (List.map snd hops_vls);
-        Array.iter
-          (fun v ->
-             if v < 0 || v >= vls then
-               invalid_arg "Sim.run: path VL outside the table's VL range")
-          p.hop_vl;
         Array.length p.hops > 0
     end
   in
+  (* A terminal has exactly one out-channel, the first hop of every
+     route it sources, so injected flits start at hop 0. *)
   let try_inject c u_node =
-    (not (Queue.is_empty inj_queue.(u_node)))
+    inj_next.(u_node) < inj_end.(u_node)
     && (not throttled || tokens.(u_node) >= 1.0)
     && begin
-      let pid = Queue.peek inj_queue.(u_node) in
+      let pid = inj_pids.(inj_next.(u_node)) in
       let p = packets.(pid) in
       (* A drain pauses new packets only: one already partially injected
          must finish, or its in-network head would wait forever for a
          tail the drain is holding back. *)
       if !draining && p.injected = 0 then false
       else if p.injected = 0 && not (route_packet pid) then begin
-        ignore (Queue.pop inj_queue.(u_node));
+        inj_next.(u_node) <- inj_next.(u_node) + 1;
         incr dropped_packets;
         Obs.incr c_dropped;
         if spans_on then
@@ -412,9 +506,9 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
         false
       end
       else begin
-        let vl = p.hop_vl.(0) in
-        let own = owner.(unit_id c vl) in
-        if (own = -1 || own = pid) && credits.(unit_id c vl) > 0 then begin
+        let u = unit_id c p.hop_vl.(0) in
+        let own = owner.(u) in
+        if (own = -1 || own = pid) && credits.(u) > 0 then begin
           if p.inject_cycle < 0 then begin
             p.inject_cycle <- !cycle;
             p.generation <- !activations;
@@ -422,61 +516,58 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
           end;
           p.injected <- p.injected + 1;
           let tail = p.injected = p.flits in
-          transmit c vl pid tail;
+          transmit c u (encode pid 0 tail);
           if throttled then tokens.(u_node) <- tokens.(u_node) -. 1.0;
-          if tail then ignore (Queue.pop inj_queue.(u_node));
+          if tail then inj_next.(u_node) <- inj_next.(u_node) + 1;
           true
         end
         else false
       end
     end
   in
+  (* Round-robin over the node's input units, rotating with the cycle
+     count so no unit is structurally starved: the winner is the
+     requester of [c] nearest after the rotating start that the output
+     unit accepts (wormhole owner and credit). *)
   let try_forward c u_node =
-    (* Round-robin over the node's input units, rotating with the
-       cycle count so no unit is structurally starved. *)
-    let inc = Network.in_channels net u_node in
-    let n_units = Array.length inc * vls in
-    n_units > 0
+    req_first.(c) >= 0
     && begin
+      let n_units = Array.length (Network.in_channels net u_node) * vls in
       let start = (!cycle + c) mod n_units in
-      let rec scan k =
-        k < n_units
-        && begin
-          let idx = (start + k) mod n_units in
-          let ci = inc.(idx / vls) and vli = idx mod vls in
-          let fifo = fifos.(unit_id ci vli) in
-          match Queue.peek_opt fifo with
-          | None -> scan (k + 1)
-          | Some flit ->
-            let pid = flit / 2 in
-            let p = packets.(pid) in
-            let h = hop_index p ci in
-            if h < 0 || h + 1 >= Array.length p.hops then scan (k + 1)
-            else begin
-              let o = p.hops.(h + 1) and vlo = p.hop_vl.(h + 1) in
-              if o <> c then scan (k + 1)
-              else begin
-                let own = owner.(unit_id o vlo) in
-                if (own = -1 || own = pid) && credits.(unit_id o vlo) > 0
-                then begin
-                  let fl = Queue.pop fifo in
-                  node_flits.(u_node) <- node_flits.(u_node) - 1;
-                  credits.(unit_id ci vli) <- credits.(unit_id ci vli) + 1;
-                  transmit o vlo pid (fl land 1 = 1);
-                  true
-                end
-                else scan (k + 1)
-              end
-            end
-        end
-      in
-      scan 0
+      let best = ref (-1) in
+      let best_dist = ref n_units in
+      let u = ref req_first.(c) in
+      while !u >= 0 do
+        let v = !u in
+        let dist = arb_pos.(v) - start in
+        let dist = if dist < 0 then dist + n_units else dist in
+        if dist < !best_dist then begin
+          let out = req.(v) in
+          let own = owner.(out) in
+          if (own = -1 || own = flit_pid (head_flit v)) && credits.(out) > 0
+          then begin
+            best := v;
+            best_dist := dist
+          end
+        end;
+        u := req_next.(v)
+      done;
+      let v = !best in
+      v >= 0
+      && begin
+        let flit = head_flit v in
+        let out = req.(v) in
+        fifo_pop v;
+        credits.(v) <- credits.(v) + 1;
+        transmit c out
+          (encode (flit_pid flit) (flit_hop flit + 1) (flit land 1 = 1));
+        true
+      end
     end
   in
   let arbitrate_channel c =
     let u_node = Network.src net c in
-    if node_flits.(u_node) > 0 || not (Queue.is_empty inj_queue.(u_node))
-    then begin
+    if req_first.(c) >= 0 || inj_next.(u_node) < inj_end.(u_node) then begin
       (* Alternate injection/through priority so neither starves. *)
       if !cycle land 1 = 0 then begin
         if not (try_inject c u_node) then ignore (try_forward c u_node)
@@ -485,18 +576,17 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
     end
   in
   let deliver flit =
-    let pid = flit / 2 in
-    let p = packets.(pid) in
     if flit land 1 = 1 then begin
+      let p = packets.(flit_pid flit) in
       Obs.incr c_delivered;
+      let lat = !cycle - p.inject_cycle in
+      latencies.(!delivered_packets) <- lat;
       incr delivered_packets;
       delivered_bytes := !delivered_bytes + p.bytes;
       decr in_flight;
       note_delivery p;
-      let lat = float_of_int (!cycle - p.inject_cycle) in
-      latency_sum := !latency_sum +. lat;
-      if lat > !latency_max then latency_max := lat;
-      latencies := lat :: !latencies
+      latency_sum := !latency_sum + lat;
+      if lat > !latency_max then latency_max := lat
     end
   in
   (* Deadlock attribution: the wait-for graph over (channel, VL) units.
@@ -505,31 +595,18 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
      wormhole circular wait). Returns the cycle, oldest-first, or [] if
      the stall is not a circular wait (e.g. an injection livelock). *)
   let find_wait_cycle () =
-    let n_units = nc * vls in
-    let want = Array.make n_units (-1) in
-    for c = 0 to nc - 1 do
-      for vl = 0 to vls - 1 do
-        match Queue.peek_opt fifos.(unit_id c vl) with
-        | None -> ()
-        | Some flit ->
-          let p = packets.(flit / 2) in
-          let h = hop_index p c in
-          if h >= 0 && h + 1 < Array.length p.hops then
-            want.(unit_id c vl) <- unit_id p.hops.(h + 1) p.hop_vl.(h + 1)
-      done
-    done;
     (* 0 = unvisited, 1 = on the current walk, 2 = finished. *)
-    let state = Array.make n_units 0 in
+    let state = Array.make nu 0 in
     let cycle_units = ref [] in
     let u = ref 0 in
-    while !cycle_units = [] && !u < n_units do
+    while !cycle_units = [] && !u < nu do
       if state.(!u) = 0 then begin
         let path = ref [] in
         let v = ref !u in
         while !v >= 0 && state.(!v) = 0 do
           state.(!v) <- 1;
           path := !v :: !path;
-          v := want.(!v)
+          v := req.(!v)
         done;
         if !v >= 0 && state.(!v) = 1 then begin
           (* Walked back into the current path: cut the cycle out. *)
@@ -555,32 +632,28 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
     moved := false;
     if throttled then
       for n = 0 to nn - 1 do
-        tokens.(n) <- Float.min 1.0 (tokens.(n) +. config.injection_rate)
+        (* [Float.min 1.0] on a non-NaN sum, without boxing. *)
+        let t = tokens.(n) +. config.injection_rate in
+        tokens.(n) <- (if t > 1.0 then 1.0 else t)
       done;
     process_swaps ();
     for c = 0 to nc - 1 do
       arbitrate_channel c
     done;
-    (* Land flits whose wire time elapsed (pipe is time-ordered because
-       latency is constant). *)
-    let landing = ref true in
-    while !landing do
-      match Queue.peek_opt pipe with
-      | Some (t, c, vl, flit) when t <= !cycle ->
-        ignore (Queue.pop pipe);
-        let dst_node = Network.dst net c in
-        if Network.is_terminal net dst_node then begin
-          credits.(unit_id c vl) <- credits.(unit_id c vl) + 1;
-          deliver flit
-        end
-        else begin
-          Queue.add flit fifos.(unit_id c vl);
-          node_flits.(dst_node) <- node_flits.(dst_node) + 1
-        end
-      | _ -> landing := false
+    (* Land flits whose wire time elapsed. *)
+    while !pipe_len > 0 && pipe.(3 * !pipe_head) <= !cycle do
+      let u = pipe.((3 * !pipe_head) + 1) in
+      let flit = pipe.((3 * !pipe_head) + 2) in
+      pipe_head := (if !pipe_head + 1 = pipe_cap then 0 else !pipe_head + 1);
+      decr pipe_len;
+      if Network.is_terminal net (Network.dst net (u / vls)) then begin
+        credits.(u) <- credits.(u) + 1;
+        deliver flit
+      end
+      else fifo_push u flit
     done;
     (match telem with
-     | Some t when !cycle mod t.sample_every = 0 -> take_sample t
+     | Some t when !cycle mod t.sample_every = 0 -> take_sample ()
      | _ -> ());
     if !moved then last_movement := !cycle;
     if !cycle - !last_movement > config.watchdog then deadlocked := true;
@@ -620,8 +693,13 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
   let bins =
     match telem with Some t -> t.latency_bins | None -> default_telemetry.latency_bins
   in
-  let hist = Histogram.of_samples ~bins !latencies in
-  let pct q = if !latencies = [] then 0.0 else Histogram.percentile hist q in
+  let hist =
+    Histogram.of_int_samples ~bins
+      (List.init !delivered_packets (fun i -> latencies.(i)))
+  in
+  let pct q =
+    if !delivered_packets = 0 then 0.0 else Histogram.percentile hist q
+  in
   let outcome =
     { delivered_packets = !delivered_packets;
       total_packets;
@@ -632,11 +710,11 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
       aggregate_gbs = float_of_int !delivered_bytes /. 1e9 /. seconds;
       avg_packet_latency =
         (if !delivered_packets = 0 then 0.0
-         else !latency_sum /. float_of_int !delivered_packets);
+         else float_of_int !latency_sum /. float_of_int !delivered_packets);
       latency_p50 = pct 0.50;
       latency_p95 = pct 0.95;
       latency_p99 = pct 0.99;
-      latency_max = !latency_max }
+      latency_max = float_of_int !latency_max }
   in
   let telemetry =
     match telem with
@@ -682,16 +760,12 @@ let run ?(config = default_config) table ~traffic =
 
 let run_with_telemetry ?(config = default_config)
     ?(telemetry = default_telemetry) table ~traffic =
-  if telemetry.sample_every < 1 then
-    invalid_arg "Sim.run_with_telemetry: sample_every must be >= 1";
+  validate_telemetry "Sim.run_with_telemetry" telemetry;
   match run_impl ~config ~telem:(Some telemetry) ~swaps:[] table ~traffic with
   | o, Some t, _ -> (o, t)
   | _, None, _ -> assert false
 
 let run_with_swaps ?(config = default_config)
     ?telemetry:(telem : telemetry_config option) table ~swaps ~traffic =
-  (match telem with
-   | Some t when t.sample_every < 1 ->
-     invalid_arg "Sim.run_with_swaps: sample_every must be >= 1"
-   | _ -> ());
+  Option.iter (validate_telemetry "Sim.run_with_swaps") telem;
   run_impl ~config ~telem ~swaps table ~traffic

@@ -9,6 +9,11 @@
     outstanding, the run aborts and reports it — routing functions with
     cyclic dependency graphs visibly hang here, Nue's never do.
 
+    A cycle costs O(channels) int reads plus work per head flit that
+    requests an output, and allocates nothing outside telemetry samples:
+    buffers, wires and injection queues are flat int rings (DESIGN.md,
+    "Simulator state and cost model").
+
     The optional telemetry sink ({!run_with_telemetry}) samples
     per-link and per-VC buffer occupancy every N cycles into a ring
     buffer, accumulates per-link utilization, routes packet latencies
@@ -109,8 +114,9 @@ val run :
   outcome
 (** Simulate the traffic to completion (or watchdog/cycle-cap abort).
     @raise Invalid_argument if a message endpoint is not a terminal, a
-    destination is not routed by the table, or the table needs more VLs
-    than the paths declare. *)
+    destination is not routed by the table, a route's next channel does
+    not leave the node the previous one entered, or the table needs more
+    VLs than the paths declare. *)
 
 val run_with_telemetry :
   ?config:config ->
@@ -119,7 +125,8 @@ val run_with_telemetry :
   traffic:Traffic.message list ->
   outcome * telemetry
 (** {!run} with the telemetry sink attached.
-    @raise Invalid_argument additionally if [sample_every < 1]. *)
+    @raise Invalid_argument additionally, before simulating, if
+    [sample_every], [max_samples] or [latency_bins] is below 1. *)
 
 (** {1 Live reconfiguration}
 
@@ -171,5 +178,6 @@ val run_with_swaps :
     vs [total_packets]) instead of blocking the injection queue. The
     watchdog still aborts on deadlock, so an unverified unsafe
     transition is caught rather than hanging.
-    @raise Invalid_argument if a swap table is on a different network
-    or [sample_every < 1]. *)
+    @raise Invalid_argument if a swap table is on a different network,
+    or (before simulating) for a telemetry config {!run_with_telemetry}
+    rejects. *)

@@ -67,9 +67,9 @@ let link_rate_bound () =
   Alcotest.(check bool) "bounded by link rate" true
     (out.Sim.aggregate_gbs <= 4.0 +. 1e-6)
 
-let deadlock_detected_on_cyclic_routing () =
-  (* Clockwise ring routing with heavy traffic and tiny buffers: the
-     classic ring deadlock. The watchdog must fire. *)
+(* Clockwise ring routing on a 4-switch ring: every route turns the
+   same way, so the channel dependency graph is one cycle. *)
+let clockwise_ring () =
   let net = Helpers.ring ~terminals:1 4 in
   let terms = Network.terminals net in
   let nn = Network.num_nodes net in
@@ -92,10 +92,14 @@ let deadlock_detected_on_cyclic_routing () =
          nexts)
       terms
   in
-  let table =
+  ( net,
     Table.make ~net ~algorithm:"clockwise" ~dests:terms ~next_channel
-      ~vl:Table.All_zero ~num_vls:1 ()
-  in
+      ~vl:Table.All_zero ~num_vls:1 () )
+
+let deadlock_detected_on_cyclic_routing () =
+  (* Clockwise ring routing with heavy traffic and tiny buffers: the
+     classic ring deadlock. The watchdog must fire. *)
+  let net, table = clockwise_ring () in
   Alcotest.(check bool) "routing is deadlock-prone" false
     (Nue_routing.Verify.deadlock_free table);
   let traffic = Traffic.all_to_all_shift net ~message_bytes:8192 in
@@ -160,6 +164,25 @@ let rejects_non_terminal_endpoints () =
      with
      | exception Invalid_argument _ -> true
      | _ -> false)
+
+let rejects_route_off_its_channels () =
+  (* A table whose next channel does not leave the node it is listed
+     for yields a "route" the simulator could not follow. *)
+  let net = two_terminals () in
+  let good = Minhop.route net in
+  let terms = Network.terminals net in
+  let a = terms.(0) and b = terms.(1) in
+  let next_channel = Array.map Array.copy good.Table.next_channel in
+  let pos = Table.dest_position good b in
+  next_channel.(pos).(a) <- (Network.in_channels net b).(0);
+  let bad =
+    Table.make ~net ~algorithm:"skip" ~dests:good.Table.dests ~next_channel
+      ~vl:Table.All_zero ~num_vls:1 ()
+  in
+  Alcotest.check_raises "route must follow its channels"
+    (Invalid_argument "Sim.run: route does not follow its channels")
+    (fun () ->
+       ignore (Sim.run bad ~traffic:[ { Traffic.src = a; dst = b; bytes = 64 } ]))
 
 let more_vcs_do_not_hurt_much () =
   (* Sanity on the Fig. 1/10 trend at miniature scale: Nue's simulated
@@ -252,46 +275,13 @@ let telemetry_sampling_and_utilization () =
   let p99 = H.percentile tm.Sim.latency 0.99 in
   Alcotest.(check bool) "p50 <= p95 <= p99" true (p50 <= p95 && p95 <= p99);
   Alcotest.(check (list (pair int int))) "no deadlock, no wait cycle" []
-    tm.Sim.deadlock_wait_cycle;
-  Alcotest.(check bool) "rejects sample_every < 1" true
-    (match
-       Sim.run_with_telemetry
-         ~telemetry:{ telemetry with Sim.sample_every = 0 }
-         table ~traffic
-     with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
+    tm.Sim.deadlock_wait_cycle
 
 let deadlock_attributed_to_wait_cycle () =
   (* The clockwise-ring deadlock again, now asking the sink to name the
      circular wait: the blocked units must form a nonempty cycle of
      distinct (channel, VL) pairs over real channels. *)
-  let net = Helpers.ring ~terminals:1 4 in
-  let terms = Network.terminals net in
-  let nn = Network.num_nodes net in
-  let next_channel =
-    Array.map
-      (fun dest ->
-         let dw = Network.terminal_attachment net dest in
-         let nexts = Array.make nn (-1) in
-         for i = 0 to 3 do
-           if i = dw then
-             nexts.(i) <- Option.get (Network.find_channel net i dest)
-           else
-             nexts.(i) <-
-               Option.get (Network.find_channel net i ((i + 1) mod 4))
-         done;
-         Array.iter
-           (fun t ->
-              if t <> dest then nexts.(t) <- (Network.out_channels net t).(0))
-           terms;
-         nexts)
-      terms
-  in
-  let table =
-    Table.make ~net ~algorithm:"clockwise" ~dests:terms ~next_channel
-      ~vl:Table.All_zero ~num_vls:1 ()
-  in
+  let net, table = clockwise_ring () in
   let traffic = Traffic.all_to_all_shift net ~message_bytes:8192 in
   let config =
     { Sim.default_config with buffer_flits = 2; watchdog = 5_000 }
@@ -312,6 +302,189 @@ let deadlock_attributed_to_wait_cycle () =
   (* All four ring links participate in the classic ring deadlock. *)
   Alcotest.(check int) "all ring units blocked" 4 (List.length cycle)
 
+(* A bad telemetry config is rejected before any simulation: the
+   traffic here names a switch endpoint, which the run itself would
+   reject with a different message. *)
+let rejects_telemetry_field field telemetry () =
+  let table = Minhop.route (Helpers.ring5 ()) in
+  let traffic = [ { Traffic.src = 0; dst = 1; bytes = 64 } ] in
+  let expect fn =
+    Invalid_argument (Printf.sprintf "%s: %s must be >= 1" fn field)
+  in
+  Alcotest.check_raises "run_with_telemetry" (expect "Sim.run_with_telemetry")
+    (fun () -> ignore (Sim.run_with_telemetry ~telemetry table ~traffic));
+  Alcotest.check_raises "run_with_swaps" (expect "Sim.run_with_swaps")
+    (fun () -> ignore (Sim.run_with_swaps ~telemetry table ~swaps:[] ~traffic))
+
+let torus332 () =
+  (Nue_netgraph.Topology.torus3d ~dims:(3, 3, 2) ~terminals_per_switch:1 ())
+    .Nue_netgraph.Topology.net
+
+let allocation_per_flit_hop () =
+  (* Simulator state is flat: a run allocates per packet (its route),
+     never per flit or per cycle. A throttled incast keeps most heads
+     blocked for many cycles, so any per-cycle or per-flit allocation
+     would dominate the count. *)
+  let net = torus332 () in
+  let table = Nue.route ~vcs:2 net in
+  let traffic =
+    Traffic.generate (Prng.create 5)
+      (Traffic.Incast { victims = 2; messages_per_source = 2 })
+      net ~message_bytes:2048
+  in
+  let config = { Sim.default_config with injection_rate = 0.25 } in
+  let flit_hops =
+    List.fold_left
+      (fun acc { Traffic.src; dst; bytes } ->
+         let flits = (bytes + config.Sim.flit_bytes - 1) / config.Sim.flit_bytes in
+         acc + (flits * Option.get (Table.hop_count table ~src ~dest:dst)))
+      0 traffic
+  in
+  let before = Gc.minor_words () in
+  let out = Sim.run ~config table ~traffic in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all delivered" out.Sim.total_packets
+    out.Sim.delivered_packets;
+  let per_hop = words /. float_of_int flit_hops in
+  if per_hop > 4.0 then
+    Alcotest.failf "%.1f minor words per flit-hop (limit 4)" per_hop
+
+(* {1 Golden digests}
+
+   Every observable of a run — the outcome, every telemetry sample and
+   accumulator, the latency histogram, the deadlock attribution and the
+   swap records — folded into one MD5 per case. Any change to simulated
+   behaviour shows up here as a digest mismatch; re-record only for a
+   deliberate behaviour change. *)
+
+let digest_run ((o : Sim.outcome), (tm : Sim.telemetry option), records) =
+  let b = Buffer.create 4096 in
+  let int i = Buffer.add_string b (string_of_int i); Buffer.add_char b ' ' in
+  let flt f = Buffer.add_string b (Printf.sprintf "%h " f) in
+  let ints a = Array.iter int a; Buffer.add_char b '|' in
+  int o.Sim.delivered_packets;
+  int o.Sim.total_packets;
+  int o.Sim.delivered_bytes;
+  int o.Sim.dropped_packets;
+  int o.Sim.cycles;
+  int (Bool.to_int o.Sim.deadlock);
+  List.iter flt
+    [ o.Sim.aggregate_gbs; o.Sim.avg_packet_latency; o.Sim.latency_p50;
+      o.Sim.latency_p95; o.Sim.latency_p99; o.Sim.latency_max ];
+  (match tm with
+   | None -> Buffer.add_string b "no-telemetry"
+   | Some t ->
+     int t.Sim.sample_every;
+     int t.Sim.dropped_samples;
+     int t.Sim.vls;
+     int t.Sim.occupancy_samples;
+     Array.iter
+       (fun (s : Sim.sample) ->
+          int s.Sim.at_cycle;
+          ints s.Sim.link_occupancy;
+          ints s.Sim.vl_occupancy)
+       t.Sim.samples;
+     ints t.Sim.unit_occupancy_sum;
+     ints t.Sim.unit_occupancy_peak;
+     ints t.Sim.link_transmits;
+     Array.iter flt t.Sim.link_utilization;
+     flt t.Sim.peak_link_utilization;
+     int t.Sim.peak_link;
+     let module H = Nue_metrics.Histogram in
+     int (H.count t.Sim.latency);
+     List.iter flt
+       [ H.mean t.Sim.latency; H.min_value t.Sim.latency;
+         H.max_value t.Sim.latency ];
+     Buffer.add_string b (H.render t.Sim.latency);
+     List.iter (fun (c, vl) -> int c; int vl) t.Sim.deadlock_wait_cycle);
+  List.iter
+    (fun (r : Sim.swap_record) ->
+       List.iter int
+         [ r.Sim.swap_at; r.Sim.activated_at; r.Sim.in_flight_packets;
+           r.Sim.in_flight_flits; r.Sim.drained_at ])
+    records;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_telemetry =
+  { Sim.sample_every = 8; max_samples = 16; latency_bins = 16 }
+
+let golden_runs () =
+  let net = torus332 () in
+  let table = Nue.route ~vcs:2 net in
+  let zoo =
+    List.concat_map
+      (fun spec ->
+         let traffic =
+           Traffic.generate (Prng.create 5) spec net ~message_bytes:512
+         in
+         List.map
+           (fun rate ->
+              let config = { Sim.default_config with injection_rate = rate } in
+              let o, t =
+                Sim.run_with_telemetry ~config ~telemetry:golden_telemetry
+                  table ~traffic
+              in
+              ( Printf.sprintf "%s@%g" (Traffic.spec_name spec) rate,
+                digest_run (o, Some t, []) ))
+           [ 1.0; 0.25 ])
+      Test_traffic.zoo
+  in
+  let swaps =
+    let traffic =
+      List.concat
+        (List.init 4 (fun _ -> Traffic.all_to_all_shift net ~message_bytes:512))
+    in
+    let wide = Nue.route ~vcs:3 net in
+    digest_run
+      (Sim.run_with_swaps ~telemetry:golden_telemetry table
+         ~swaps:
+           [ { Sim.at_cycle = 120; table = wide; staged = false };
+             { Sim.at_cycle = 500; table; staged = true } ]
+         ~traffic)
+  in
+  let deadlock =
+    let net, table = clockwise_ring () in
+    let traffic = Traffic.all_to_all_shift net ~message_bytes:8192 in
+    let config =
+      { Sim.default_config with buffer_flits = 2; watchdog = 5_000 }
+    in
+    let o, t =
+      Sim.run_with_telemetry ~config ~telemetry:golden_telemetry table ~traffic
+    in
+    digest_run (o, Some t, [])
+  in
+  zoo @ [ ("swaps", swaps); ("ring-deadlock", deadlock) ]
+
+let golden_digests =
+  [ ("shift@1", "f3974f86adc79b6d5364d44106d50aea");
+    ("shift@0.25", "7d64bb1be73d4a765a449b0c85833e23");
+    ("uniform@1", "9414f30366c8e138ef15bee8cb986715");
+    ("uniform@0.25", "aed897b554fa62e4e9bd8c757ba7b391");
+    ("bursty@1", "c21d882db4c962cbf8eae3682ae9405e");
+    ("bursty@0.25", "ab80fb6d7f93ef250468ece52412c22b");
+    ("hotspot@1", "8a6ab633e8a44674467a230ecdcfb40a");
+    ("hotspot@0.25", "28a2d9761b4c19f5610f397efda3491c");
+    ("incast@1", "89f71d85944e5080ba00022990a1c3fa");
+    ("incast@0.25", "11b5ac92e46176b04f31c03751cdd554");
+    ("adversarial@1", "6e5c28ca4faa6f26a5d36c8873af624d");
+    ("adversarial@0.25", "ac04dfcfa3e203b827f44fd039096575");
+    ("tornado@1", "817a78d5264738fe68bcbf918b31611c");
+    ("tornado@0.25", "947d2dfaf10c34bfde8ea3fd1bacf7b2");
+    ("transpose@1", "8dc83f293caf048f0a6c4484509a58db");
+    ("transpose@0.25", "ad23d49d32de7691b3528b9e12ccddc8");
+    ("bitcomp@1", "fc2215e229af8179e860e48f4826728a");
+    ("bitcomp@0.25", "393ff69e7e16bc0a5ca6e4299e71d492");
+    ("bitrev@1", "79d7f98bb4bbedd7b8f4adc05b7c3dcc");
+    ("bitrev@0.25", "df948009701cbe748647849af37f18b3");
+    ("permutation@1", "8318678d98cc00f56273de1873547b61");
+    ("permutation@0.25", "6d6d849e402c749bf3bd08ffd0fe1c70");
+    ("swaps", "10e1b927a6bbd624dc81a6653cdeecd4");
+    ("ring-deadlock", "41ef7c30e2e7bc561565f77c6573ab4e") ]
+
+let golden_digests_match () =
+  Alcotest.(check (list (pair string string)))
+    "outcome + telemetry digests" golden_digests (golden_runs ())
+
 let suite =
   [ ("traffic",
      [ test_case "all-to-all counts" `Quick traffic_all_to_all_counts;
@@ -326,10 +499,24 @@ let suite =
        test_case "nue survives same load" `Quick nue_survives_where_cyclic_deadlocks;
        test_case "rejects non-terminal endpoints" `Quick
          rejects_non_terminal_endpoints;
-       test_case "VC trend sanity" `Slow more_vcs_do_not_hurt_much ]);
+       test_case "rejects a route off its channels" `Quick
+         rejects_route_off_its_channels;
+       test_case "VC trend sanity" `Slow more_vcs_do_not_hurt_much;
+       test_case "allocation per flit-hop" `Quick allocation_per_flit_hop ]);
     ("sim:telemetry",
      [ test_case "observation-only" `Slow telemetry_matches_plain_run;
        test_case "sampling and utilization" `Slow
          telemetry_sampling_and_utilization;
        test_case "deadlock attribution" `Quick
-         deadlock_attributed_to_wait_cycle ]) ]
+         deadlock_attributed_to_wait_cycle;
+       test_case "rejects sample_every < 1" `Quick
+         (rejects_telemetry_field "sample_every"
+            { Sim.default_telemetry with sample_every = 0 });
+       test_case "rejects max_samples < 1" `Quick
+         (rejects_telemetry_field "max_samples"
+            { Sim.default_telemetry with max_samples = 0 });
+       test_case "rejects latency_bins < 1" `Quick
+         (rejects_telemetry_field "latency_bins"
+            { Sim.default_telemetry with latency_bins = 0 }) ]);
+    ("sim:golden",
+     [ test_case "outcome and telemetry digests" `Quick golden_digests_match ]) ]
