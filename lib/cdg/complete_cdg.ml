@@ -19,11 +19,11 @@ let c_merge = Obs.counter "cdg.subgraph_merges"
 let c_relabel = Obs.counter "cdg.subgraph_relabels"
 
 (* Speculative-execution journal: the state-changing operations of one
-   destination's search, recorded against a scratch clone and replayed
-   onto the authoritative CDG at commit time (see [replay] below for
-   the soundness argument). Ops are packed three ints at a time:
-   tag (0 fresh channel use / 1 edge admission / 2 edge block), then
-   the channel or (from, slot) pair. *)
+   destination's search, recorded under a checkpoint and replayed onto
+   the authoritative CDG at commit time (see [replay] below for the
+   soundness argument). Ops are packed three ints at a time: tag (0
+   fresh channel use / 1 edge admission / 2 edge block), then the
+   channel or (from, slot) pair. *)
 type journal = {
   mutable ops : int array;
   mutable jlen : int; (* op count; 3 * jlen ints are live in [ops] *)
@@ -32,32 +32,44 @@ type journal = {
 type t = {
   net : Network.t;
   succ : int array array;
-  succ_state : int array array; (* omega per edge, aligned with succ *)
+  off : int array; (* off.(c) + slot is the state index of edge c -> succ.(c).(slot) *)
   pred : int array array;
   pred_slot : int array array;
-  chan_state : int array; (* omega per channel *)
+  (* All mutable routing state lives in one int array, so an undo-trail
+     entry names any write by a single index and a replica refresh is
+     one blit. Regions, in order: edge omegas ([0, nedges), row c at
+     [off.(c)]), channel omegas, union-find parents, group sizes.
+     Subgraph ids form a union-find forest over [1 .. nc] (at most one
+     fresh id per channel); stored omegas may be stale after merges and
+     [find] canonicalizes on read. *)
+  state : int array;
+  nedges : int; (* also the base of the channel-omega region *)
+  parent_base : int;
+  size_base : int; (* group size: member count (channels + edges) per root *)
   mutable next_id : int;
-  (* Union-find over subgraph ids: two dense arrays instead of a
-     hashtable of member lists. At most one fresh id per channel, so
-     ids fit in [1 .. nc] and the tables are sized once. Stored omegas
-     (chan_state / succ_state) may be stale after merges; [find]
-     canonicalizes on read. *)
-  group_parent : int array;
-  group_size : int array; (* member count (channels + edges) per root *)
-  (* DFS scratch: visit stamps avoid clearing a visited array per search. *)
+  mutable searches : int;
+  (* Condition-(d) scratch: visit stamps bumped by a clock (two values
+     per search, one per side) and one stack per side. Each vertex is
+     stamped when pushed, so a stack never holds more than nc ids. *)
   stamp : int array;
   mutable clock : int;
-  mutable searches : int;
-  nedges : int;
+  fwd : int array;
+  bwd : int array;
+  (* Undo trail: (state index, old value) pairs, written only while a
+     checkpoint is open. *)
+  mutable trail : int array;
+  mutable tlen : int; (* ints live in [trail] *)
+  mutable recording : bool;
+  mutable cp_next_id : int;
+  mutable cp_searches : int;
   mutable journal : journal option;
 }
 
 let create net =
   let nc = Network.num_channels net in
   let succ = Array.make nc [||] in
-  let succ_state = Array.make nc [||] in
   let pred_count = Array.make nc 0 in
-  let nedges = ref 0 in
+  let off = Array.make (nc + 1) 0 in
   for c = 0 to nc - 1 do
     let u = Network.src net c and v = Network.dst net c in
     let out = Network.out_channels net v in
@@ -78,8 +90,7 @@ let create net =
       end
     done;
     succ.(c) <- s;
-    succ_state.(c) <- Array.make !count 0;
-    nedges := !nedges + !count
+    off.(c + 1) <- off.(c) + !count
   done;
   let pred = Array.init nc (fun c -> Array.make pred_count.(c) 0) in
   let pred_slot = Array.init nc (fun c -> Array.make pred_count.(c) 0) in
@@ -92,50 +103,97 @@ let create net =
          fill.(q) <- fill.(q) + 1)
       succ.(c)
   done;
-  { net; succ; succ_state; pred; pred_slot;
-    chan_state = Array.make nc 0;
+  let nedges = off.(nc) in
+  let parent_base = nedges + nc in
+  let size_base = parent_base + nc + 1 in
+  let state = Array.make (size_base + nc + 1) 0 in
+  for i = 0 to nc do
+    state.(parent_base + i) <- i
+  done;
+  { net; succ; off; pred; pred_slot; state; nedges; parent_base; size_base;
     next_id = 1;
-    group_parent = Array.init (nc + 1) (fun i -> i);
-    group_size = Array.make (nc + 1) 0;
+    searches = 0;
     stamp = Array.make nc 0;
     clock = 0;
-    searches = 0;
-    nedges = !nedges;
+    fwd = Array.make nc 0;
+    bwd = Array.make nc 0;
+    trail = Array.make 1024 0;
+    tlen = 0;
+    recording = false;
+    cp_next_id = 1;
+    cp_searches = 0;
     journal = None }
 
-(* Scratch clones share the immutable structure (succ/pred/slot arrays,
-   the network) and copy only the mutable routing state — cheap enough
-   to take one per destination speculation. *)
+(* Replicas share the immutable structure (succ/pred/slot arrays, the
+   network) and own everything a search writes: the state, and the
+   search and trail scratch — shared scratch would race across
+   domains. *)
 let clone t =
+  let nc = Array.length t.succ in
   { t with
-    succ_state = Array.map Array.copy t.succ_state;
-    chan_state = Array.copy t.chan_state;
-    group_parent = Array.copy t.group_parent;
-    group_size = Array.copy t.group_size;
-    stamp = Array.copy t.stamp;
+    state = Array.copy t.state;
+    stamp = Array.make nc 0;
+    clock = 0;
+    fwd = Array.make nc 0;
+    bwd = Array.make nc 0;
+    trail = Array.make 1024 0;
+    tlen = 0;
+    recording = false;
     journal = None }
 
+(* Stamps and the clock stay [dst]'s own: they only need to be
+   monotone per graph. *)
 let copy_state_into ~src ~dst =
-  let nc = Array.length src.succ in
-  if Array.length dst.succ <> nc then
-    invalid_arg "Complete_cdg.copy_state_into: different networks";
-  for c = 0 to nc - 1 do
-    let row = src.succ_state.(c) in
-    Array.blit row 0 dst.succ_state.(c) 0 (Array.length row)
-  done;
-  Array.blit src.chan_state 0 dst.chan_state 0 nc;
-  Array.blit src.group_parent 0 dst.group_parent 0 (nc + 1);
-  Array.blit src.group_size 0 dst.group_size 0 (nc + 1);
-  Array.blit src.stamp 0 dst.stamp 0 nc;
+  if src.succ != dst.succ then
+    invalid_arg "Complete_cdg.copy_state_into: graphs do not share structure";
+  if dst.recording then
+    invalid_arg "Complete_cdg.copy_state_into: checkpoint open on dst";
+  Array.blit src.state 0 dst.state 0 (Array.length src.state);
   dst.next_id <- src.next_id;
-  dst.clock <- src.clock;
   dst.searches <- src.searches
+
+(* Every state write goes through [set]; while a checkpoint is open it
+   first saves the old value on the trail. *)
+let save t i =
+  let n = t.tlen in
+  if n + 2 > Array.length t.trail then begin
+    let bigger = Array.make (2 * Array.length t.trail) 0 in
+    Array.blit t.trail 0 bigger 0 n;
+    t.trail <- bigger
+  end;
+  t.trail.(n) <- i;
+  t.trail.(n + 1) <- t.state.(i);
+  t.tlen <- n + 2
+
+let[@inline] set t i v =
+  if t.recording then save t i;
+  t.state.(i) <- v
+
+let checkpoint t =
+  if t.recording then
+    invalid_arg "Complete_cdg.checkpoint: a checkpoint is already open";
+  t.recording <- true;
+  t.tlen <- 0;
+  t.cp_next_id <- t.next_id;
+  t.cp_searches <- t.searches
+
+let rollback t =
+  if not t.recording then
+    invalid_arg "Complete_cdg.rollback: no checkpoint is open";
+  let tr = t.trail and st = t.state in
+  let i = ref t.tlen in
+  while !i > 0 do
+    i := !i - 2;
+    st.(tr.(!i)) <- tr.(!i + 1)
+  done;
+  t.tlen <- 0;
+  t.recording <- false;
+  t.next_id <- t.cp_next_id;
+  t.searches <- t.cp_searches
 
 let journal_create () = { ops = Array.make 96 0; jlen = 0 }
 
 let journal_clear j = j.jlen <- 0
-
-let journal_length j = j.jlen
 
 let set_journal t j = t.journal <- j
 
@@ -177,29 +235,34 @@ let find_slot t ~from ~to_ =
    eager smaller-into-larger relabeling kept, so observable omegas —
    and hence provenance output — are unchanged by the representation. *)
 let find t x =
+  let st = t.state and pb = t.parent_base in
   let x = ref x in
-  while t.group_parent.(!x) <> !x do
-    let p = t.group_parent.(!x) in
-    t.group_parent.(!x) <- t.group_parent.(p);
-    x := t.group_parent.(!x)
+  while st.(pb + !x) <> !x do
+    let p = st.(pb + !x) in
+    let gp = st.(pb + p) in
+    if gp <> p then set t (pb + !x) gp;
+    x := gp
   done;
   !x
 
 let channel_omega t c =
-  let s = t.chan_state.(c) in
+  let s = t.state.(t.nedges + c) in
   if s <= 0 then s else find t s
 
 let edge_omega t ~from ~slot =
-  let s = t.succ_state.(from).(slot) in
+  let s = t.state.(t.off.(from) + slot) in
   if s <= 0 then s else find t s
 
+let add_size t id n = set t (t.size_base + id) (t.state.(t.size_base + id) + n)
+
 let use_channel t c =
-  if t.chan_state.(c) > 0 then find t t.chan_state.(c)
+  let s = t.state.(t.nedges + c) in
+  if s > 0 then find t s
   else begin
     let id = t.next_id in
     t.next_id <- id + 1;
-    t.chan_state.(c) <- id;
-    t.group_size.(id) <- 1;
+    set t (t.nedges + c) id;
+    set t (t.size_base + id) 1;
     (match t.journal with Some j -> jpush j 0 c 0 | None -> ());
     id
   end
@@ -209,51 +272,88 @@ let merge t a b =
   let ra = find t a and rb = find t b in
   if ra = rb then ra
   else begin
-    let keep, drop =
-      if t.group_size.(ra) >= t.group_size.(rb) then ra, rb else rb, ra
-    in
+    let sa = t.state.(t.size_base + ra) and sb = t.state.(t.size_base + rb) in
+    let keep, drop, dropped = if sa >= sb then ra, rb, sb else rb, ra, sa in
     Obs.incr c_merge;
     (* Counter semantics shift with the representation: this still
        tallies the members absorbed from the smaller group, but no
        per-member relabeling work happens anymore — reads canonicalize
        lazily through [find]. *)
-    Obs.add c_relabel t.group_size.(drop);
-    t.group_parent.(drop) <- keep;
-    t.group_size.(keep) <- t.group_size.(keep) + t.group_size.(drop);
+    Obs.add c_relabel dropped;
+    set t (t.parent_base + drop) keep;
+    add_size t keep dropped;
     keep
   end
 
 (* [id] must be canonical (callers pass a fresh [use_channel]/[merge]
    result or a [channel_omega] read). *)
 let mark_edge_used t ~from ~slot id =
-  t.succ_state.(from).(slot) <- id;
-  t.group_size.(id) <- t.group_size.(id) + 1
+  set t (t.off.(from) + slot) id;
+  add_size t id 1
 
-(* Depth-first search for [target] starting at [start], following used
-   edges only (they all carry the same subgraph id, so no id filtering is
-   needed beyond the used test). Condition (d) of Section 4.6.1. *)
+(* Condition (d) of Section 4.6.1: is [target] reachable from [start]
+   over used edges? (They all carry the same subgraph id, so no id
+   filtering is needed beyond the used test.) Two searches alternate one
+   vertex at a time: forward from [start] over used successor edges,
+   backward from [target] over used predecessor edges. A vertex one side
+   reaches that the other already stamped closes a path; either side
+   running dry proves there is none, so the work is about twice the
+   smaller of the two reachable sets. *)
 let reaches t ~start ~target =
   t.searches <- t.searches + 1;
-  t.clock <- t.clock + 1;
-  let stamp = t.clock in
-  let stack = ref [ start ] in
-  let found = ref false in
-  while (not !found) && !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | c :: rest ->
-      stack := rest;
-      if c = target then found := true
-      else if t.stamp.(c) <> stamp then begin
+  if start = target then true
+  else begin
+    t.clock <- t.clock + 2;
+    let fmark = t.clock - 1 and bmark = t.clock in
+    let st = t.state and stamp = t.stamp and fwd = t.fwd and bwd = t.bwd in
+    stamp.(start) <- fmark;
+    stamp.(target) <- bmark;
+    fwd.(0) <- start;
+    bwd.(0) <- target;
+    let nf = ref 1 and nb = ref 1 in
+    let found = ref false and running = ref true in
+    while !running do
+      (* One forward expansion. *)
+      nf := !nf - 1;
+      let c = fwd.(!nf) in
+      Obs.incr c_visited;
+      let s = t.succ.(c) and base = t.off.(c) in
+      for i = 0 to Array.length s - 1 do
+        if st.(base + i) >= 1 then begin
+          let q = s.(i) in
+          let m = stamp.(q) in
+          if m = bmark then found := true
+          else if m <> fmark then begin
+            stamp.(q) <- fmark;
+            fwd.(!nf) <- q;
+            nf := !nf + 1
+          end
+        end
+      done;
+      if !found || !nf = 0 then running := false
+      else begin
+        (* One backward expansion. *)
+        nb := !nb - 1;
+        let c = bwd.(!nb) in
         Obs.incr c_visited;
-        t.stamp.(c) <- stamp;
-        let s = t.succ.(c) and st = t.succ_state.(c) in
-        for i = 0 to Array.length s - 1 do
-          if st.(i) >= 1 then stack := s.(i) :: !stack
-        done
+        let p = t.pred.(c) and ps = t.pred_slot.(c) in
+        for i = 0 to Array.length p - 1 do
+          let a = p.(i) in
+          if st.(t.off.(a) + ps.(i)) >= 1 then begin
+            let m = stamp.(a) in
+            if m = fmark then found := true
+            else if m <> bmark then begin
+              stamp.(a) <- bmark;
+              bwd.(!nb) <- a;
+              nb := !nb + 1
+            end
+          end
+        done;
+        if !found || !nb = 0 then running := false
       end
-  done;
-  !found
+    done;
+    !found
+  end
 
 type verdict =
   | Blocked_memo
@@ -281,7 +381,7 @@ let verdict_to_string = function
 
 let usable t ~from ~slot ~commit =
   Obs.incr c_usable;
-  let state = t.succ_state.(from).(slot) in
+  let state = t.state.(t.off.(from) + slot) in
   if state = -1 then begin
     (* (a) known to close a cycle *)
     Obs.incr c_hit_blocked;
@@ -352,7 +452,7 @@ let usable t ~from ~slot ~commit =
       else begin
         if commit then begin
           Obs.incr c_reject;
-          t.succ_state.(from).(slot) <- -1;
+          set t (t.off.(from) + slot) (-1);
           (match t.journal with Some j -> jpush j 2 from slot | None -> ())
         end;
         Search_cycle
@@ -368,7 +468,8 @@ let would_use_edge t ~from ~slot =
   verdict_ok (usable t ~from ~slot ~commit:false)
 
 (* Replay a speculation's journal onto the authoritative graph. The
-   speculation ran against scratch = snapshot + its own ops; the real
+   speculation ran against snapshot + its own ops (on a replica, or on
+   this graph under a checkpoint since rolled back); the real
    graph at replay time is snapshot + other destinations' committed
    ops + this journal's already-replayed prefix — a superset of what
    each op saw, where used state only ever grows.
@@ -398,9 +499,9 @@ let replay t j =
      | 0 -> ignore (use_channel t a)
      | 1 -> if not (try_use_edge t ~from:a ~slot:b) then ok := false
      | _ ->
-       let st = t.succ_state.(a) in
-       if st.(b) >= 1 then ok := false
-       else if st.(b) = 0 then st.(b) <- -1);
+       let e = t.off.(a) + b in
+       if t.state.(e) >= 1 then ok := false
+       else if t.state.(e) = 0 then set t e (-1));
     Stdlib.incr i
   done;
   !ok
@@ -412,17 +513,18 @@ let used_subgraph_acyclic t =
   (* Iterative DFS with an explicit (vertex, next-slot) stack. *)
   let stack = Stack.create () in
   for start = 0 to nc - 1 do
-    if !acyclic && color.(start) = 0 && t.chan_state.(start) >= 1 then begin
+    if !acyclic && color.(start) = 0 && t.state.(t.nedges + start) >= 1
+    then begin
       color.(start) <- 1;
       Stack.push (start, ref 0) stack;
       while !acyclic && not (Stack.is_empty stack) do
         let c, next = Stack.top stack in
-        let s = t.succ.(c) and st = t.succ_state.(c) in
+        let s = t.succ.(c) and base = t.off.(c) in
         let advanced = ref false in
         while (not !advanced) && !next < Array.length s do
           let i = !next in
           incr next;
-          if st.(i) >= 1 then begin
+          if t.state.(base + i) >= 1 then begin
             let q = s.(i) in
             if color.(q) = 1 then acyclic := false
             else if color.(q) = 0 then begin
@@ -443,15 +545,12 @@ let used_subgraph_acyclic t =
   !acyclic
 
 let count_states t ~used ~blocked ~unused =
-  Array.iter
-    (fun st ->
-       Array.iter
-         (fun s ->
-            if s = -1 then incr blocked
-            else if s = 0 then incr unused
-            else incr used)
-         st)
-    t.succ_state
+  for e = 0 to t.nedges - 1 do
+    let s = t.state.(e) in
+    if s = -1 then incr blocked
+    else if s = 0 then incr unused
+    else incr used
+  done
 
 let cycle_searches t = t.searches
 
@@ -466,9 +565,9 @@ let used_digraph t =
   let nc = Array.length t.succ in
   let g = Acyclic_digraph.create nc in
   for c = 0 to nc - 1 do
-    let s = t.succ.(c) and st = t.succ_state.(c) in
+    let s = t.succ.(c) and base = t.off.(c) in
     for slot = 0 to Array.length s - 1 do
-      if st.(slot) >= 1 then
+      if t.state.(base + slot) >= 1 then
         if not (Acyclic_digraph.try_add_edge g c s.(slot)) then
           invalid_arg "Complete_cdg.used_digraph: used edges contain a cycle"
     done
@@ -511,14 +610,14 @@ let to_dot ?(highlight_path = []) ?(escape = [||]) t =
          fill fontcolor peripheries)
   done;
   for c = 0 to nc - 1 do
-    let s = t.succ.(c) and st = t.succ_state.(c) in
+    let s = t.succ.(c) and base = t.off.(c) in
     for i = 0 to Array.length s - 1 do
       let q = s.(i) in
       let attrs =
         if Hashtbl.mem path_edge (c, q) then
           "color=orange, penwidth=2.5"
         else
-          match st.(i) with
+          match t.state.(base + i) with
           | -1 -> "color=red, style=dashed"
           | 0 -> "color=gray70, style=dotted"
           | _ ->

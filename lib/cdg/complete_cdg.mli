@@ -13,7 +13,7 @@
       acyclic used subgraph the element belongs to.
 
     [try_use_edge] implements Algorithm 3: the four conditions (a)-(d),
-    with a depth-first search only in case (d). Subgraph ids live in a
+    with a reachability search only in case (d). Subgraph ids live in a
     union-find forest (union by size, so the surviving id matches the
     historical smaller-into-larger relabeling); stored omegas may be
     stale aliases, and every read canonicalizes through [channel_omega]/
@@ -27,16 +27,20 @@ val create : Nue_netgraph.Network.t -> t
 (** Build the complete CDG of a network; everything starts unused. *)
 
 val clone : t -> t
-(** A scratch copy for speculative routing: shares the immutable
-    structure (successor/predecessor arrays, the network) and copies
-    only the mutable routing state. Mutating the clone never touches
-    the original. The clone's journal starts unset. *)
+(** A replica for speculative routing on another domain: shares the
+    immutable structure (successor/predecessor arrays, the network) and
+    copies the mutable routing state. It gets its own search stacks,
+    visit stamps and undo trail, so the replica and the original can be
+    searched concurrently. The clone's journal starts unset and no
+    checkpoint is open on it. *)
 
 val copy_state_into : src:t -> dst:t -> unit
-(** Overwrite [dst]'s mutable routing state with [src]'s — resetting a
-    scratch clone to the authoritative graph between speculations
-    without re-allocating. Both must stem from the same network.
-    @raise Invalid_argument if the channel counts differ. *)
+(** Overwrite [dst]'s routing state (omegas, subgraph forest, next
+    fresh id, search count) with [src]'s: one blit that refreshes a
+    replica without re-allocating. [dst] keeps its own visit stamps.
+    @raise Invalid_argument if [dst] does not share [src]'s successor
+    arrays (it must be [src] itself or stem from it through {!clone}),
+    or if a checkpoint is open on [dst]. *)
 
 val network : t -> Nue_netgraph.Network.t
 
@@ -91,8 +95,8 @@ type verdict =
   | Used_memo       (** (b): already used, hence already known acyclic *)
   | Distinct_merge  (** (c): endpoints in distinct (or fresh) acyclic
                         subgraphs — merged without a search *)
-  | Search_acyclic  (** (d): same subgraph, DFS found no used path back *)
-  | Search_cycle    (** (d): same subgraph, DFS found a cycle — blocked *)
+  | Search_acyclic  (** (d): same subgraph, search found no used path back *)
+  | Search_cycle    (** (d): same subgraph, search found a cycle — blocked *)
 
 val verdict_ok : verdict -> bool
 (** Whether the verdict admits the edge ([try_use_edge]'s boolean). *)
@@ -110,20 +114,44 @@ val would_use_edge : t -> from:int -> slot:int -> bool
 (** Like [try_use_edge] but without committing: [true] iff the edge is
     usable right now. Does not block the edge on failure. *)
 
-(** {1 Speculative journaling}
+(** {1 Speculation: checkpoints and journals}
 
-    Parallel Nue routes each destination of a batch against a scratch
-    {!clone} while recording the state-changing operations — fresh
-    channel uses, edge admissions, edge blocks — into a journal, then
-    {!replay}s the journals onto the authoritative graph one
-    destination at a time in batch order. Admissions re-run Algorithm 3
-    on the real graph, so a speculation invalidated by an earlier
-    commit is detected (replay returns [false]) and the caller
-    re-routes that destination sequentially; blocks are always sound to
-    replay because a used subgraph only grows, so a cycle found against
-    the scratch persists in the real graph. The commit order — not the
-    domain schedule — therefore decides the final CDG state, which is
-    what keeps seeded runs byte-identical at any job count. *)
+    Parallel Nue routes each destination of a round speculatively:
+    against the round's snapshot of the CDG, recording the
+    state-changing operations — fresh channel uses, edge admissions,
+    edge blocks — into a journal. Then it {!replay}s the journals onto
+    the authoritative graph one destination at a time, in round order.
+
+    A speculation runs between {!checkpoint} and {!rollback}, so it
+    costs only what its search touches. While a checkpoint is open,
+    every state write (edge and channel omegas, union-find parents —
+    including path halving inside reads — and group sizes) first saves
+    the old value on an undo trail. {!rollback} restores the writes
+    newest first, then the next fresh id and the search count. Visit
+    stamps are not restored; a monotone clock keeps them valid. With
+    one domain the speculation runs on the authoritative graph itself;
+    with several, each domain speculates on its own replica (a
+    {!clone} refreshed with {!copy_state_into} once per round) while
+    the authoritative graph is only read.
+
+    Admissions re-run Algorithm 3 on the real graph, so a speculation
+    invalidated by an earlier commit is detected (replay returns
+    [false]) and the caller re-routes that destination sequentially.
+    Blocks are always sound to replay because a used subgraph only
+    grows, so a cycle found against the snapshot persists in the real
+    graph. The commit order — not the domain schedule — therefore
+    decides the final CDG state, which is what keeps seeded runs
+    byte-identical at any job count. *)
+
+val checkpoint : t -> unit
+(** Start recording writes on the undo trail.
+    @raise Invalid_argument if a checkpoint is already open. *)
+
+val rollback : t -> unit
+(** Undo every state change since the matching {!checkpoint}: omegas,
+    subgraph forest, next fresh id and search count are exactly as
+    they were, and the checkpoint is closed.
+    @raise Invalid_argument if no checkpoint is open. *)
 
 type journal
 
@@ -132,16 +160,13 @@ val journal_create : unit -> journal
 val journal_clear : journal -> unit
 (** Forget the recorded ops (capacity is kept). *)
 
-val journal_length : journal -> int
-(** Number of recorded ops. *)
-
 val set_journal : t -> journal option -> unit
 (** Attach (or detach) the journal that [use_channel]/[try_use_edge]
     record their state changes into. Recording costs one branch per
     state-changing call when unset. *)
 
 val replay : t -> journal -> bool
-(** Apply a journal recorded against a scratch clone to this graph.
+(** Apply a journal recorded against a snapshot of this graph.
     Returns [false] if an admission no longer holds (or a blocked edge
     is found used); the prefix already applied stays applied —
     conservative but sound, see [try_use_edge]. Do not attach a journal
@@ -156,9 +181,17 @@ val used_subgraph_acyclic : t -> bool
 val count_states : t -> used:int ref -> blocked:int ref -> unused:int ref -> unit
 (** Tally edge states. *)
 
+val reaches : t -> start:int -> target:int -> bool
+(** The condition-(d) search: whether [target] is reachable from
+    [start] over used edges. Two searches alternate one vertex at a
+    time, forward from [start] and backward from [target]; the answer
+    is found when one side reaches a vertex the other stamped, or
+    disproved when either side runs out. Allocates nothing. Counts as
+    one cycle search. *)
+
 val cycle_searches : t -> int
-(** Number of depth-first searches performed so far (condition (d) of
-    Section 4.6.1) — instruments how effective the omega memoization is. *)
+(** Number of condition-(d) searches performed so far (Section 4.6.1)
+    — instruments how effective the omega memoization is. *)
 
 val used_digraph : t -> Acyclic_digraph.t
 (** The used subgraph re-checked into an {!Acyclic_digraph} (vertices are

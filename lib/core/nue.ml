@@ -47,18 +47,26 @@ type run_stats = {
    edge admitted for one destination constrains the next) and through
    the balancing weights, so they cannot simply run concurrently. They
    are instead processed in rounds of doubling size: every destination
-   of a round is routed {e speculatively} against a private scratch
-   clone of the CDG and a frozen copy of the weights, recording its
-   state changes into a journal; the round then commits one destination
-   at a time, in round order, by replaying its journal onto the
-   authoritative CDG. A replay that no longer holds (an earlier commit
-   blocked an edge this speculation admitted) discards the speculation
-   and re-routes that destination sequentially on the live state — the
-   fallback that makes the result exact, not approximate.
+   of a round is routed {e speculatively} against the CDG and weights
+   as they stood when the round began, recording its state changes into
+   a journal; the round then commits one destination at a time, in
+   round order, by replaying its journal onto the authoritative CDG. A
+   replay that no longer holds (an earlier commit blocked an edge this
+   speculation admitted) discards the speculation and re-routes that
+   destination sequentially on the live state — the fallback that makes
+   the result exact, not approximate.
 
-   Because round boundaries, scratch contents and commit order are all
-   pure functions of the (seeded) destination order — never of the
-   domain schedule — the tables, counters and provenance trails are
+   A speculation runs between [Complete_cdg.checkpoint] and [rollback],
+   so it costs only what its search touches. With one participant it
+   runs on the authoritative CDG itself. With several, each participant
+   speculates on its own replica, refreshed from the authoritative CDG
+   once per round; the authoritative CDG is only read until the commit.
+   Weights are only written by commits, so every speculation of a round
+   reads the same weights on any schedule.
+
+   Because round boundaries, snapshots and commit order are all pure
+   functions of the (seeded) destination order — never of the domain
+   schedule — the tables, counters and provenance trails are
    byte-identical for any job count, including jobs = 1, which runs the
    very same code inline. Round sizes double from 1 (the first
    destination seeds the orientation alone, cheaply) up to a cap; sizes
@@ -72,12 +80,32 @@ type speculation = {
   sp_nexts : int array;
   sp_journal : Complete_cdg.journal;
   sp_stats : Nue_dijkstra.stats;
-  sp_searches : int; (* DFS count of this speculation alone *)
+  sp_searches : int; (* condition-(d) searches of this speculation alone *)
   sp_trail : Provenance.pending option;
 }
 
+(* Working memory kept across a whole run, so routing a destination
+   leaves no major-heap garbage besides its table row: one Dijkstra
+   scratch per participant slot, one journal per round position (a
+   round's journals are consumed by its commit before the next round
+   starts) and the balancing counts of the commit loop. *)
+type work = {
+  jobs : int;
+  scratch : Nue_dijkstra.scratch option array; (* per participant slot *)
+  journals : Complete_cdg.journal array; (* per round position *)
+  loads : int array;
+}
+
+let scratch_of work net k =
+  match work.scratch.(k) with
+  | Some sc -> sc
+  | None ->
+    let sc = Nue_dijkstra.create_scratch net in
+    work.scratch.(k) <- Some sc;
+    sc
+
 let route_subset ~options ~cdg ~escape ~weights ~scale ~net ~sources ~layer
-    ~stats ~spec_searches ~misspecs ~commit subset =
+    ~stats ~spec_searches ~misspecs ~commit ~work subset =
   let route_live dest =
     (* The sequential path: route on the authoritative CDG and live
        weights, exactly as the pre-batching code did. *)
@@ -92,11 +120,32 @@ let route_subset ~options ~cdg ~escape ~weights ~scale ~net ~sources ~layer
         (fun () ->
            Nue_dijkstra.route_destination cdg ~escape ~weights ~dest
              ~use_backtracking:options.use_backtracking
-             ~use_shortcuts:options.use_shortcuts ~stats ())
+             ~use_shortcuts:options.use_shortcuts
+             ~scratch:(scratch_of work net 0) ~stats ())
     in
     if Provenance.enabled () then Provenance.end_dest ();
     commit ~dest ~nexts;
-    Balance.update_weights ~scale net ~weights ~nexts ~dest ~sources
+    Balance.update_weights ~scale ~loads:work.loads net ~weights ~nexts ~dest
+      ~sources
+  in
+  (* Rounds have at least two tasks, so the pool runs them inline
+     exactly when jobs = 1. *)
+  let solo = work.jobs = 1 in
+  let replicas = Array.make work.jobs None in
+  let claims = Atomic.make 0 in
+  (* Participant [k]'s graph for this round: the live CDG when alone,
+     else replica [k], refreshed while the live CDG is only read. *)
+  let graph_of k =
+    if solo then cdg
+    else
+      match replicas.(k) with
+      | Some g ->
+        Complete_cdg.copy_state_into ~src:cdg ~dst:g;
+        g
+      | None ->
+        let g = Complete_cdg.clone cdg in
+        replicas.(k) <- Some g;
+        g
   in
   let n = Array.length subset in
   let i = ref 0 in
@@ -114,95 +163,85 @@ let route_subset ~options ~cdg ~escape ~weights ~scale ~net ~sources ~layer
     end
     else begin
       let base = !i in
-      let frozen = Array.copy weights in
       let results : speculation option array = Array.make r None in
-      Pool.run_with ~n:r ~label:"nue.round"
-        ~init:(fun () -> ref None)
-        (fun scratch_cell k ->
-           let scratch =
-             match !scratch_cell with
-             | Some s ->
-               Complete_cdg.copy_state_into ~src:cdg ~dst:s;
-               s
-             | None ->
-               let s = Complete_cdg.clone cdg in
-               scratch_cell := Some s;
-               s
-           in
+      Atomic.set claims 0;
+      Pool.run_with ~jobs:work.jobs ~n:r ~label:"nue.round"
+        ~init:(fun () ->
+            let k = Atomic.fetch_and_add claims 1 in
+            (graph_of k, scratch_of work net k))
+        (fun (graph, scratch) k ->
            let dest = subset.(base + k) in
            Obs.incr c_speculated;
-           let journal = Complete_cdg.journal_create () in
-           Complete_cdg.set_journal scratch (Some journal);
+           let journal = work.journals.(k) in
+           Complete_cdg.journal_clear journal;
            let sp_stats = Nue_dijkstra.fresh_stats () in
            if Provenance.enabled () then Provenance.begin_dest ~dest;
-           let searches0 = Complete_cdg.cycle_searches scratch in
+           Complete_cdg.checkpoint graph;
+           Complete_cdg.set_journal graph (Some journal);
+           let searches0 = Complete_cdg.cycle_searches graph in
            let nexts =
              Span.with_ "nue.dest"
                ~args:
                  [ ("dest", Span.Int dest); ("layer", Span.Int layer);
                    ("speculative", Span.Bool true) ]
                (fun () ->
-                  Nue_dijkstra.route_destination scratch ~escape
-                    ~weights:frozen ~dest
+                  Nue_dijkstra.route_destination graph ~escape ~weights ~dest
                     ~use_backtracking:options.use_backtracking
-                    ~use_shortcuts:options.use_shortcuts ~stats:sp_stats ())
+                    ~use_shortcuts:options.use_shortcuts ~scratch
+                    ~stats:sp_stats ())
            in
-           Complete_cdg.set_journal scratch None;
+           let sp_searches = Complete_cdg.cycle_searches graph - searches0 in
+           Complete_cdg.set_journal graph None;
+           Complete_cdg.rollback graph;
            results.(k) <-
              Some
                { sp_nexts = nexts;
                  sp_journal = journal;
                  sp_stats;
-                 sp_searches = Complete_cdg.cycle_searches scratch - searches0;
+                 sp_searches;
                  sp_trail = Provenance.take_dest () });
-      let committed = ref 0 and round_misspecs = ref 0 and round_live = ref 0 in
+      let committed = ref 0 and round_misspecs = ref 0 in
       (* The serial tail of every round: journal replays, weight
-         updates and misspeculation recomputes, in dest order. *)
+         updates and misspeculation recomputes, in dest order. The pool
+         re-raises any task's exception, so every slot is filled. *)
       Span.with_ "nue.commit" ~args:[ ("round", Span.Int r) ] (fun () ->
       for k = 0 to r - 1 do
         let dest = subset.(base + k) in
-        match results.(k) with
-        | None ->
-          (* skipped task: route it for real *)
-          incr round_live;
+        let sp = Option.get results.(k) in
+        if Complete_cdg.replay cdg sp.sp_journal then begin
+          incr committed;
+          stats.Nue_dijkstra.fallbacks <-
+            stats.Nue_dijkstra.fallbacks + sp.sp_stats.Nue_dijkstra.fallbacks;
+          stats.Nue_dijkstra.backtracks <-
+            stats.Nue_dijkstra.backtracks + sp.sp_stats.Nue_dijkstra.backtracks;
+          stats.Nue_dijkstra.shortcuts <-
+            stats.Nue_dijkstra.shortcuts + sp.sp_stats.Nue_dijkstra.shortcuts;
+          stats.Nue_dijkstra.impasse_dests <-
+            stats.Nue_dijkstra.impasse_dests
+            + sp.sp_stats.Nue_dijkstra.impasse_dests;
+          spec_searches := !spec_searches + sp.sp_searches;
+          (match sp.sp_trail with
+           | Some trail -> Provenance.commit_dest trail
+           | None -> ());
+          commit ~dest ~nexts:sp.sp_nexts;
+          Balance.update_weights ~scale ~loads:work.loads net ~weights
+            ~nexts:sp.sp_nexts ~dest ~sources
+        end
+        else begin
+          (* An earlier commit of this round invalidated the
+             speculation; its trail and stats are dropped with it. *)
+          Obs.incr c_misspec;
+          incr misspecs;
+          incr round_misspecs;
           route_live dest
-        | Some sp ->
-          if Complete_cdg.replay cdg sp.sp_journal then begin
-            incr committed;
-            stats.Nue_dijkstra.fallbacks <-
-              stats.Nue_dijkstra.fallbacks + sp.sp_stats.Nue_dijkstra.fallbacks;
-            stats.Nue_dijkstra.backtracks <-
-              stats.Nue_dijkstra.backtracks
-              + sp.sp_stats.Nue_dijkstra.backtracks;
-            stats.Nue_dijkstra.shortcuts <-
-              stats.Nue_dijkstra.shortcuts + sp.sp_stats.Nue_dijkstra.shortcuts;
-            stats.Nue_dijkstra.impasse_dests <-
-              stats.Nue_dijkstra.impasse_dests
-              + sp.sp_stats.Nue_dijkstra.impasse_dests;
-            spec_searches := !spec_searches + sp.sp_searches;
-            (match sp.sp_trail with
-             | Some trail -> Provenance.commit_dest trail
-             | None -> ());
-            commit ~dest ~nexts:sp.sp_nexts;
-            Balance.update_weights ~scale net ~weights ~nexts:sp.sp_nexts
-              ~dest ~sources
-          end
-          else begin
-            (* An earlier commit of this round invalidated the
-               speculation; its trail and stats are dropped with it. *)
-            Obs.incr c_misspec;
-            incr misspecs;
-            incr round_misspecs;
-            incr round_live;
-            route_live dest
-          end
+        end
       done);
       if Profile.enabled () then
         Profile.record_round
           { Profile.rd_size = r;
             rd_committed = !committed;
             rd_misspeculated = !round_misspecs;
-            rd_live = !round_live }
+            rd_live = !round_misspecs }
     end;
     i := !i + r;
     round := min (2 * !round) max_round
@@ -232,7 +271,8 @@ let route_with_stats ?(options = default_options) ?dests ?sources ~vcs net =
   let nc = Network.num_channels net in
   let dest_pos = Array.make nn (-1) in
   Array.iteri (fun i d -> dest_pos.(d) <- i) dests;
-  let next_channel = Array.map (fun _ -> Array.make nn (-1)) dests in
+  (* Rows are the routed trees themselves, stored at commit. *)
+  let next_channel = Array.make (Array.length dests) [||] in
   let layer_of_dest = Array.make (Array.length dests) 0 in
   let stats = Nue_dijkstra.fresh_stats () in
   let initial_deps = ref 0 in
@@ -241,6 +281,13 @@ let route_with_stats ?(options = default_options) ?dests ?sources ~vcs net =
   let roots = ref [] in
   let global_weights = Array.make nc 1.0 in
   let scale = Balance.tie_break_scale ~sources ~dests in
+  let jobs = Pool.default_jobs () in
+  let work =
+    { jobs;
+      scratch = Array.make jobs None;
+      journals = Array.init max_round (fun _ -> Complete_cdg.journal_create ());
+      loads = Array.make nc 0 }
+  in
   Array.iteri
     (fun layer subset ->
        if Array.length subset > 0 then begin
@@ -276,21 +323,27 @@ let route_with_stats ?(options = default_options) ?dests ?sources ~vcs net =
               let spec_searches = ref 0 in
               let commit ~dest ~nexts =
                 let pos = dest_pos.(dest) in
-                Array.blit nexts 0 next_channel.(pos) 0 nn;
+                next_channel.(pos) <- nexts;
                 layer_of_dest.(pos) <- layer
               in
               route_subset ~options ~cdg ~escape ~weights ~scale ~net
                 ~sources ~layer ~stats ~spec_searches ~misspecs ~commit
-                subset;
-              (* The layer's DFS total: searches on the authoritative
-                 graph (escape seeding, replays, re-routes) plus each
-                 committed speculation's own searches — both independent
-                 of the domain schedule. *)
+                ~work subset;
+              (* The layer's search total: searches on the authoritative
+                 graph (escape seeding, replays, re-routes; rollback
+                 removes speculations' own) plus each committed
+                 speculation's searches — both independent of the
+                 domain schedule. *)
               cycle_searches :=
                 !cycle_searches + Complete_cdg.cycle_searches cdg
                 + !spec_searches)
        end)
     subsets;
+  (* Only a destination listed twice leaves a row behind unrouted. *)
+  Array.iteri
+    (fun pos row ->
+       if Array.length row = 0 then next_channel.(pos) <- Array.make nn (-1))
+    next_channel;
   let run =
     { fallbacks = stats.Nue_dijkstra.fallbacks;
       backtracks = stats.Nue_dijkstra.backtracks;

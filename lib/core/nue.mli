@@ -14,8 +14,9 @@
 
     Within a layer, destinations are processed in batched speculative
     rounds sharded over [Nue_parallel.Pool] (see DESIGN.md "Parallel
-    execution model"): each destination of a round routes against a
-    scratch CDG clone and frozen weights, and the round commits in
+    execution model"): each destination of a round routes against the
+    CDG and weights as the round found them (under a checkpoint that is
+    rolled back, or on a per-domain replica), and the round commits in
     order by replaying each journal onto the authoritative CDG,
     re-routing sequentially when a replay no longer holds. Round
     boundaries and commit order depend only on the seeded destination

@@ -20,6 +20,21 @@ type stats = {
 let fresh_stats () =
   { fallbacks = 0; backtracks = 0; shortcuts = 0; impasse_dests = 0 }
 
+(* The node-sized working arrays of one search, kept per domain and
+   reset per destination so routing a destination leaves no
+   major-heap garbage besides its returned row. *)
+type scratch = {
+  s_ndist : float array;
+  s_tent : float array;
+  s_routed : bool array;
+}
+
+let create_scratch net =
+  let nn = Network.num_nodes net in
+  { s_ndist = Array.make nn infinity;
+    s_tent = Array.make nn infinity;
+    s_routed = Array.make nn false }
+
 type state = {
   cdg : Complete_cdg.t;
   net : Network.t;
@@ -248,15 +263,26 @@ let fall_back_to_escape st escape =
   done
 
 let route_destination cdg ~escape ~weights ~dest ?(use_backtracking = true)
-    ?(use_shortcuts = true) ~stats () =
+    ?(use_shortcuts = true) ?scratch ~stats () =
   let net = Complete_cdg.network cdg in
   let nn = Network.num_nodes net in
+  let sc =
+    match scratch with
+    | None -> create_scratch net
+    | Some sc ->
+      if Array.length sc.s_routed <> nn then
+        invalid_arg "Nue_dijkstra.route_destination: scratch of another size";
+      Array.fill sc.s_ndist 0 nn infinity;
+      Array.fill sc.s_tent 0 nn infinity;
+      Array.fill sc.s_routed 0 nn false;
+      sc
+  in
   let st =
     { cdg; net; weights; dest;
-      ndist = Array.make nn infinity;
-      tent = Array.make nn infinity;
+      ndist = sc.s_ndist;
+      tent = sc.s_tent;
       used_channel = Array.make nn (-1);
-      routed = Array.make nn false;
+      routed = sc.s_routed;
       heap = Fib_heap.create () }
   in
   st.routed.(dest) <- true;

@@ -24,6 +24,12 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
+type scratch
+(** Node-sized working arrays for {!route_destination}, reusable
+    across calls on one domain at a time. *)
+
+val create_scratch : Nue_netgraph.Network.t -> scratch
+
 val route_destination :
   Nue_cdg.Complete_cdg.t ->
   escape:Escape.t ->
@@ -31,10 +37,15 @@ val route_destination :
   dest:int ->
   ?use_backtracking:bool ->
   ?use_shortcuts:bool ->
+  ?scratch:scratch ->
   stats:stats ->
   unit ->
   int array
 (** Next channel per node toward [dest] (-1 at [dest]); always total —
     either found by the constrained search, completed by local
     backtracking, or (whole destination) falling back to the escape
-    paths. Both optimizations default to enabled. *)
+    paths. Both optimizations default to enabled. The returned row is
+    fresh; the search's other arrays come from [scratch] when given
+    (else they are allocated per call).
+    @raise Invalid_argument if [scratch] was made for a network with a
+    different node count. *)

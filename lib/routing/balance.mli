@@ -17,6 +17,7 @@ val channel_loads :
 
 val update_weights :
   ?scale:float ->
+  ?loads:int array ->
   Nue_netgraph.Network.t ->
   weights:float array ->
   nexts:int array ->
@@ -24,7 +25,9 @@ val update_weights :
   sources:int array ->
   unit
 (** Add [scale] (default 1) times the per-channel loads for this
-    destination onto [weights]. *)
+    destination onto [weights]. [loads], when given, is the count
+    scratch: one zero per channel on entry, left all zeros on return
+    (else a fresh array is allocated per call). *)
 
 val tie_break_scale : sources:int array -> dests:int array -> float
 (** A scale small enough that accumulated loads act as tie-breakers

@@ -354,6 +354,205 @@ let cdg_omega_consistency () =
       (Complete_cdg.succ cdg c)
   done
 
+(* {1 Speculation API: checkpoint, rollback, journal, replay} *)
+
+(* The offline answer to condition (d): breadth-first search from
+   [start] over used edges. *)
+let used_path cdg ~start ~target =
+  let seen = Array.make (Complete_cdg.num_channels cdg) false in
+  let queue = Queue.create () in
+  seen.(start) <- true;
+  Queue.add start queue;
+  let found = ref (start = target) in
+  while (not !found) && not (Queue.is_empty queue) do
+    let c = Queue.pop queue in
+    Array.iteri
+      (fun slot q ->
+         if Complete_cdg.edge_omega cdg ~from:c ~slot >= 1 && not seen.(q)
+         then begin
+           if q = target then found := true;
+           seen.(q) <- true;
+           Queue.add q queue
+         end)
+      (Complete_cdg.succ cdg c)
+  done;
+  !found
+
+let omegas cdg =
+  let nc = Complete_cdg.num_channels cdg in
+  ( Array.init nc (Complete_cdg.channel_omega cdg),
+    Array.init nc (fun c ->
+        Array.mapi
+          (fun slot _ -> Complete_cdg.edge_omega cdg ~from:c ~slot)
+          (Complete_cdg.succ cdg c)) )
+
+(* A random burst of calls: fresh channel uses, committing edge
+   admissions and non-committing probes. Every verdict must agree with
+   [used_path] taken just before the call — an edge is admissible
+   exactly when no used path leads from its head back to its tail. That
+   covers condition (d), where the search decides, and (a)-(c), where
+   the memo does. *)
+let random_ops cdg p n =
+  let nc = Complete_cdg.num_channels cdg in
+  let ok = ref true in
+  for _ = 1 to n do
+    let c = Prng.int p nc in
+    let succ = Complete_cdg.succ cdg c in
+    match Prng.int p 3 with
+    | 0 -> ignore (Complete_cdg.use_channel cdg c)
+    | op when Array.length succ > 0 ->
+      let slot = Prng.int p (Array.length succ) in
+      let admissible = not (used_path cdg ~start:succ.(slot) ~target:c) in
+      let verdict =
+        if op = 1 then
+          Complete_cdg.verdict_ok (Complete_cdg.try_use_edge_v cdg ~from:c ~slot)
+        else Complete_cdg.would_use_edge cdg ~from:c ~slot
+      in
+      if verdict <> admissible then ok := false
+    | _ -> ()
+  done;
+  !ok
+
+let qcheck_speculation_round_trip =
+  QCheck2.Test.make ~name:"checkpoint, rollback and journal replay" ~count:40
+    QCheck2.Gen.(pair Helpers.arbitrary_net (int_range 0 1_000_000))
+    (fun (net, seed) ->
+       let p = Prng.create seed in
+       let cdg = Complete_cdg.create net in
+       let ok_before = random_ops cdg p 80 in
+       let before = Complete_cdg.clone cdg in
+       let target = Complete_cdg.clone cdg in
+       let j = Complete_cdg.journal_create () in
+       Complete_cdg.checkpoint cdg;
+       Complete_cdg.set_journal cdg (Some j);
+       let ok_spec = random_ops cdg p 160 in
+       Complete_cdg.set_journal cdg None;
+       let speculated = omegas cdg in
+       Complete_cdg.rollback cdg;
+       let restored =
+         omegas cdg = omegas before
+         && Complete_cdg.cycle_searches cdg = Complete_cdg.cycle_searches before
+       in
+       (* Replayed onto the pre-checkpoint state, the journal reproduces
+          the speculation exactly. *)
+       let replayed = Complete_cdg.replay target j && omegas target = speculated in
+       (* The next fresh id is restored too: the same unused channel gets
+          the same id on both. *)
+       let nc = Complete_cdg.num_channels cdg in
+       let rec first_unused c =
+         if c >= nc then None
+         else if Complete_cdg.channel_omega cdg c = 0 then Some c
+         else first_unused (c + 1)
+       in
+       let same_fresh_id =
+         match first_unused 0 with
+         | None -> true
+         | Some c ->
+           Complete_cdg.use_channel cdg c = Complete_cdg.use_channel before c
+       in
+       ok_before && ok_spec && restored && replayed && same_fresh_id
+       && Complete_cdg.used_subgraph_acyclic target)
+
+let cdg_rollback_restores_live_graph () =
+  (* The same round trip on a fixed fabric, with failures named. *)
+  let net = Helpers.random_net ~switches:12 ~links:30 () in
+  let cdg = Complete_cdg.create net in
+  let p = Prng.create 5 in
+  Alcotest.(check bool) "verdicts before" true (random_ops cdg p 300);
+  let before = omegas cdg and searches = Complete_cdg.cycle_searches cdg in
+  Complete_cdg.checkpoint cdg;
+  Alcotest.(check bool) "verdicts under checkpoint" true (random_ops cdg p 600);
+  Alcotest.(check bool) "speculation searched" true
+    (Complete_cdg.cycle_searches cdg > searches);
+  Complete_cdg.rollback cdg;
+  Alcotest.(check bool) "omegas restored" true (omegas cdg = before);
+  Alcotest.(check int) "search count restored" searches
+    (Complete_cdg.cycle_searches cdg);
+  let misuse f =
+    match f cdg with exception Invalid_argument _ -> true | () -> false
+  in
+  Alcotest.(check bool) "rollback without checkpoint raises" true
+    (misuse Complete_cdg.rollback);
+  Complete_cdg.checkpoint cdg;
+  Alcotest.(check bool) "nested checkpoint raises" true
+    (misuse Complete_cdg.checkpoint);
+  Complete_cdg.rollback cdg
+
+let cdg_replay_detects_misspeculation () =
+  let net = Helpers.ring ~terminals:0 4 in
+  let cdg = Complete_cdg.create net in
+  let chan u v = Option.get (Network.find_channel net u v) in
+  let slot a b = Option.get (Complete_cdg.find_slot cdg ~from:a ~to_:b) in
+  let use a b = Complete_cdg.try_use_edge cdg ~from:a ~slot:(slot a b) in
+  (* The speculation admits (3->0) -> (0->1) and is rolled back. *)
+  let j = Complete_cdg.journal_create () in
+  Complete_cdg.checkpoint cdg;
+  Complete_cdg.set_journal cdg (Some j);
+  Alcotest.(check bool) "speculated admission" true (use (chan 3 0) (chan 0 1));
+  Complete_cdg.set_journal cdg None;
+  Complete_cdg.rollback cdg;
+  Alcotest.(check int) "rolled back" 0
+    (Complete_cdg.edge_omega cdg ~from:(chan 3 0) ~slot:(slot (chan 3 0) (chan 0 1)));
+  (* An earlier commit uses the rest of the ring, which blocks the
+     speculated edge. *)
+  Alcotest.(check bool) "01->12" true (use (chan 0 1) (chan 1 2));
+  Alcotest.(check bool) "12->23" true (use (chan 1 2) (chan 2 3));
+  Alcotest.(check bool) "23->30" true (use (chan 2 3) (chan 3 0));
+  Alcotest.(check bool) "closing edge blocked" false (use (chan 3 0) (chan 0 1));
+  Alcotest.(check bool) "replay refuses" false (Complete_cdg.replay cdg j);
+  Alcotest.(check bool) "used subgraph still acyclic" true
+    (Complete_cdg.used_subgraph_acyclic cdg)
+
+let cdg_copy_state_checks_structure () =
+  (* Both CDGs have 22 channels, so a size check cannot tell them
+     apart. *)
+  let ring = Complete_cdg.create (Helpers.ring5 ()) in
+  let line = Complete_cdg.create (Helpers.line 6) in
+  Alcotest.(check int) "same channel count"
+    (Complete_cdg.num_channels ring) (Complete_cdg.num_channels line);
+  let refused ~src ~dst =
+    match Complete_cdg.copy_state_into ~src ~dst with
+    | exception Invalid_argument _ -> true
+    | () -> false
+  in
+  Alcotest.(check bool) "ring5 -> line6 refused" true (refused ~src:ring ~dst:line);
+  Alcotest.(check bool) "line6 -> ring5 refused" true (refused ~src:line ~dst:ring);
+  (* A clone shares the structure and takes the state. *)
+  let replica = Complete_cdg.clone ring in
+  let p = Prng.create 9 in
+  ignore (random_ops ring p 200);
+  Complete_cdg.copy_state_into ~src:ring ~dst:replica;
+  Alcotest.(check bool) "replica refreshed" true (omegas replica = omegas ring);
+  Alcotest.(check int) "search count copied"
+    (Complete_cdg.cycle_searches ring) (Complete_cdg.cycle_searches replica);
+  Complete_cdg.checkpoint replica;
+  Alcotest.(check bool) "open checkpoint on dst refused" true
+    (refused ~src:ring ~dst:replica);
+  Complete_cdg.rollback replica
+
+let cdg_reaches_allocation_free () =
+  let net = Helpers.random_net ~switches:12 ~links:30 () in
+  let cdg = Complete_cdg.create net in
+  ignore (random_ops cdg (Prng.create 17) 800);
+  let nc = Complete_cdg.num_channels cdg in
+  let hits = ref 0 in
+  for i = 0 to 999 do
+    let start = i mod nc and target = ((i * 7) + 3) mod nc in
+    let r = Complete_cdg.reaches cdg ~start ~target in
+    if r then incr hits;
+    if r <> used_path cdg ~start ~target then
+      Alcotest.failf "reaches %d -> %d disagrees with BFS" start target
+  done;
+  Alcotest.(check bool) "both answers occur" true (!hits > 0 && !hits < 1000);
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let start = i mod nc and target = ((i * 7) + 3) mod nc in
+    ignore (Sys.opaque_identity (Complete_cdg.reaches cdg ~start ~target))
+  done;
+  let w1 = Gc.minor_words () in
+  (* The two Gc.minor_words calls box a float each. *)
+  Alcotest.(check bool) "reaches allocation-free" true (w1 -. w0 < 256.0)
+
 let suite =
   [ ("digraph",
      [ test_case "edges and multiplicity" `Quick digraph_edges;
@@ -378,5 +577,14 @@ let suite =
        test_case "random usage keeps acyclicity" `Quick cdg_random_usage_invariant;
        test_case "blocked is memoized" `Quick cdg_blocked_stays_blocked;
        test_case "blocked edges justified" `Quick cdg_blocked_edges_justified;
-       test_case "omega consistency" `Quick cdg_omega_consistency ]) ]
+       test_case "omega consistency" `Quick cdg_omega_consistency ]);
+    ("cdg:speculation",
+     [ QCheck_alcotest.to_alcotest qcheck_speculation_round_trip;
+       test_case "rollback restores the live graph" `Quick
+         cdg_rollback_restores_live_graph;
+       test_case "replay detects misspeculation" `Quick
+         cdg_replay_detects_misspeculation;
+       test_case "copy_state_into checks structure" `Quick
+         cdg_copy_state_checks_structure;
+       test_case "reaches allocation-free" `Quick cdg_reaches_allocation_free ]) ]
 

@@ -128,6 +128,36 @@ let test_provenance_trails_equal () =
          seq)
     [ 2; 8 ]
 
+(* The digests above compare tables only; a race inside speculation can
+   leave tables equal and still move the search and misspeculation
+   counts. [Table.info] carries both, so it must not depend on the job
+   count either. The fixtures misspeculate, so commits do reject
+   speculated edges. *)
+let info_at jobs built ~vcs =
+  with_jobs jobs @@ fun () ->
+  match Engine.route "nue" (Experiment.spec ~vcs built) with
+  | Error e -> Alcotest.failf "nue: %s" (Engine_error.to_string e)
+  | Ok table -> table.Table.info
+
+let test_info_independent_of_jobs () =
+  List.iter
+    (fun (name, built, vcs) ->
+       let seq = info_at 1 built ~vcs in
+       Alcotest.(check bool) (name ^ ": misspeculates") true
+         (List.assoc "misspeculations" seq > 0.0);
+       List.iter
+         (fun jobs ->
+            Alcotest.(check (list (pair string (float 0.0))))
+              (Printf.sprintf "%s: info at jobs=%d" name jobs)
+              seq (info_at jobs built ~vcs))
+         [ 2; 4 ])
+    [ ("dense-random", Helpers.dense_random_built (), 2);
+      ("torus443",
+       Experiment.build
+         (Experiment.setup ~seed:1
+            (Experiment.Torus3d { dims = (4, 4, 3); terminals = 2; redundancy = 1 })),
+       4) ]
+
 (* {1 Shard merge semantics} *)
 
 let c_sum = Obs.counter "test.parallel.sum"
@@ -341,4 +371,6 @@ let suite =
           Alcotest.test_case "stress: 6 seeded rounds" `Quick
             test_stress_quick;
           Alcotest.test_case "stress: 50 seeded rounds" `Slow
-            test_stress_slow ] ) ]
+            test_stress_slow;
+          Alcotest.test_case "Table.info independent of jobs" `Quick
+            test_info_independent_of_jobs ] ) ]
