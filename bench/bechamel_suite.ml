@@ -43,35 +43,19 @@ let tests () =
       Test.make ~name:"fig11:torus2qos-faulty"
         (Staged.stage (fun () ->
              Nue_routing.Torus2qos.route ~torus ~remap ()));
-      (* Substrate comparison: the two decrease-key heaps under a
-         Dijkstra-shaped load (Proposition 1's O(1) decrease-key
-         requirement vs the pairing heap's better constants). *)
+      (* Substrate kernels: the heap under a Dijkstra-shaped load and
+         under a plain insert/extract stream. *)
       Test.make ~name:"substrate:fib-heap-dijkstra"
         (Staged.stage (fun () ->
              let w = Array.make (Network.num_channels rnet) 1.0 in
              Nue_netgraph.Graph_algo.dijkstra_to_dest rnet ~weights:w
                ~dest:(Network.terminals rnet).(0)));
-      Test.make ~name:"substrate:pairing-heap-sort"
-        (Staged.stage (fun () ->
-             let h = Nue_structures.Pairing_heap.create () in
-             for i = 0 to 999 do
-               ignore
-                 (Nue_structures.Pairing_heap.insert h
-                    ~key:(float_of_int ((i * 7919) mod 997)) i)
-             done;
-             let rec drain () =
-               match Nue_structures.Pairing_heap.extract_min h with
-               | None -> ()
-               | Some _ -> drain ()
-             in
-             drain ()));
       Test.make ~name:"substrate:fib-heap-sort"
         (Staged.stage (fun () ->
              let h = Nue_structures.Fib_heap.create () in
              for i = 0 to 999 do
-               ignore
-                 (Nue_structures.Fib_heap.insert h
-                    ~key:(float_of_int ((i * 7919) mod 997)) i)
+               Nue_structures.Fib_heap.insert h
+                 ~key:(float_of_int ((i * 7919) mod 997)) i
              done;
              let rec drain () =
                match Nue_structures.Fib_heap.extract_min h with

@@ -57,9 +57,7 @@ let run ?(full = false) () =
                         (c "cdg.memo.hit_blocked" + c "cdg.memo.hit_used")
                    /. float_of_int usable)
             in
-            let heap_ops =
-              c "heap.inserts" + c "heap.extracts" + c "heap.decrease_keys"
-            in
+            let heap_ops = c "heap.inserts" + c "heap.extracts" in
             let status =
               match o.Experiment.table with
               | Ok _ -> "ok"

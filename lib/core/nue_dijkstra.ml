@@ -96,7 +96,7 @@ let expand st n =
         in
         if usable then begin
           st.tent.(x) <- key;
-          ignore (Fib_heap.insert st.heap ~key a)
+          Fib_heap.insert st.heap ~key a
         end
       end
     end

@@ -10,7 +10,7 @@
     backtracked, or fell back to the escape paths.
 
     This module records exactly that trail. Recording is {e off by
-    default} (an {!Nue_obs.Obs.switch}): while disabled, every hook in
+    default} (its own atomic flag): while disabled, every hook in
     the routing core reduces to a single flag test — no allocation, no
     work — mirroring the discipline of [Nue_obs]. Enable it around one
     routing computation with {!with_recording}, then derive per-pair

@@ -54,13 +54,16 @@ let dijkstra_to_dest net ~weights ~dest =
   let next = Array.make n (-1) in
   let dist = Array.make n infinity in
   let heap = Fib_heap.create () in
-  let handle = Array.make n None in
   dist.(dest) <- 0.0;
-  handle.(dest) <- Some (Fib_heap.insert heap ~key:0.0 dest);
+  Fib_heap.insert heap ~key:0.0 dest;
   let relax u =
     (* Expand predecessors of u: a node v with channel v -> u improves if
        going through u is strictly cheaper (or equal with a smaller
-       channel id, for determinism). *)
+       channel id, for determinism). An improved node is re-inserted
+       rather than decreased; its older entries pop stale and are
+       skipped below. Both outputs are order-independent: [dist] is the
+       shortest distance and [next] the smallest channel id among the
+       equal-cost next hops. *)
     let inc = Network.in_channels net u in
     for i = 0 to Array.length inc - 1 do
       let c = inc.(i) in
@@ -73,10 +76,7 @@ let dijkstra_to_dest net ~weights ~dest =
       if better then begin
         dist.(v) <- cand;
         next.(v) <- c;
-        match handle.(v) with
-        | Some h when Fib_heap.mem h ->
-          if cand < Fib_heap.key h then Fib_heap.decrease_key heap h cand
-        | _ -> handle.(v) <- Some (Fib_heap.insert heap ~key:cand v)
+        Fib_heap.insert heap ~key:cand v
       end
     done
   in

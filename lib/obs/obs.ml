@@ -7,9 +7,7 @@
    merged totals are a function of the work performed, not of the
    schedule. *)
 
-type merge = Sum | Max
-
-type counter = { c_id : int; c_name : string; c_merge : merge }
+type counter = { c_id : int; c_name : string }
 
 type timer = { t_id : int; t_name : string }
 
@@ -18,10 +16,6 @@ type timer = { t_id : int; t_name : string }
 type tcell = {
   mutable total : float;
   mutable acts : int;
-  (* Manual-scope state: clock value at [start], negative when idle.
-     Lets [stop] detect double-stop/double-start instead of silently
-     corrupting [total]. *)
-  mutable started_at : float;
 }
 
 type shard_state = {
@@ -42,14 +36,6 @@ let enable () = Atomic.set on true
 
 let disable () = Atomic.set on false
 
-(* Named feature switches: one flag per name, off by default. Clients
-   keep the switch value and test it on the hot path, so a disabled
-   feature costs one load — the same discipline as [enabled] above, but
-   per-feature instead of registry-wide. The provenance recorder is the
-   first client. Switch state is an [Atomic] (not a shard): a switch is
-   configuration, flipped by the driver and read by every domain. *)
-type switch = { s_name : string; s_on : bool Atomic.t }
-
 let reg_mutex = Mutex.create ()
 
 let locked f =
@@ -58,25 +44,8 @@ let locked f =
   | v -> Mutex.unlock reg_mutex; v
   | exception e -> Mutex.unlock reg_mutex; raise e
 
-let switches : (string, switch) Hashtbl.t = Hashtbl.create 8
-
-let switch name =
-  locked (fun () ->
-    match Hashtbl.find_opt switches name with
-    | Some s -> s
-    | None ->
-      let s = { s_name = name; s_on = Atomic.make false } in
-      Hashtbl.replace switches name s;
-      s)
-
-let switch_on s = Atomic.get s.s_on
-
-let set_switch s b = Atomic.set s.s_on b
-
-let switch_name s = s.s_name
-
-(* Debug mode: unbalanced timer scopes and span exits raise instead of
-   saturating. Off in release so production tracing can never throw. *)
+(* Debug mode: unbalanced span exits raise instead of saturating. Off
+   in release so production tracing can never throw. *)
 let debug_on = Atomic.make false
 
 let debug () = Atomic.get debug_on
@@ -101,22 +70,18 @@ let timer_list : timer list ref = ref []
 
 let n_timers = ref 0
 
-let register_counter name merge_kind =
+let counter name =
   locked (fun () ->
     match Hashtbl.find_opt counters name with
     | Some c -> c
     | None ->
-      let c = { c_id = !n_counters; c_name = name; c_merge = merge_kind } in
+      let c = { c_id = !n_counters; c_name = name } in
       incr n_counters;
       Hashtbl.replace counters name c;
       counter_list := c :: !counter_list;
       c)
 
-let counter name = register_counter name Sum
-
-let max_counter name = register_counter name Max
-
-let fresh_tcell () = { total = 0.0; acts = 0; started_at = -1.0 }
+let fresh_tcell () = { total = 0.0; acts = 0 }
 
 (* Grow the calling domain's cells up to the registered count. Reading
    [!n_counters] without the lock is fine: registration only grows the
@@ -155,12 +120,6 @@ let add c n =
     v.(c.c_id) <- v.(c.c_id) + n
   end
 
-let note_max c n =
-  if Atomic.get on then begin
-    let v = ccells c.c_id in
-    if n > v.(c.c_id) then v.(c.c_id) <- n
-  end
-
 let peek c =
   let s = shard () in
   if c.c_id < Array.length s.cvals then s.cvals.(c.c_id) else 0
@@ -190,40 +149,6 @@ let time t f =
     | r -> record (); r
     | exception e -> record (); raise e
   end
-
-(* Manual scopes, for callers whose begin/end cannot bracket a single
-   closure. Unbalanced use (start on a running timer, stop on an idle
-   one) raises in debug and saturates in release: the extra call is
-   dropped, never folded into [total]. *)
-let start t =
-  if Atomic.get on then begin
-    let cell = (tcells t.t_id).(t.t_id) in
-    if cell.started_at >= 0.0 then begin
-      if Atomic.get debug_on then
-        invalid_arg ("Obs.start: timer already running: " ^ t.t_name)
-      (* saturate: keep the original start point *)
-    end
-    else cell.started_at <- (Atomic.get clock) ()
-  end
-
-let stop t =
-  if Atomic.get on then begin
-    let cell = (tcells t.t_id).(t.t_id) in
-    if cell.started_at < 0.0 then begin
-      if Atomic.get debug_on then
-        invalid_arg ("Obs.stop: timer not running: " ^ t.t_name)
-      (* saturate: drop the unmatched stop *)
-    end
-    else begin
-      cell.total <- cell.total +. ((Atomic.get clock) () -. cell.started_at);
-      cell.acts <- cell.acts + 1;
-      cell.started_at <- -1.0
-    end
-  end
-
-let running t =
-  let s = shard () in
-  t.t_id < Array.length s.tvals && s.tvals.(t.t_id).started_at >= 0.0
 
 type timer_total = { seconds : float; activations : int }
 
@@ -265,18 +190,14 @@ let reset () =
   Array.iter
     (fun cell ->
        cell.total <- 0.0;
-       cell.acts <- 0;
-       cell.started_at <- -1.0)
+       cell.acts <- 0)
     s.tvals
 
 (* {1 Shard transfer}
 
    [drain_shard] snapshots the calling domain's cells and zeroes them;
-   [absorb_shard] folds a drained shard into the calling domain's cells
-   (Sum counters add, Max counters take the larger peak, timers add
-   both seconds and activations). A running manual scope does not
-   travel: only closed-scope totals are merged, so a worker must stop
-   its timers before draining. *)
+   [absorb_shard] adds a drained shard into the calling domain's cells
+   (counters, timer seconds and activations all sum). *)
 
 type shard = {
   d_cvals : int array;
@@ -290,24 +211,12 @@ let drain_shard () =
   reset ();
   { d_cvals = cv; d_tvals = tv }
 
-(* Merge kind by id, looked up once per absorb. *)
-let merge_kinds n =
-  let kinds = Array.make n Sum in
-  locked (fun () ->
-    List.iter
-      (fun c -> if c.c_id < n then kinds.(c.c_id) <- c.c_merge)
-      !counter_list);
-  kinds
-
 let absorb_shard d =
   let nc = Array.length d.d_cvals in
   if nc > 0 then begin
     let v = ccells (nc - 1) in
-    let kinds = merge_kinds nc in
     for id = 0 to nc - 1 do
-      match kinds.(id) with
-      | Sum -> v.(id) <- v.(id) + d.d_cvals.(id)
-      | Max -> if d.d_cvals.(id) > v.(id) then v.(id) <- d.d_cvals.(id)
+      v.(id) <- v.(id) + d.d_cvals.(id)
     done
   end;
   let nt = Array.length d.d_tvals in

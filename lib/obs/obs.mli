@@ -44,34 +44,11 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val debug : unit -> bool
-(** Debug mode; [false] at startup. While set, unbalanced timer scopes
-    ({!start}/{!stop}) and unbalanced span exits ({!Span.exit}) raise
-    [Invalid_argument]; otherwise they saturate (the unmatched call is
-    dropped and totals stay uncorrupted). *)
+(** Debug mode; [false] at startup. While set, unbalanced span exits
+    ({!Span.exit}) raise [Invalid_argument]; otherwise they saturate
+    (the unmatched call is dropped and the buffer stays well-nested). *)
 
 val set_debug : bool -> unit
-
-(** {1 Feature switches}
-
-    Named boolean flags for opt-in subsystems that are not plain
-    counters or timers (the provenance recorder, for example). Like the
-    registry-wide flag, a switch is off at startup, and testing it is a
-    single load — instrumented code guards both the recording and the
-    construction of its arguments behind {!switch_on}, so a disabled
-    feature never allocates. *)
-
-type switch
-(** A named feature flag. Registration is idempotent: two [switch "x"]
-    calls return the same cell. *)
-
-val switch : string -> switch
-
-val switch_on : switch -> bool
-(** Current state; [false] until {!set_switch}. *)
-
-val set_switch : switch -> bool -> unit
-
-val switch_name : switch -> string
 
 val set_clock : (unit -> float) -> unit
 (** Install the wall-clock source used by {!time} (seconds, any fixed
@@ -84,18 +61,6 @@ val set_clock : (unit -> float) -> unit
 val counter : string -> counter
 (** Register (or look up) the counter with this name. Shard merges sum
     its per-domain values. *)
-
-val max_counter : string -> counter
-(** Register (or look up) a {e peak} counter: {!absorb_shard} merges it
-    by taking the maximum of the two shards' values instead of their
-    sum — the right semantics for high-water marks observed
-    independently on each domain. Registration is idempotent, but the
-    merge kind is fixed by the first registration. *)
-
-val note_max : counter -> int -> unit
-(** Raise the counter to [n] if [n] is larger (the per-domain peak
-    update for a {!max_counter}). Never allocates; a single flag test
-    when disabled. *)
 
 val incr : counter -> unit
 (** Add 1 when enabled; a single flag test when disabled. Never
@@ -116,20 +81,6 @@ val time : timer -> (unit -> 'a) -> 'a
 (** Run the thunk; when enabled, add its wall time to the timer and
     bump its activation count. Exceptions propagate (and the elapsed
     time is still recorded). *)
-
-val start : timer -> unit
-(** Open a manual scope on the timer (for begin/end pairs that cannot
-    bracket one closure). Starting an already-running timer raises in
-    {!debug} mode and is dropped otherwise — the original start point is
-    kept, so totals never double-count. No-op while disabled. *)
-
-val stop : timer -> unit
-(** Close the manual scope: accumulate elapsed time, bump activations.
-    Stopping an idle timer (double-stop) raises in {!debug} mode and is
-    dropped otherwise. No-op while disabled. *)
-
-val running : timer -> bool
-(** Whether a manual scope is currently open on the timer. *)
 
 (** {1 Snapshots} *)
 
@@ -153,10 +104,8 @@ val reset : unit -> unit
 
     The merge half of the per-domain sharding: a worker domain calls
     {!drain_shard} after its tasks finish, hands the result to the
-    spawning domain, and the spawner calls {!absorb_shard}. Sum counters
-    add, {!max_counter} peaks take the larger value, timers add both
-    seconds and activations. Running manual scopes do not travel — stop
-    timers before draining. *)
+    spawning domain, and the spawner calls {!absorb_shard}. Counters
+    add, and timers add both seconds and activations. *)
 
 type shard
 (** A drained, immutable copy of one domain's cells. *)

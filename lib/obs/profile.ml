@@ -262,8 +262,8 @@ let on_exit name =
         p.f_extra_jcols <- p.f_extra_jcols + f.f_extra_jcols
       | [] -> ())
     | _ :: _ ->
-      (* Lockstep with Span's nesting stack was lost (Span.reset or
-         drain_events mid-scope clears its stack without exit hooks).
+      (* Lockstep with Span's nesting stack was lost (Span.reset
+         mid-scope clears its stack without exit hooks).
          Attribution for the open frames is unrecoverable: discard
          them rather than mis-attribute to the wrong nodes. *)
       st.stack <- []

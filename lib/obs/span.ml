@@ -73,10 +73,11 @@ let hook_exit name =
 
    Every domain records into its own buffer with its own tick clock and
    nesting stack, reached through [Domain.DLS] — concurrent spans from
-   a domain pool never interleave mid-nest. A worker's buffer is drained
-   at pool join ([drain_events]) and appended to the spawning domain's
-   buffer ([absorb_events]) with fresh local stamps, so the merged
-   timeline stays monotonic and each worker's nesting arrives intact.
+   a domain pool never interleave mid-nest. The pool cuts each task's
+   events out of whichever buffer recorded them ([mark]/[cut]) and the
+   spawning domain appends them in task order ([absorb]) with fresh
+   local stamps, so the merged timeline is the one a single domain
+   would have recorded.
 
    The tick default makes timestamps a pure function of the (local)
    event sequence — two identical seeded single-domain runs serialize
@@ -240,28 +241,38 @@ let dropped () = (st ()).dropped_events
 
 let current_depth () = (st ()).depth
 
-(* {1 Shard transfer}
+(* {1 Task capture}
 
-   [drain_events] takes (and clears) the calling domain's buffer;
-   [absorb_events] re-records each event on the calling domain with a
-   fresh local stamp, preserving order. Worker stamps are meaningless on
-   the spawner's timeline (each worker ticks from zero), so re-stamping
-   keeps the merged trace monotonic; each worker's events arrive as a
-   contiguous, well-nested block. Dropped-event counts travel too. *)
+   [mark] notes the calling domain's recorder position; [cut] takes the
+   events recorded since, and rewinds the buffer, the tick clock, the
+   largest stamp and the dropped count to the mark, as if the task had
+   never recorded there. [absorb] re-records a cut's events on the
+   calling domain with fresh stamps, preserving order. Recording a task
+   directly and absorbing its cut on the same domain therefore yield the
+   same buffer, whichever domain ran the task: the pool's span output
+   is the same for every job count. Tasks must leave the nesting stack
+   as they found it (spans opened in a task close in it). *)
 
-type drained = event list * int
+type mark = { m_len : int; m_tick : int; m_last_ts : int; m_dropped : int }
 
-let drain_events () =
+let mark () =
   let s = st () in
-  let evs = Array.to_list (Array.sub s.buf 0 s.len) in
-  let dropped = s.dropped_events in
-  s.len <- 0;
-  s.dropped_events <- 0;
-  s.stack <- [];
-  s.depth <- 0;
+  { m_len = s.len; m_tick = s.tick; m_last_ts = s.last_ts;
+    m_dropped = s.dropped_events }
+
+type slice = event list * int
+
+let cut m =
+  let s = st () in
+  let evs = Array.to_list (Array.sub s.buf m.m_len (s.len - m.m_len)) in
+  let dropped = s.dropped_events - m.m_dropped in
+  s.len <- m.m_len;
+  s.tick <- m.m_tick;
+  s.last_ts <- m.m_last_ts;
+  s.dropped_events <- m.m_dropped;
   (evs, dropped)
 
-let absorb_events (evs, dropped) =
+let absorb (evs, dropped) =
   let s = st () in
   List.iter (fun e -> record s e.name e.phase e.args) evs;
   s.dropped_events <- s.dropped_events + dropped

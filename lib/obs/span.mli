@@ -125,28 +125,36 @@ type scope_hooks = {
 
 val set_scope_hooks : scope_hooks option -> unit
 
-(** {1 Shard transfer}
+(** {1 Task capture}
 
     Recording state (buffer, tick clock, nesting stack) is per-domain:
-    spans opened on a pool worker land in that worker's buffer. At pool
-    join, [Nue_parallel.Pool] drains each worker's buffer on the worker
-    and absorbs it on the spawning domain in worker-index order. Each
-    worker's events arrive as one contiguous well-nested block,
-    re-stamped with fresh local ticks so the merged timeline stays
-    monotonic. Span {e content} is deterministic per seeded run; the
-    per-worker grouping (hence exact stamp values) depends on the job
-    count, which is why byte-identity claims cover tables, counters and
-    provenance trails but not multi-domain span traces. *)
+    spans opened on a pool worker land in that worker's buffer.
+    [Nue_parallel.Pool] brackets every task with {!mark} and {!cut} on
+    whichever domain runs it, and the spawning domain {!absorb}s the
+    cuts in task-index order. Because a cut rewinds the clock, and
+    absorbing re-stamps with the caller's clock, the merged trace is
+    byte-identical to the one a single domain records: span traces,
+    like tables, counters and provenance trails, do not depend on the
+    job count. *)
 
-type drained
-(** A drained, immutable copy of one domain's event buffer. *)
+type mark
+(** A position in the calling domain's recorder. *)
 
-val drain_events : unit -> drained
-(** Take (and clear) the calling domain's buffer and dropped count. *)
+type slice
+(** The events (and dropped count) recorded between a {!mark} and its
+    {!cut}. *)
 
-val absorb_events : drained -> unit
-(** Append a drained buffer to the calling domain's buffer with fresh
-    local stamps, preserving order; dropped counts accumulate. *)
+val mark : unit -> mark
+
+val cut : mark -> slice
+(** Take the events recorded on the calling domain since the mark and
+    rewind the buffer, the tick, the largest stamp and the dropped
+    count to the mark. The mark must come from the same domain, with
+    the nesting stack back at the depth it had then. *)
+
+val absorb : slice -> unit
+(** Append a slice to the calling domain's buffer with fresh local
+    stamps, preserving order; its dropped count accumulates. *)
 
 (** {1 Export} *)
 

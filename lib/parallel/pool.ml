@@ -20,8 +20,6 @@ let () =
        Printf.eprintf
          "nue: invalid NUE_JOBS=%S (want an integer >= 1); using 1 job\n%!" s)
 
-let recommended_jobs () = Domain.recommended_domain_count ()
-
 (* Per-participant busy/chunk tracking, only allocated while the
    profiler is enabled. Busy segments past [Profile.segment_cap] are
    counted but not kept; the busy/chunk totals stay exact. *)
@@ -60,10 +58,10 @@ let sample_of tk =
    only from the owning domain) and absorbed on the caller, in
    worker-index order, so merged totals do not depend on the schedule.
    The profile shard and busy sample are [None] unless the profiler was
-   enabled when the region started. *)
+   enabled when the region started. Span events travel per task instead
+   (see [run_with]). *)
 type worker_result = {
   w_obs : Obs.shard;
-  w_spans : Span.drained;
   w_profile : Profile.shard option;
   w_sample : Profile.worker_sample option;
   w_exn : exn option;
@@ -104,6 +102,23 @@ let run_with ?jobs ?(chunk = 1) ?(label = "pool") ~n ~init body =
       let t_region0 = if profiling then Profile.now () else 0. in
       let next = Atomic.make 0 in
       let cancelled = Atomic.make false in
+      (* Each task's span events are cut out of the buffer of whichever
+         domain ran it into the task's slot; the caller absorbs the
+         slots in index order after the join, which reproduces the
+         single-domain trace exactly. *)
+      let spans = Span.enabled () in
+      let slots = if spans then Array.make n None else [||] in
+      let task ctx i =
+        if not spans then body ctx i
+        else begin
+          let m = Span.mark () in
+          match body ctx i with
+          | () -> slots.(i) <- Some (Span.cut m)
+          | exception e ->
+            slots.(i) <- Some (Span.cut m);
+            raise e
+        end
+      in
       (* Claim chunks until the cursor runs past [n] or a failure
          elsewhere cancels the remainder. *)
       let work tk () =
@@ -114,10 +129,10 @@ let run_with ?jobs ?(chunk = 1) ?(label = "pool") ~n ~init body =
             if start < n then begin
               let stop = min n (start + chunk) in
               (match tk with
-               | None -> for i = start to stop - 1 do body ctx i done
+               | None -> for i = start to stop - 1 do task ctx i done
                | Some tk ->
                  let t0 = Profile.now () in
-                 for i = start to stop - 1 do body ctx i done;
+                 for i = start to stop - 1 do task ctx i done;
                  track_chunk tk t0 (Profile.now ()));
               loop ()
             end
@@ -138,7 +153,6 @@ let run_with ?jobs ?(chunk = 1) ?(label = "pool") ~n ~init body =
                 Some e
             in
             { w_obs = Obs.drain_shard ();
-              w_spans = Span.drain_events ();
               w_profile = (if profiling then Some (Profile.drain_shard ()) else None);
               w_sample = Option.map sample_of tk;
               w_exn = outcome }))
@@ -160,13 +174,13 @@ let run_with ?jobs ?(chunk = 1) ?(label = "pool") ~n ~init body =
         (fun w d ->
            let r = Domain.join d in
            Obs.absorb_shard r.w_obs;
-           Span.absorb_events r.w_spans;
            Option.iter Profile.absorb_shard r.w_profile;
            if profiling then samples.(w + 1) <- r.w_sample;
            match !worker_exn, r.w_exn with
            | None, Some _ -> worker_exn := r.w_exn
            | _ -> ())
         doms;
+      Array.iter (Option.iter Span.absorb) slots;
       if profiling then
         Profile.record_region
           { Profile.pr_label = label;

@@ -12,13 +12,15 @@
 
     Determinism discipline: [body] must write its result into a slot
     determined by the index (e.g. [results.(i) <- ...]), never append to
-    shared state. The per-domain [Obs] counter shards and [Span] buffers
-    are drained on each worker when its loop ends and absorbed on the
-    calling domain in worker-index order before [run] returns, so
-    merged counter totals are a function of the work performed, not of
-    the schedule. Other domain-local state (e.g. provenance trails)
-    must travel through the result slots and be committed by the caller
-    in index order.
+    shared state. The per-domain [Obs] counter shards are drained on
+    each worker when its loop ends and absorbed on the calling domain in
+    worker-index order before [run] returns, so merged counter totals
+    are a function of the work performed, not of the schedule. [Span]
+    events are captured per task on whichever domain ran it
+    ({!Nue_obs.Span.cut}) and absorbed by the caller in index order, so
+    a span trace is byte-identical for every job count. Other
+    domain-local state (e.g. provenance trails) must travel through the
+    result slots and be committed by the caller in index order.
 
     Exceptions raised by [body] cancel the remaining chunks, are
     re-raised on the caller after all domains have joined (caller's own
@@ -42,9 +44,6 @@ val set_default_jobs : int -> unit
 
 val default_jobs : unit -> int
 
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]: the host's useful maximum. *)
-
 val run : ?jobs:int -> ?chunk:int -> ?label:string -> n:int -> (int -> unit) -> unit
 (** [run ~n body] runs [body 0 .. body (n-1)] across the pool.
     [chunk] (default 1) is the number of consecutive indices claimed at
@@ -63,4 +62,5 @@ val run_with :
 (** Like {!run}, but each participating domain calls [init] once before
     its first chunk and threads the resulting context through its
     [body] calls — per-domain scratch (arrays, heaps, graph clones)
-    without locking. [init] runs on the worker domain itself. *)
+    without locking. [init] runs on the worker domain itself, so it
+    should record no spans: on a worker they are not captured. *)

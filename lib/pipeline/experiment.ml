@@ -287,9 +287,7 @@ let trace_to_json (s : Obs.snapshot) =
     if den = 0 then Json.Null else Json.Float (float_of_int num /. float_of_int den)
   in
   let memo_hits = c "cdg.memo.hit_blocked" + c "cdg.memo.hit_used" in
-  let heap_ops =
-    c "heap.inserts" + c "heap.extracts" + c "heap.decrease_keys"
-  in
+  let heap_ops = c "heap.inserts" + c "heap.extracts" in
   Json.Obj
     [ ("counters",
        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.Obs.counters));
@@ -311,11 +309,8 @@ let trace_to_json (s : Obs.snapshot) =
             ratio (c "cdg.edges_accepted")
               (c "cdg.edges_accepted" + c "cdg.edges_rejected"));
            ("heap_ops", Json.Int heap_ops);
-           ("heap_cut_rate", ratio (c "heap.cuts") (c "heap.decrease_keys"));
            ("pk_reorder_rate", ratio (c "pk.add_reorder") (c "pk.add_calls"))
          ]) ]
-
-let trace_snapshot () = Obs.snapshot ()
 
 let with_trace f =
   let was = Obs.enabled () in

@@ -266,9 +266,6 @@ val with_trace : (unit -> 'a) -> 'a * Nue_obs.Obs.snapshot
     first) and return its result together with the final snapshot.
     Restores the previous enabled/disabled state afterwards. *)
 
-val trace_snapshot : unit -> Nue_obs.Obs.snapshot
-(** The current counter/timer state (shorthand for [Obs.snapshot]). *)
-
 val with_spans : (unit -> 'a) -> 'a * Nue_obs.Span.event list
 (** Run a thunk with the span tracer reset and enabled and return its
     result together with the recorded events (render them with

@@ -31,8 +31,7 @@ let route ?(seed = 1) ?dests ?sources net =
                   let ok = n = dest || rank.(a) < rank.(e) in
                   if ok then begin
                     let key = ndist.(n) +. 1.0 in
-                    if key < ndist.(x) then
-                      ignore (Fib_heap.insert heap ~key a)
+                    if key < ndist.(x) then Fib_heap.insert heap ~key a
                   end
                 end)
              (Network.in_channels net n)

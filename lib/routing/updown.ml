@@ -71,10 +71,11 @@ let route ?root ?dests ?sources net =
          let heap = Nue_structures.Fib_heap.create () in
          for v = 0 to nn - 1 do
            if dd.(v) < max_int then
-             ignore
-               (Nue_structures.Fib_heap.insert heap ~key:(float_of_int l.(v)) v)
+             Nue_structures.Fib_heap.insert heap ~key:(float_of_int l.(v)) v
          done;
-         let handles = Hashtbl.create 64 in
+         (* An improved node is re-inserted; pops whose key no longer
+            matches [l] are stale and skipped. Only the final levels are
+            read, and they do not depend on the pop order. *)
          let rec drain () =
            match Nue_structures.Fib_heap.extract_min heap with
            | None -> ()
@@ -89,14 +90,8 @@ let route ?root ?dests ?sources net =
                    let cand = l.(u) + 1 in
                    if dd.(v) = max_int && cand < l.(v) then begin
                      l.(v) <- cand;
-                     (match Hashtbl.find_opt handles v with
-                      | Some h when Nue_structures.Fib_heap.mem h ->
-                        Nue_structures.Fib_heap.decrease_key heap h
-                          (float_of_int cand)
-                      | _ ->
-                        Hashtbl.replace handles v
-                          (Nue_structures.Fib_heap.insert heap
-                             ~key:(float_of_int cand) v))
+                     Nue_structures.Fib_heap.insert heap
+                       ~key:(float_of_int cand) v
                    end
                  end
                done

@@ -1,28 +1,23 @@
-(* Classic Fibonacci heap (Fredman & Tarjan 1987).
+(* Fibonacci heap (Fredman & Tarjan 1987) without decrease-key.
 
    Nodes form circular doubly-linked sibling lists; roots form the root
    list. [min_root] points at the minimum root. Consolidation after
-   extract-min links trees of equal degree; decrease-key cuts nodes and
-   cascades through marked ancestors. *)
+   extract-min links trees of equal degree. Without decrease-key there
+   are no cuts, so nodes need no parent pointer or mark bit. *)
 
 module Obs = Nue_obs.Obs
 
 let c_insert = Obs.counter "heap.inserts"
 let c_extract = Obs.counter "heap.extracts"
-let c_decrease = Obs.counter "heap.decrease_keys"
-let c_cut = Obs.counter "heap.cuts"
 let c_link = Obs.counter "heap.links"
 
 type 'a node = {
-  mutable key : float;
+  key : float;
   value : 'a;
-  mutable parent : 'a node option;
   mutable child : 'a node option;
   mutable left : 'a node;   (* circular sibling list *)
   mutable right : 'a node;
   mutable degree : int;
-  mutable marked : bool;
-  mutable in_heap : bool;
 }
 
 type 'a t = {
@@ -31,16 +26,6 @@ type 'a t = {
 }
 
 let create () = { min_root = None; count = 0 }
-
-let is_empty t = t.count = 0
-
-let size t = t.count
-
-let key n = n.key
-
-let value n = n.value
-
-let mem n = n.in_heap
 
 (* Splice node [n] (a singleton or detached node) into the circular list
    to the right of [anchor]. *)
@@ -56,7 +41,6 @@ let unlink n =
   n.right.left <- n.left
 
 let add_root t n =
-  n.parent <- None;
   match t.min_root with
   | None ->
     n.left <- n;
@@ -68,22 +52,16 @@ let add_root t n =
 
 let insert t ~key v =
   let rec n =
-    { key; value = v; parent = None; child = None; left = n; right = n;
-      degree = 0; marked = false; in_heap = true }
+    { key; value = v; child = None; left = n; right = n; degree = 0 }
   in
   add_root t n;
   t.count <- t.count + 1;
-  Obs.incr c_insert;
-  n
-
-let find_min t = t.min_root
+  Obs.incr c_insert
 
 (* Make [child] a child of [root]; both must currently be roots and
    [child] must already be unlinked from the root list. *)
 let link ~root ~child =
   Obs.incr c_link;
-  child.parent <- Some root;
-  child.marked <- false;
   (match root.child with
    | None ->
      child.left <- child;
@@ -173,61 +151,7 @@ let extract_min t =
       t.min_root <- Some m.right;
       unlink m
     end;
-    m.in_heap <- false;
     t.count <- t.count - 1;
     consolidate t;
     Obs.incr c_extract;
     Some (m.value, m.key)
-
-let cut t n parent =
-  Obs.incr c_cut;
-  (* Remove n from parent's child list and make it a root. *)
-  if n.right == n then parent.child <- None
-  else begin
-    if (match parent.child with Some c -> c == n | None -> false) then
-      parent.child <- Some n.right;
-    unlink n
-  end;
-  parent.degree <- parent.degree - 1;
-  n.left <- n;
-  n.right <- n;
-  n.marked <- false;
-  add_root t n
-
-let rec cascading_cut t n =
-  match n.parent with
-  | None -> ()
-  | Some p ->
-    if not n.marked then n.marked <- true
-    else begin
-      cut t n p;
-      cascading_cut t p
-    end
-
-let decrease_key t n k =
-  if not n.in_heap then invalid_arg "Fib_heap.decrease_key: node not in heap";
-  if k > n.key then invalid_arg "Fib_heap.decrease_key: key increase";
-  Obs.incr c_decrease;
-  n.key <- k;
-  (match n.parent with
-   | Some p when k < p.key ->
-     cut t n p;
-     cascading_cut t p
-   | _ -> ());
-  (match t.min_root with
-   | Some m when k < m.key -> t.min_root <- Some n
-   | _ -> ())
-
-let remove t n =
-  if not n.in_heap then invalid_arg "Fib_heap.remove: node not in heap";
-  (* Force the node to the minimum and extract it. *)
-  n.key <- neg_infinity;
-  (match n.parent with
-   | Some p ->
-     cut t n p;
-     cascading_cut t p
-   | None -> ());
-  t.min_root <- Some n;
-  match extract_min t with
-  | Some _ -> ()
-  | None -> assert false

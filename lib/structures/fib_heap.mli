@@ -1,50 +1,27 @@
-(** Fibonacci heap: a mergeable min-heap with amortized O(1) decrease-key.
+(** Fibonacci heap: a min-heap with O(1) insert and amortized
+    O(log n) extract-min.
 
-    The paper's Proposition 1 requires a priority queue with O(1)
-    decrease-key to reach the stated O(|C| log |C| + |Ē|) complexity for the
-    CDG-constrained Dijkstra (Algorithm 1); this module provides it.
+    The paper's Proposition 1 bounds Algorithm 1 by
+    O(|C| log |C| + |Ē|) with a Fibonacci heap. Every caller here
+    inserts a fresh entry instead of decreasing a key (each channel
+    enters Nue's queue at most once per destination; the plain Dijkstras
+    re-insert and skip stale pops), so the heap offers only the two
+    operations they use.
 
-    Keys are floats; each element carries a caller payload. [decrease_key]
-    and [remove] take the node handle returned by [insert]. *)
+    Keys are floats; each element carries a caller payload. Elements
+    with equal keys pop in an order fixed by the heap's linking rule;
+    Nue's and static-cdg's tables depend on it, so that rule is part of
+    the contract (pinned by the [heap:model] golden test). *)
 
 type 'a t
 (** A heap holding payloads of type ['a]. *)
 
-type 'a node
-(** Handle to an element stored in a heap. *)
-
 val create : unit -> 'a t
 (** A fresh empty heap. *)
 
-val is_empty : 'a t -> bool
-
-val size : 'a t -> int
-(** Number of live elements; O(1). *)
-
-val insert : 'a t -> key:float -> 'a -> 'a node
+val insert : 'a t -> key:float -> 'a -> unit
 (** [insert t ~key v] adds [v] with priority [key]; O(1). *)
-
-val find_min : 'a t -> 'a node option
-(** Minimum-key node without removing it; O(1). *)
 
 val extract_min : 'a t -> ('a * float) option
 (** Remove and return the payload and key with the smallest key;
     amortized O(log n). Returns [None] on an empty heap. *)
-
-val decrease_key : 'a t -> 'a node -> float -> unit
-(** [decrease_key t n k] lowers [n]'s key to [k]; amortized O(1).
-    @raise Invalid_argument if [k] is greater than the current key or the
-    node was already extracted. *)
-
-val remove : 'a t -> 'a node -> unit
-(** Delete a node from the heap; amortized O(log n). *)
-
-val key : 'a node -> float
-(** Current key of a node. *)
-
-val value : 'a node -> 'a
-(** Payload of a node. *)
-
-val mem : 'a node -> bool
-(** [mem n] is true while [n] is still inside its heap (not yet extracted
-    or removed). *)

@@ -151,7 +151,42 @@ let dijkstra_respects_weights () =
   let nexts, dist = Graph_algo.dijkstra_to_dest net ~weights ~dest:2 in
   Alcotest.(check (float 1e-9)) "cost via middle" 2.0 dist.(0);
   Alcotest.(check int) "first hop toward 1" 1
-    (Network.dst net nexts.(0))
+    (Network.dst net nexts.(0));
+  (* Uneven integer weights on a random fabric, against Bellman-Ford:
+     equal distances, and the next hop is the smallest channel id among
+     the equal-cost ones, whatever order the heap popped in. *)
+  let net = Helpers.random_net ~seed:19 () in
+  let weights =
+    Array.init (Network.num_channels net) (fun c ->
+        1.0 +. float_of_int (c mod 7))
+  in
+  let dest = (Network.terminals net).(0) in
+  let nexts, dist = Graph_algo.dijkstra_to_dest net ~weights ~dest in
+  let nn = Network.num_nodes net in
+  let ref_dist = Array.make nn infinity in
+  ref_dist.(dest) <- 0.0;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for c = 0 to Network.num_channels net - 1 do
+      let v = Network.src net c and u = Network.dst net c in
+      if ref_dist.(u) +. weights.(c) < ref_dist.(v) then begin
+        ref_dist.(v) <- ref_dist.(u) +. weights.(c);
+        changed := true
+      end
+    done
+  done;
+  for v = 0 to nn - 1 do
+    Alcotest.(check (float 0.0)) "distance = Bellman-Ford"
+      ref_dist.(v) dist.(v);
+    let best = ref (-1) in
+    for c = Network.num_channels net - 1 downto 0 do
+      if v <> dest && Network.src net c = v
+         && ref_dist.(Network.dst net c) +. weights.(c) = ref_dist.(v)
+      then best := c
+    done;
+    Alcotest.(check int) "smallest equal-cost next hop" !best nexts.(v)
+  done
 
 let spanning_tree_properties () =
   let net = Helpers.random_net () in

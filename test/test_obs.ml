@@ -137,59 +137,6 @@ let timer_records_exceptions () =
     (Obs.find_timer (Obs.snapshot ()) "test.obs.exn_timer").Obs.activations;
   scrub ()
 
-let manual_scope_guards () =
-  scrub ();
-  let t = Obs.timer "test.obs.scope" in
-  Obs.enable ();
-  (* Balanced use works and counts one activation. *)
-  Obs.start t;
-  Alcotest.(check bool) "running" true (Obs.running t);
-  Obs.stop t;
-  Alcotest.(check bool) "stopped" false (Obs.running t);
-  Alcotest.(check int) "one activation" 1
-    (Obs.find_timer (Obs.snapshot ()) "test.obs.scope").Obs.activations;
-  (* Release mode saturates: double starts/stops are dropped. *)
-  Obs.set_debug false;
-  Obs.stop t;
-  Obs.start t;
-  Obs.start t;
-  Obs.stop t;
-  Obs.stop t;
-  Alcotest.(check int) "saturated to two activations" 2
-    (Obs.find_timer (Obs.snapshot ()) "test.obs.scope").Obs.activations;
-  (* Debug mode raises on the same misuse. *)
-  Obs.set_debug true;
-  Alcotest.(check bool) "debug double stop raises" true
-    (match Obs.stop t with
-     | exception Invalid_argument _ -> true
-     | () -> false);
-  Obs.start t;
-  Alcotest.(check bool) "debug double start raises" true
-    (match Obs.start t with
-     | exception Invalid_argument _ -> true
-     | () -> false);
-  Obs.stop t;
-  Obs.set_debug false;
-  (* Disabled: start/stop are flag tests, nothing runs or counts. *)
-  Obs.disable ();
-  Obs.start t;
-  Alcotest.(check bool) "disabled start inert" false (Obs.running t);
-  Obs.stop t;
-  scrub ()
-
-let reset_clears_open_scope () =
-  scrub ();
-  let t = Obs.timer "test.obs.open_scope" in
-  Obs.enable ();
-  Obs.start t;
-  Obs.reset ();
-  Alcotest.(check bool) "reset closes the scope" false (Obs.running t);
-  (* A stop after reset is unbalanced, and saturates in release mode. *)
-  Obs.stop t;
-  Alcotest.(check int) "no activation leaked" 0
-    (Obs.find_timer (Obs.snapshot ()) "test.obs.open_scope").Obs.activations;
-  scrub ()
-
 let snapshot_sorted_by_name () =
   scrub ();
   (* Register in anti-alphabetical order and mutate in a third order:
@@ -284,8 +231,6 @@ let suite =
     ("obs:snapshot",
      [ test_case "snapshot/reset round-trip" `Quick snapshot_reset_round_trip;
        test_case "timer survives exceptions" `Quick timer_records_exceptions;
-       test_case "manual scope guards" `Quick manual_scope_guards;
-       test_case "reset clears open scope" `Quick reset_clears_open_scope;
        test_case "sorted by name" `Quick snapshot_sorted_by_name ]);
     ("obs:json",
      [ test_case "stable under key ordering" `Quick

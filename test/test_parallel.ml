@@ -11,17 +11,16 @@
 
    - Merged observability must be deterministic too: Obs counter
      snapshots and provenance trails from a parallel run are compared
-     structurally against a sequential run of the same seeded fixture.
-     (Span traces are exempt by design — see span.mli — their
-     timestamps are per-domain.)
+     structurally against a sequential run of the same seeded fixture,
+     and the exported span trace byte for byte.
 
    - A seeded stress loop routes randomized (topology, engine, dests,
      vcs) rounds at a worker count above the machine's and cross-checks
      fingerprints, table shape (no torn/duplicate/missing
      destinations) and Verify verdicts against jobs=1.
 
-   Plus unit tests for the shard merge semantics themselves (Sum, Max,
-   timer totals). *)
+   Plus unit tests for the shard merge semantics themselves (counter
+   sums, timer totals). *)
 
 module Network = Nue_netgraph.Network
 module Topology = Nue_netgraph.Topology
@@ -161,7 +160,6 @@ let test_info_independent_of_jobs () =
 (* {1 Shard merge semantics} *)
 
 let c_sum = Obs.counter "test.parallel.sum"
-let c_max = Obs.max_counter "test.parallel.max"
 let t_merge = Obs.timer "test.parallel.timer"
 
 let with_obs f =
@@ -174,11 +172,6 @@ let test_merge_sum () =
   with_obs @@ fun () ->
   Pool.run ~jobs:4 ~chunk:8 ~n:100 (fun i -> if i mod 2 = 0 then Obs.incr c_sum);
   Alcotest.(check int) "summed across shards" 50 (Obs.peek c_sum)
-
-let test_merge_max () =
-  with_obs @@ fun () ->
-  Pool.run ~jobs:4 ~chunk:4 ~n:64 (fun i -> Obs.note_max c_max (i * 3));
-  Alcotest.(check int) "max across shards" (63 * 3) (Obs.peek c_max)
 
 let test_merge_timers () =
   with_obs @@ fun () ->
@@ -193,25 +186,32 @@ let test_span_events_absorbed () =
   Span.reset ();
   Span.enable ();
   Fun.protect ~finally:(fun () -> if not was then Span.disable ()) @@ fun () ->
-  Pool.run ~jobs:4 ~chunk:2 ~n:16 (fun _ -> Span.with_ "test.parallel.span" (fun () -> ()));
-  (* Worker events are re-stamped into the caller's buffer at join; the
-     merged timeline must contain every span (order and timestamps are
-     schedule-dependent by design). *)
-  let names =
-    List.filter (fun (e : Span.event) -> e.Span.name = "test.parallel.span")
+  Pool.run ~jobs:4 ~chunk:2 ~n:16 (fun i ->
+      Span.with_ "test.parallel.span" ~args:[ ("i", Span.Int i) ]
+        (fun () -> ()));
+  (* Task events are re-stamped into the caller's buffer at join, in
+     task order, every span exactly once. *)
+  let tasks =
+    List.filter_map
+      (fun (e : Span.event) ->
+         match (e.Span.name, e.Span.phase, e.Span.args) with
+         | "test.parallel.span", Span.Begin, [ ("i", Span.Int i) ] -> Some i
+         | _ -> None)
       (Span.events ())
   in
-  Alcotest.(check bool) "all spans merged" true (List.length names >= 16)
+  Alcotest.(check (list int)) "all spans merged in task order"
+    (List.init 16 Fun.id) tasks;
+  Alcotest.(check int) "one Begin and one End per task" 32
+    (Span.num_events ())
 
 (* {1 Span merge structural invariants}
 
-   Merged multi-domain span traces are re-stamped at join, so exact
-   timestamps are schedule-dependent by design (span.mli). What *is*
-   deterministic — because round boundaries and per-round work are pure
-   functions of the seeded destination order — is the trace's
-   structure: how many events, which (name, phase) pairs how often, and
-   well-nestedness with a monotone timeline. Pin those against a
-   sequential run of the same fixture. *)
+   Round boundaries and per-round work are pure functions of the seeded
+   destination order, so the trace's structure — how many events, which
+   (name, phase) pairs how often, well-nestedness with a monotone
+   timeline — matches a sequential run of the same fixture. The
+   byte-identity test below pins the whole trace; this one names the
+   structural property that broke when it fails. *)
 
 let spans_at jobs built =
   with_jobs jobs @@ fun () ->
@@ -263,6 +263,22 @@ let test_span_merge_structure () =
          Alcotest.failf "%s: span (name, phase) multiset differs from \
                          sequential" ctx)
     [ 2; 4 ]
+
+(* The whole exported trace, stamps included, equals the sequential
+   one: each task's events are cut out of whichever domain ran it and
+   absorbed in task order, so the schedule leaves no mark. *)
+let test_span_trace_identical () =
+  let built = Helpers.dense_random_built () in
+  let trace jobs =
+    ignore (spans_at jobs built);
+    let t = (Span.to_chrome_string (), Span.flamegraph ()) in
+    Span.reset ();
+    t
+  in
+  let seq_json, seq_flame = trace 1 in
+  let par_json, par_flame = trace 4 in
+  Alcotest.(check string) "chrome trace at jobs=4" seq_json par_json;
+  Alcotest.(check string) "flamegraph at jobs=4" seq_flame par_flame
 
 (* {1 Exceptions propagate out of the pool} *)
 
@@ -360,12 +376,13 @@ let suite =
           Alcotest.test_case "provenance trails equal sequential" `Quick
             test_provenance_trails_equal;
           Alcotest.test_case "merge: counters sum" `Quick test_merge_sum;
-          Alcotest.test_case "merge: max counters max" `Quick test_merge_max;
           Alcotest.test_case "merge: timer totals" `Quick test_merge_timers;
           Alcotest.test_case "merge: spans absorbed" `Quick
             test_span_events_absorbed;
           Alcotest.test_case "merge: span structure matches sequential" `Quick
             test_span_merge_structure;
+          Alcotest.test_case "merge: span trace identical at jobs 1 and 4"
+            `Quick test_span_trace_identical;
           Alcotest.test_case "pool propagates exceptions" `Quick
             test_pool_exception;
           Alcotest.test_case "stress: 6 seeded rounds" `Quick

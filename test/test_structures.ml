@@ -2,7 +2,6 @@
 
 module Prng = Nue_structures.Prng
 module Fib_heap = Nue_structures.Fib_heap
-module Union_find = Nue_structures.Union_find
 module Bitset = Nue_structures.Bitset
 
 let test_case = Alcotest.test_case
@@ -85,7 +84,7 @@ let prng_sample_without_replacement () =
 let heap_insert_extract_sorted () =
   let h = Fib_heap.create () in
   let keys = [ 5.0; 1.0; 3.0; 2.0; 4.0; 0.5; 2.5 ] in
-  List.iter (fun k -> ignore (Fib_heap.insert h ~key:k k)) keys;
+  List.iter (fun k -> Fib_heap.insert h ~key:k k) keys;
   let out = ref [] in
   let rec drain () =
     match Fib_heap.extract_min h with
@@ -98,105 +97,6 @@ let heap_insert_extract_sorted () =
   drain ();
   Alcotest.(check (list (float 0.0)))
     "sorted output" (List.rev (List.sort compare keys)) !out
-
-let heap_decrease_key () =
-  let h = Fib_heap.create () in
-  let _a = Fib_heap.insert h ~key:10.0 "a" in
-  let b = Fib_heap.insert h ~key:20.0 "b" in
-  let _c = Fib_heap.insert h ~key:30.0 "c" in
-  Fib_heap.decrease_key h b 1.0;
-  Alcotest.(check (option string))
-    "b first" (Some "b")
-    (Option.map fst (Fib_heap.extract_min h))
-
-let heap_decrease_key_rejects_increase () =
-  let h = Fib_heap.create () in
-  let a = Fib_heap.insert h ~key:1.0 () in
-  Alcotest.check_raises "increase rejected"
-    (Invalid_argument "Fib_heap.decrease_key: key increase") (fun () ->
-        Fib_heap.decrease_key h a 2.0)
-
-let heap_remove () =
-  let h = Fib_heap.create () in
-  let a = Fib_heap.insert h ~key:1.0 "a" in
-  let _b = Fib_heap.insert h ~key:2.0 "b" in
-  Fib_heap.remove h a;
-  Alcotest.(check int) "size" 1 (Fib_heap.size h);
-  Alcotest.(check bool) "a gone" false (Fib_heap.mem a);
-  Alcotest.(check (option string))
-    "b remains" (Some "b")
-    (Option.map fst (Fib_heap.extract_min h))
-
-let heap_size_tracking () =
-  let h = Fib_heap.create () in
-  Alcotest.(check bool) "empty" true (Fib_heap.is_empty h);
-  let nodes = List.init 100 (fun i -> Fib_heap.insert h ~key:(float_of_int i) i) in
-  Alcotest.(check int) "100 inserted" 100 (Fib_heap.size h);
-  List.iteri (fun i n -> if i mod 2 = 0 then Fib_heap.remove h n) nodes;
-  Alcotest.(check int) "50 left" 50 (Fib_heap.size h)
-
-let heap_interleaved_ops () =
-  (* Mirror of a list-based priority queue under a random op sequence. *)
-  let p = Prng.create 77 in
-  let h = Fib_heap.create () in
-  let model = Hashtbl.create 64 in
-  let handles = Hashtbl.create 64 in
-  let next = ref 0 in
-  for _ = 1 to 2_000 do
-    match Prng.int p 4 with
-    | 0 | 1 ->
-      let key = Prng.float p 1000.0 in
-      let id = !next in
-      incr next;
-      Hashtbl.replace model id key;
-      Hashtbl.replace handles id (Fib_heap.insert h ~key id)
-    | 2 ->
-      (match Fib_heap.extract_min h with
-       | None ->
-         Alcotest.(check int) "model empty too" 0 (Hashtbl.length model)
-       | Some (id, k) ->
-         let mk = Hashtbl.fold (fun _ v acc -> min v acc) model infinity in
-         Alcotest.(check (float 1e-9)) "extracted global min" mk k;
-         Hashtbl.remove model id)
-    | _ ->
-      (* Decrease a random live key. *)
-      let live = Hashtbl.fold (fun id _ acc -> id :: acc) model [] in
-      (match live with
-       | [] -> ()
-       | _ ->
-         let id = List.nth live (Prng.int p (List.length live)) in
-         let cur = Hashtbl.find model id in
-         let nk = cur /. 2.0 in
-         Hashtbl.replace model id nk;
-         Fib_heap.decrease_key h (Hashtbl.find handles id) nk)
-  done;
-  Alcotest.(check int) "sizes agree" (Hashtbl.length model) (Fib_heap.size h)
-
-(* {1 Union_find} *)
-
-let uf_basics () =
-  let u = Union_find.create 10 in
-  Alcotest.(check int) "initial sets" 10 (Union_find.count u);
-  Alcotest.(check bool) "union works" true (Union_find.union u 0 1);
-  Alcotest.(check bool) "re-union is false" false (Union_find.union u 1 0);
-  Alcotest.(check bool) "same" true (Union_find.same u 0 1);
-  Alcotest.(check bool) "not same" false (Union_find.same u 0 2);
-  Alcotest.(check int) "count dropped" 9 (Union_find.count u)
-
-let uf_set_size () =
-  let u = Union_find.create 6 in
-  ignore (Union_find.union u 0 1);
-  ignore (Union_find.union u 1 2);
-  Alcotest.(check int) "size 3" 3 (Union_find.set_size u 2);
-  Alcotest.(check int) "singleton" 1 (Union_find.set_size u 5)
-
-let uf_transitive () =
-  let u = Union_find.create 100 in
-  for i = 0 to 98 do
-    ignore (Union_find.union u i (i + 1))
-  done;
-  Alcotest.(check int) "one set" 1 (Union_find.count u);
-  Alcotest.(check bool) "ends connected" true (Union_find.same u 0 99)
 
 (* {1 Bitset} *)
 
@@ -238,7 +138,7 @@ let qcheck_heap_sort =
     QCheck2.Gen.(list (float_bound_exclusive 1e6))
     (fun keys ->
        let h = Fib_heap.create () in
-       List.iter (fun k -> ignore (Fib_heap.insert h ~key:k k)) keys;
+       List.iter (fun k -> Fib_heap.insert h ~key:k k) keys;
        let rec drain acc =
          match Fib_heap.extract_min h with
          | None -> List.rev acc
@@ -280,17 +180,7 @@ let suite =
          prng_sample_without_replacement ]);
     ("fib_heap",
      [ test_case "insert/extract sorted" `Quick heap_insert_extract_sorted;
-       test_case "decrease_key" `Quick heap_decrease_key;
-       test_case "decrease_key rejects increase" `Quick
-         heap_decrease_key_rejects_increase;
-       test_case "remove" `Quick heap_remove;
-       test_case "size tracking" `Quick heap_size_tracking;
-       test_case "interleaved ops vs model" `Quick heap_interleaved_ops;
        QCheck_alcotest.to_alcotest qcheck_heap_sort ]);
-    ("union_find",
-     [ test_case "basics" `Quick uf_basics;
-       test_case "set_size" `Quick uf_set_size;
-       test_case "transitive chain" `Quick uf_transitive ]);
     ("bitset",
      [ test_case "basics" `Quick bitset_basics;
        test_case "bounds" `Quick bitset_bounds;

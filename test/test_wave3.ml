@@ -1,13 +1,10 @@
-(* Tests for graph metrics, the pairing heap, histograms and the
-   ibnetdiscover parser. *)
+(* Tests for graph metrics, histograms and the ibnetdiscover parser. *)
 
 module Network = Nue_netgraph.Network
 module Topology = Nue_netgraph.Topology
 module Graph_metrics = Nue_netgraph.Graph_metrics
 module Serialize = Nue_netgraph.Serialize
 module Graph_algo = Nue_netgraph.Graph_algo
-module Pairing_heap = Nue_structures.Pairing_heap
-module Fib_heap = Nue_structures.Fib_heap
 module Histogram = Nue_metrics.Histogram
 module Prng = Nue_structures.Prng
 
@@ -46,97 +43,6 @@ let degree_histogram_counts () =
   (* Every switch: 3 cube links + 2 terminals = degree 5. *)
   Alcotest.(check (list (pair int int))) "uniform degrees" [ (5, 8) ]
     (Graph_metrics.degree_histogram net)
-
-(* {1 Pairing heap} *)
-
-let pairing_sorts () =
-  let h = Pairing_heap.create () in
-  let keys = [ 4.0; 1.5; 9.0; 0.5; 2.0; 7.5; 3.0 ] in
-  List.iter (fun k -> ignore (Pairing_heap.insert h ~key:k k)) keys;
-  let rec drain acc =
-    match Pairing_heap.extract_min h with
-    | None -> List.rev acc
-    | Some (_, k) -> drain (k :: acc)
-  in
-  Alcotest.(check (list (float 0.0))) "sorted" (List.sort compare keys)
-    (drain [])
-
-let pairing_decrease_key () =
-  let h = Pairing_heap.create () in
-  let _a = Pairing_heap.insert h ~key:5.0 "a" in
-  let b = Pairing_heap.insert h ~key:9.0 "b" in
-  let _c = Pairing_heap.insert h ~key:7.0 "c" in
-  Pairing_heap.decrease_key h b 1.0;
-  Alcotest.(check (option string)) "b surfaces" (Some "b")
-    (Option.map fst (Pairing_heap.extract_min h));
-  Alcotest.(check bool) "b marked out" false (Pairing_heap.mem b)
-
-let pairing_agrees_with_fib () =
-  (* Drive both heaps with the same operation stream. *)
-  let p = Prng.create 55 in
-  let ph = Pairing_heap.create () in
-  let fh = Fib_heap.create () in
-  let ph_nodes = Hashtbl.create 64 and fh_nodes = Hashtbl.create 64 in
-  let next = ref 0 in
-  for _ = 1 to 3_000 do
-    match Prng.int p 3 with
-    | 0 | 1 ->
-      let k = Prng.float p 100.0 in
-      let id = !next in
-      incr next;
-      Hashtbl.replace ph_nodes id (Pairing_heap.insert ph ~key:k id);
-      Hashtbl.replace fh_nodes id (Fib_heap.insert fh ~key:k id)
-    | _ ->
-      (match (Pairing_heap.extract_min ph, Fib_heap.extract_min fh) with
-       | None, None -> ()
-       | Some (_, ka), Some (_, kb) ->
-         Alcotest.(check (float 1e-9)) "same min key" kb ka
-       | _ -> Alcotest.fail "emptiness disagreement")
-  done;
-  Alcotest.(check int) "same size" (Fib_heap.size fh) (Pairing_heap.size ph)
-
-let pairing_dijkstra_equivalence () =
-  (* Dijkstra distances must be identical regardless of the heap: run
-     the graph-level Dijkstra (Fib) and a local re-implementation with
-     the pairing heap. *)
-  let net = Helpers.random_net ~seed:19 () in
-  let weights =
-    Array.init (Network.num_channels net) (fun i ->
-        1.0 +. float_of_int (i mod 7))
-  in
-  let dest = (Network.terminals net).(0) in
-  let _, dist_fib = Graph_algo.dijkstra_to_dest net ~weights ~dest in
-  (* Pairing-heap Dijkstra over nodes. *)
-  let nn = Network.num_nodes net in
-  let dist = Array.make nn infinity in
-  let h = Pairing_heap.create () in
-  let handles = Hashtbl.create 64 in
-  dist.(dest) <- 0.0;
-  Hashtbl.replace handles dest (Pairing_heap.insert h ~key:0.0 dest);
-  let rec drain () =
-    match Pairing_heap.extract_min h with
-    | None -> ()
-    | Some (u, d) ->
-      if d <= dist.(u) then
-        Array.iter
-          (fun c ->
-             let v = Network.src net c in
-             let cand = dist.(u) +. weights.(c) in
-             if cand < dist.(v) then begin
-               dist.(v) <- cand;
-               match Hashtbl.find_opt handles v with
-               | Some n when Pairing_heap.mem n ->
-                 Pairing_heap.decrease_key h n cand
-               | _ ->
-                 Hashtbl.replace handles v (Pairing_heap.insert h ~key:cand v)
-             end)
-          (Network.in_channels net u);
-      drain ()
-  in
-  drain ();
-  for v = 0 to nn - 1 do
-    Alcotest.(check (float 1e-9)) "same distance" dist_fib.(v) dist.(v)
-  done
 
 (* {1 Histogram} *)
 
@@ -222,11 +128,6 @@ let suite =
        test_case "hypercube" `Quick metrics_hypercube;
        test_case "terminal distance" `Quick metrics_terminal_distance;
        test_case "degree histogram" `Quick degree_histogram_counts ]);
-    ("pairing_heap",
-     [ test_case "sorts" `Quick pairing_sorts;
-       test_case "decrease_key" `Quick pairing_decrease_key;
-       test_case "agrees with fib_heap" `Quick pairing_agrees_with_fib;
-       test_case "dijkstra equivalence" `Quick pairing_dijkstra_equivalence ]);
     ("histogram",
      [ test_case "basics" `Quick histogram_basics;
        test_case "of_samples" `Quick histogram_of_samples;
