@@ -12,14 +12,18 @@
     - omega >= 1: {e used}, and the value identifies the vertex-disjoint
       acyclic used subgraph the element belongs to.
 
-    [try_use_edge] implements Algorithm 3: the four conditions (a)-(d),
-    with a reachability search only in case (d). Subgraph ids live in a
-    union-find forest (union by size, so the surviving id matches the
-    historical smaller-into-larger relabeling); stored omegas may be
-    stale aliases, and every read canonicalizes through [channel_omega]/
-    [edge_omega]. All mutations keep the used subgraph acyclic — this
-    is the invariant Nue's deadlock-freedom proof (Lemma 2) rests
-    on. *)
+    [try_use_edge] implements Algorithm 3: the four conditions (a)-(d).
+    Subgraph ids live in a union-find forest (union by size, so the
+    surviving id matches the historical smaller-into-larger
+    relabeling); stored omegas may be stale aliases, and every read
+    canonicalizes through [channel_omega]/[edge_omega]. Condition (d)
+    is decided from a topological order of the channels under which
+    every used edge goes forward (Pearce & Kelly, JEA 2006, see
+    {!order}): an edge that already goes forward cannot close a cycle,
+    and otherwise a discovery bounded by the order decides. Admissions
+    against the order reassign it locally. All mutations keep the used
+    subgraph acyclic — this is the invariant Nue's deadlock-freedom
+    proof (Lemma 2) rests on. *)
 
 type t
 
@@ -29,15 +33,15 @@ val create : Nue_netgraph.Network.t -> t
 val clone : t -> t
 (** A replica for speculative routing on another domain: shares the
     immutable structure (successor/predecessor arrays, the network) and
-    copies the mutable routing state. It gets its own search stacks,
+    copies the mutable routing state. It gets its own discovery lists,
     visit stamps and undo trail, so the replica and the original can be
     searched concurrently. The clone's journal starts unset and no
     checkpoint is open on it. *)
 
 val copy_state_into : src:t -> dst:t -> unit
-(** Overwrite [dst]'s routing state (omegas, subgraph forest, next
-    fresh id, search count) with [src]'s: one blit that refreshes a
-    replica without re-allocating. [dst] keeps its own visit stamps.
+(** Overwrite [dst]'s routing state (omegas, subgraph forest,
+    topological order, next fresh id, search count) with [src]'s: one
+    blit that refreshes a replica without re-allocating. [dst] keeps its own visit stamps.
     @raise Invalid_argument if [dst] does not share [src]'s successor
     arrays (it must be [src] itself or stem from it through {!clone}),
     or if a checkpoint is open on [dst]. *)
@@ -95,8 +99,10 @@ type verdict =
   | Used_memo       (** (b): already used, hence already known acyclic *)
   | Distinct_merge  (** (c): endpoints in distinct (or fresh) acyclic
                         subgraphs — merged without a search *)
-  | Search_acyclic  (** (d): same subgraph, search found no used path back *)
-  | Search_cycle    (** (d): same subgraph, search found a cycle — blocked *)
+  | Search_acyclic  (** (d): same subgraph, no used path back (the
+                        order alone, or its discovery, showed it) *)
+  | Search_cycle    (** (d): same subgraph, the discovery found a used
+                        path back — blocked *)
 
 val verdict_ok : verdict -> bool
 (** Whether the verdict admits the edge ([try_use_edge]'s boolean). *)
@@ -125,8 +131,8 @@ val would_use_edge : t -> from:int -> slot:int -> bool
     A speculation runs between {!checkpoint} and {!rollback}, so it
     costs only what its search touches. While a checkpoint is open,
     every state write (edge and channel omegas, union-find parents —
-    including path halving inside reads — and group sizes) first saves
-    the old value on an undo trail. {!rollback} restores the writes
+    including path halving inside reads — group sizes and order
+    positions) first saves the old value on an undo trail. {!rollback} restores the writes
     newest first, then the next fresh id and the search count. Visit
     stamps are not restored; a monotone clock keeps them valid. With
     one domain the speculation runs on the authoritative graph itself;
@@ -149,8 +155,8 @@ val checkpoint : t -> unit
 
 val rollback : t -> unit
 (** Undo every state change since the matching {!checkpoint}: omegas,
-    subgraph forest, next fresh id and search count are exactly as
-    they were, and the checkpoint is closed.
+    subgraph forest, topological order, next fresh id and search count
+    are exactly as they were, and the checkpoint is closed.
     @raise Invalid_argument if no checkpoint is open. *)
 
 type journal
@@ -181,17 +187,16 @@ val used_subgraph_acyclic : t -> bool
 val count_states : t -> used:int ref -> blocked:int ref -> unused:int ref -> unit
 (** Tally edge states. *)
 
-val reaches : t -> start:int -> target:int -> bool
-(** The condition-(d) search: whether [target] is reachable from
-    [start] over used edges. Two searches alternate one vertex at a
-    time, forward from [start] and backward from [target]; the answer
-    is found when one side reaches a vertex the other stamped, or
-    disproved when either side runs out. Allocates nothing. Counts as
-    one cycle search. *)
+val order : t -> int -> int
+(** Position of a channel in the maintained topological order: a
+    permutation of [0, num_channels) under which every used edge goes
+    forward. It lives in the routing state, so {!rollback} restores it
+    and {!copy_state_into}/{!clone} carry it. *)
 
 val cycle_searches : t -> int
-(** Number of condition-(d) searches performed so far (Section 4.6.1)
-    — instruments how effective the omega memoization is. *)
+(** Number of condition-(d) queries decided so far (Section 4.6.1),
+    whether the order settled them or a discovery ran — instruments
+    how effective the omega memoization is. *)
 
 val used_digraph : t -> Acyclic_digraph.t
 (** The used subgraph re-checked into an {!Acyclic_digraph} (vertices are

@@ -20,20 +20,22 @@ type stats = {
 let fresh_stats () =
   { fallbacks = 0; backtracks = 0; shortcuts = 0; impasse_dests = 0 }
 
-(* The node-sized working arrays of one search, kept per domain and
-   reset per destination so routing a destination leaves no
-   major-heap garbage besides its returned row. *)
+(* The working memory of one search, kept per domain and reset per
+   destination so routing a destination leaves no major-heap garbage
+   besides its returned row: the node-sized arrays and the heap. *)
 type scratch = {
   s_ndist : float array;
   s_tent : float array;
   s_routed : bool array;
+  s_heap : Fib_heap.t;
 }
 
 let create_scratch net =
   let nn = Network.num_nodes net in
   { s_ndist = Array.make nn infinity;
     s_tent = Array.make nn infinity;
-    s_routed = Array.make nn false }
+    s_routed = Array.make nn false;
+    s_heap = Fib_heap.create () }
 
 type state = {
   cdg : Complete_cdg.t;
@@ -44,7 +46,7 @@ type state = {
   tent : float array;       (* node -> best tentative key so far *)
   used_channel : int array; (* node -> out-channel toward dest, -1 *)
   routed : bool array;
-  heap : int Fib_heap.t;
+  heap : Fib_heap.t;
 }
 
 (* Dependency slot of the edge [from -> to_]; both are channels. When
@@ -275,6 +277,8 @@ let route_destination cdg ~escape ~weights ~dest ?(use_backtracking = true)
       Array.fill sc.s_ndist 0 nn infinity;
       Array.fill sc.s_tent 0 nn infinity;
       Array.fill sc.s_routed 0 nn false;
+      (* A search that raised may have left entries behind. *)
+      Fib_heap.clear sc.s_heap;
       sc
   in
   let st =
@@ -283,7 +287,7 @@ let route_destination cdg ~escape ~weights ~dest ?(use_backtracking = true)
       tent = sc.s_tent;
       used_channel = Array.make nn (-1);
       routed = sc.s_routed;
-      heap = Fib_heap.create () }
+      heap = sc.s_heap }
   in
   st.routed.(dest) <- true;
   st.ndist.(dest) <- 0.0;

@@ -25,8 +25,8 @@ type stats = {
 val fresh_stats : unit -> stats
 
 type scratch
-(** Node-sized working arrays for {!route_destination}, reusable
-    across calls on one domain at a time. *)
+(** Working memory for {!route_destination} (node-sized arrays and the
+    heap), reusable across calls on one domain at a time. *)
 
 val create_scratch : Nue_netgraph.Network.t -> scratch
 
@@ -45,7 +45,7 @@ val route_destination :
     either found by the constrained search, completed by local
     backtracking, or (whole destination) falling back to the escape
     paths. Both optimizations default to enabled. The returned row is
-    fresh; the search's other arrays come from [scratch] when given
-    (else they are allocated per call).
+    fresh; the search's other arrays and its heap come from [scratch]
+    when given (else they are allocated per call).
     @raise Invalid_argument if [scratch] was made for a network with a
     different node count. *)

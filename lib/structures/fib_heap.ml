@@ -1,9 +1,13 @@
-(* Fibonacci heap (Fredman & Tarjan 1987) without decrease-key.
+(* Fibonacci heap (Fredman & Tarjan 1987) without decrease-key, in flat
+   arrays.
 
-   Nodes form circular doubly-linked sibling lists; roots form the root
-   list. [min_root] points at the minimum root. Consolidation after
-   extract-min links trees of equal degree. Without decrease-key there
-   are no cuts, so nodes need no parent pointer or mark bit. *)
+   A node is an index into the parallel arrays [key], [value], [child],
+   [left], [right] and [degree]. Nodes form circular doubly-linked
+   sibling lists; roots form the root list, and [min] is the minimum
+   root (-1 when empty). Consolidation after extract-min links trees of
+   equal degree. Without decrease-key there are no cuts, so nodes need
+   no parent pointer or mark bit, and every tree is binomial: a root of
+   degree d heads 2^d nodes. *)
 
 module Obs = Nue_obs.Obs
 
@@ -11,147 +15,179 @@ let c_insert = Obs.counter "heap.inserts"
 let c_extract = Obs.counter "heap.extracts"
 let c_link = Obs.counter "heap.links"
 
-type 'a node = {
-  key : float;
-  value : 'a;
-  mutable child : 'a node option;
-  mutable left : 'a node;   (* circular sibling list *)
-  mutable right : 'a node;
-  mutable degree : int;
-}
+(* Binomial trees bound every degree by log2 of the node count, so 64
+   consolidation slots cover any heap that fits in memory. *)
+let max_degree = 64
 
-type 'a t = {
-  mutable min_root : 'a node option;
+type t = {
+  mutable key : float array;
+  mutable value : int array;
+  mutable child : int array; (* some child, -1 if none *)
+  mutable left : int array;
+  mutable right : int array;
+  mutable degree : int array;
+  mutable collected : int array; (* roots or children being visited *)
+  slots : int array; (* consolidation: degree -> root, -1 if none *)
+  mutable min : int;
   mutable count : int;
+  mutable next : int; (* next node index; back to 0 whenever empty *)
 }
 
-let create () = { min_root = None; count = 0 }
+let create () =
+  let n = 16 in
+  { key = Array.make n 0.0;
+    value = Array.make n 0;
+    child = Array.make n (-1);
+    left = Array.make n 0;
+    right = Array.make n 0;
+    degree = Array.make n 0;
+    collected = Array.make n 0;
+    slots = Array.make max_degree (-1);
+    min = -1;
+    count = 0;
+    next = 0 }
+
+let clear t =
+  t.min <- -1;
+  t.count <- 0;
+  t.next <- 0
+
+let grow t =
+  let n = Array.length t.value in
+  let widen a fill =
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.key <- widen t.key 0.0;
+  t.value <- widen t.value 0;
+  t.child <- widen t.child (-1);
+  t.left <- widen t.left 0;
+  t.right <- widen t.right 0;
+  t.degree <- widen t.degree 0;
+  t.collected <- Array.make (2 * n) 0
 
 (* Splice node [n] (a singleton or detached node) into the circular list
    to the right of [anchor]. *)
-let splice_right anchor n =
-  n.left <- anchor;
-  n.right <- anchor.right;
-  anchor.right.left <- n;
-  anchor.right <- n
-
-(* Remove [n] from its sibling list; afterwards its left/right are stale. *)
-let unlink n =
-  n.left.right <- n.right;
-  n.right.left <- n.left
+let splice_right t anchor n =
+  let r = t.right.(anchor) in
+  t.left.(n) <- anchor;
+  t.right.(n) <- r;
+  t.left.(r) <- n;
+  t.right.(anchor) <- n
 
 let add_root t n =
-  match t.min_root with
-  | None ->
-    n.left <- n;
-    n.right <- n;
-    t.min_root <- Some n
-  | Some m ->
-    splice_right m n;
-    if n.key < m.key then t.min_root <- Some n
+  let m = t.min in
+  if m < 0 then begin
+    t.left.(n) <- n;
+    t.right.(n) <- n;
+    t.min <- n
+  end
+  else begin
+    splice_right t m n;
+    if t.key.(n) < t.key.(m) then t.min <- n
+  end
 
 let insert t ~key v =
-  let rec n =
-    { key; value = v; child = None; left = n; right = n; degree = 0 }
-  in
+  if t.next = Array.length t.value then grow t;
+  let n = t.next in
+  t.next <- n + 1;
+  t.key.(n) <- key;
+  t.value.(n) <- v;
+  t.child.(n) <- -1;
+  t.degree.(n) <- 0;
   add_root t n;
   t.count <- t.count + 1;
   Obs.incr c_insert
 
-(* Make [child] a child of [root]; both must currently be roots and
-   [child] must already be unlinked from the root list. *)
-let link ~root ~child =
+(* Make [child] a child of [root]; both are singleton trees. *)
+let link t ~root ~child =
   Obs.incr c_link;
-  (match root.child with
-   | None ->
-     child.left <- child;
-     child.right <- child;
-     root.child <- Some child
-   | Some c -> splice_right c child);
-  root.degree <- root.degree + 1
+  let c = t.child.(root) in
+  if c < 0 then begin
+    t.left.(child) <- child;
+    t.right.(child) <- child;
+    t.child.(root) <- child
+  end
+  else splice_right t c child;
+  t.degree.(root) <- t.degree.(root) + 1
 
-let max_degree count =
-  (* floor(log_phi count) + 2 is a safe bound; use log2-based bound. *)
-  let rec go acc n = if n = 0 then acc else go (acc + 1) (n lsr 1) in
-  2 * go 0 count + 2
+(* Write the circular list through [start] into [collected], in
+   traversal order; returns its length. *)
+let collect t start =
+  let buf = t.collected and right = t.right in
+  buf.(0) <- start;
+  let n = ref 1 and cur = ref right.(start) in
+  while !cur <> start do
+    buf.(!n) <- !cur;
+    incr n;
+    cur := right.(!cur)
+  done;
+  !n
 
 let consolidate t =
-  match t.min_root with
-  | None -> ()
-  | Some start ->
-    (* Collect the current roots into an array first, because linking
-       mutates the root list while we iterate. *)
-    let roots = ref [] in
-    let cur = ref start in
-    let continue = ref true in
-    while !continue do
-      roots := !cur :: !roots;
-      cur := !cur.right;
-      if !cur == start then continue := false
-    done;
-    let slots = Array.make (max_degree t.count) None in
-    let place r =
-      let r = ref r in
-      let d = ref !r.degree in
-      while !d < Array.length slots && slots.(!d) <> None do
-        (match slots.(!d) with
-         | None -> assert false
-         | Some other ->
-           slots.(!d) <- None;
-           let root, child =
-             if !r.key <= other.key then !r, other else other, !r
-           in
-           link ~root ~child;
-           r := root;
-           d := root.degree)
+  if t.min >= 0 then begin
+    let n = collect t t.min in
+    let buf = t.collected and slots = t.slots and key = t.key in
+    let top = ref 0 in
+    (* Last-collected root first; each becomes a singleton candidate
+       and links with the stored tree of its degree, the smaller key
+       (or, on a tie, the candidate) becoming the root. *)
+    for i = n - 1 downto 0 do
+      let r = ref buf.(i) in
+      t.left.(!r) <- !r;
+      t.right.(!r) <- !r;
+      let d = ref t.degree.(!r) in
+      while slots.(!d) >= 0 do
+        let other = slots.(!d) in
+        slots.(!d) <- -1;
+        if key.(!r) <= key.(other) then link t ~root:!r ~child:other
+        else begin
+          link t ~root:other ~child:!r;
+          r := other
+        end;
+        d := t.degree.(!r)
       done;
-      slots.(!d) <- Some !r
-    in
-    List.iter
-      (fun r ->
-         (* Detach from whatever list it is in; it becomes a candidate. *)
-         unlink r;
-         r.left <- r;
-         r.right <- r;
-         place r)
-      !roots;
-    t.min_root <- None;
-    Array.iter
-      (function
-        | None -> ()
-        | Some r -> add_root t r)
-      slots
+      slots.(!d) <- !r;
+      if !d >= !top then top := !d + 1
+    done;
+    t.min <- -1;
+    for d = 0 to !top - 1 do
+      let r = slots.(d) in
+      if r >= 0 then begin
+        slots.(d) <- -1;
+        add_root t r
+      end
+    done
+  end
 
 let extract_min t =
-  match t.min_root with
-  | None -> None
-  | Some m ->
-    (* Promote children of the minimum to roots. *)
-    (match m.child with
-     | None -> ()
-     | Some c ->
-       let cur = ref c in
-       let continue = ref true in
-       let children = ref [] in
-       while !continue do
-         children := !cur :: !children;
-         cur := !cur.right;
-         if !cur == c then continue := false
-       done;
-       List.iter
-         (fun ch ->
-            unlink ch;
-            ch.left <- ch;
-            ch.right <- ch;
-            add_root t ch)
-         !children;
-       m.child <- None);
-    if m.right == m then t.min_root <- None
+  let m = t.min in
+  if m < 0 then None
+  else begin
+    (* Promote the children of the minimum to roots, last-collected
+       first; each lands right of [m]. *)
+    let c = t.child.(m) in
+    if c >= 0 then begin
+      let n = collect t c in
+      for i = n - 1 downto 0 do
+        let ch = t.collected.(i) in
+        t.left.(ch) <- ch;
+        t.right.(ch) <- ch;
+        add_root t ch
+      done;
+      t.child.(m) <- -1
+    end;
+    let r = t.right.(m) in
+    if r = m then t.min <- -1
     else begin
-      t.min_root <- Some m.right;
-      unlink m
+      let l = t.left.(m) in
+      t.right.(l) <- r;
+      t.left.(r) <- l;
+      t.min <- r
     end;
     t.count <- t.count - 1;
-    consolidate t;
+    if t.count = 0 then t.next <- 0 else consolidate t;
     Obs.incr c_extract;
-    Some (m.value, m.key)
+    Some (t.value.(m), t.key.(m))
+  end

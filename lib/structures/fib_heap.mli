@@ -1,27 +1,37 @@
 (** Fibonacci heap: a min-heap with O(1) insert and amortized
-    O(log n) extract-min.
+    O(log n) extract-min, laid out in flat arrays.
 
     The paper's Proposition 1 bounds Algorithm 1 by
     O(|C| log |C| + |Ē|) with a Fibonacci heap. Every caller here
     inserts a fresh entry instead of decreasing a key (each channel
     enters Nue's queue at most once per destination; the plain Dijkstras
     re-insert and skip stale pops), so the heap offers only the two
-    operations they use.
+    operations they use, plus {!clear} for reuse.
 
-    Keys are floats; each element carries a caller payload. Elements
-    with equal keys pop in an order fixed by the heap's linking rule;
-    Nue's and static-cdg's tables depend on it, so that rule is part of
-    the contract (pinned by the [heap:model] golden test). *)
+    Keys are floats; each element carries an int payload (a channel or
+    node id in every caller). A node is an index into parallel arrays
+    (key, payload, child, left and right sibling, degree); indices are
+    handed out in insertion order and start again from 0 whenever the
+    heap is empty, so a heap reused across searches keeps its arrays
+    and allocates only when one search outgrows every earlier one.
 
-type 'a t
-(** A heap holding payloads of type ['a]. *)
+    Elements with equal keys pop in an order fixed by the heap's
+    linking rule; Nue's and static-cdg's tables depend on it, so that
+    rule is part of the contract (pinned by the [heap:model] golden
+    tests). *)
 
-val create : unit -> 'a t
+type t
+
+val create : unit -> t
 (** A fresh empty heap. *)
 
-val insert : 'a t -> key:float -> 'a -> unit
-(** [insert t ~key v] adds [v] with priority [key]; O(1). *)
+val insert : t -> key:float -> int -> unit
+(** [insert t ~key v] adds [v] with priority [key]; amortized O(1). *)
 
-val extract_min : 'a t -> ('a * float) option
+val extract_min : t -> (int * float) option
 (** Remove and return the payload and key with the smallest key;
-    amortized O(log n). Returns [None] on an empty heap. *)
+    amortized O(log n). Returns [None] on an empty heap. Allocates only
+    the result. *)
+
+val clear : t -> unit
+(** Drop every element, keeping the arrays. *)

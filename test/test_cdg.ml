@@ -386,30 +386,52 @@ let omegas cdg =
           (fun slot _ -> Complete_cdg.edge_omega cdg ~from:c ~slot)
           (Complete_cdg.succ cdg c)) )
 
+let orders cdg = Array.init (Complete_cdg.num_channels cdg) (Complete_cdg.order cdg)
+
+(* The maintained topological order is a permutation of the channels
+   under which every used edge goes forward. *)
+let order_valid cdg =
+  let nc = Complete_cdg.num_channels cdg in
+  let seen = Array.make nc false in
+  let ok = ref true in
+  for c = 0 to nc - 1 do
+    let o = Complete_cdg.order cdg c in
+    if o < 0 || o >= nc || seen.(o) then ok := false else seen.(o) <- true;
+    Array.iteri
+      (fun slot q ->
+         if Complete_cdg.edge_omega cdg ~from:c ~slot >= 1
+            && o >= Complete_cdg.order cdg q
+         then ok := false)
+      (Complete_cdg.succ cdg c)
+  done;
+  !ok
+
 (* A random burst of calls: fresh channel uses, committing edge
    admissions and non-committing probes. Every verdict must agree with
    [used_path] taken just before the call — an edge is admissible
    exactly when no used path leads from its head back to its tail. That
-   covers condition (d), where the search decides, and (a)-(c), where
-   the memo does. *)
+   covers condition (d), where the order and its discovery decide, and
+   (a)-(c), where the memo does. After every call the order must still
+   be valid. *)
 let random_ops cdg p n =
   let nc = Complete_cdg.num_channels cdg in
   let ok = ref true in
   for _ = 1 to n do
     let c = Prng.int p nc in
     let succ = Complete_cdg.succ cdg c in
-    match Prng.int p 3 with
-    | 0 -> ignore (Complete_cdg.use_channel cdg c)
-    | op when Array.length succ > 0 ->
-      let slot = Prng.int p (Array.length succ) in
-      let admissible = not (used_path cdg ~start:succ.(slot) ~target:c) in
-      let verdict =
-        if op = 1 then
-          Complete_cdg.verdict_ok (Complete_cdg.try_use_edge_v cdg ~from:c ~slot)
-        else Complete_cdg.would_use_edge cdg ~from:c ~slot
-      in
-      if verdict <> admissible then ok := false
-    | _ -> ()
+    (match Prng.int p 3 with
+     | 0 -> ignore (Complete_cdg.use_channel cdg c)
+     | op when Array.length succ > 0 ->
+       let slot = Prng.int p (Array.length succ) in
+       let admissible = not (used_path cdg ~start:succ.(slot) ~target:c) in
+       let verdict =
+         if op = 1 then
+           Complete_cdg.verdict_ok (Complete_cdg.try_use_edge_v cdg ~from:c ~slot)
+         else Complete_cdg.would_use_edge cdg ~from:c ~slot
+       in
+       if verdict <> admissible then ok := false
+     | _ -> ());
+    if not (order_valid cdg) then ok := false
   done;
   !ok
 
@@ -427,15 +449,24 @@ let qcheck_speculation_round_trip =
        Complete_cdg.set_journal cdg (Some j);
        let ok_spec = random_ops cdg p 160 in
        Complete_cdg.set_journal cdg None;
-       let speculated = omegas cdg in
+       let speculated = omegas cdg and speculated_order = orders cdg in
+       (* A replica refresh carries the order with the omegas. *)
+       let replica = Complete_cdg.clone before in
+       Complete_cdg.copy_state_into ~src:cdg ~dst:replica;
+       let copied = orders replica = speculated_order in
        Complete_cdg.rollback cdg;
        let restored =
          omegas cdg = omegas before
+         && orders cdg = orders before
          && Complete_cdg.cycle_searches cdg = Complete_cdg.cycle_searches before
        in
        (* Replayed onto the pre-checkpoint state, the journal reproduces
-          the speculation exactly. *)
-       let replayed = Complete_cdg.replay target j && omegas target = speculated in
+          the speculation exactly, order included. *)
+       let replayed =
+         Complete_cdg.replay target j
+         && omegas target = speculated
+         && orders target = speculated_order
+       in
        (* The next fresh id is restored too: the same unused channel gets
           the same id on both. *)
        let nc = Complete_cdg.num_channels cdg in
@@ -450,7 +481,7 @@ let qcheck_speculation_round_trip =
          | Some c ->
            Complete_cdg.use_channel cdg c = Complete_cdg.use_channel before c
        in
-       ok_before && ok_spec && restored && replayed && same_fresh_id
+       ok_before && ok_spec && copied && restored && replayed && same_fresh_id
        && Complete_cdg.used_subgraph_acyclic target)
 
 let cdg_rollback_restores_live_graph () =
@@ -530,28 +561,42 @@ let cdg_copy_state_checks_structure () =
     (refused ~src:ring ~dst:replica);
   Complete_cdg.rollback replica
 
-let cdg_reaches_allocation_free () =
+let cdg_would_use_allocation_free () =
+  (* Condition (d) queries: unused edges between two channels of the
+     same subgraph, probed without committing. *)
   let net = Helpers.random_net ~switches:12 ~links:30 () in
   let cdg = Complete_cdg.create net in
   ignore (random_ops cdg (Prng.create 17) 800);
-  let nc = Complete_cdg.num_channels cdg in
-  let hits = ref 0 in
-  for i = 0 to 999 do
-    let start = i mod nc and target = ((i * 7) + 3) mod nc in
-    let r = Complete_cdg.reaches cdg ~start ~target in
-    if r then incr hits;
-    if r <> used_path cdg ~start ~target then
-      Alcotest.failf "reaches %d -> %d disagrees with BFS" start target
+  let edges = ref [] in
+  for c = Complete_cdg.num_channels cdg - 1 downto 0 do
+    Array.iteri
+      (fun slot q ->
+         let om = Complete_cdg.channel_omega cdg c in
+         if om >= 1 && om = Complete_cdg.channel_omega cdg q
+            && Complete_cdg.edge_omega cdg ~from:c ~slot = 0
+         then edges := (c, slot) :: !edges)
+      (Complete_cdg.succ cdg c)
   done;
-  Alcotest.(check bool) "both answers occur" true (!hits > 0 && !hits < 1000);
+  let edges = Array.of_list !edges in
+  let n = Array.length edges in
+  let admitted =
+    Array.fold_left
+      (fun acc (from, slot) ->
+         if Complete_cdg.would_use_edge cdg ~from ~slot then acc + 1 else acc)
+      0 edges
+  in
+  Alcotest.(check bool) "both answers occur" true (admitted > 0 && admitted < n);
+  let searches = Complete_cdg.cycle_searches cdg in
   let w0 = Gc.minor_words () in
   for i = 0 to 9_999 do
-    let start = i mod nc and target = ((i * 7) + 3) mod nc in
-    ignore (Sys.opaque_identity (Complete_cdg.reaches cdg ~start ~target))
+    let from, slot = edges.(i mod n) in
+    ignore (Sys.opaque_identity (Complete_cdg.would_use_edge cdg ~from ~slot))
   done;
   let w1 = Gc.minor_words () in
+  Alcotest.(check int) "every probe is a (d) query" (searches + 10_000)
+    (Complete_cdg.cycle_searches cdg);
   (* The two Gc.minor_words calls box a float each. *)
-  Alcotest.(check bool) "reaches allocation-free" true (w1 -. w0 < 256.0)
+  Alcotest.(check bool) "would_use_edge allocation-free" true (w1 -. w0 < 256.0)
 
 let suite =
   [ ("digraph",
@@ -586,5 +631,6 @@ let suite =
          cdg_replay_detects_misspeculation;
        test_case "copy_state_into checks structure" `Quick
          cdg_copy_state_checks_structure;
-       test_case "reaches allocation-free" `Quick cdg_reaches_allocation_free ]) ]
+       test_case "would_use_edge allocation-free" `Quick
+         cdg_would_use_allocation_free ]) ]
 

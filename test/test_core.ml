@@ -13,6 +13,7 @@ module Partition = Nue_core.Partition
 module Rootsel = Nue_core.Rootsel
 module Escape = Nue_core.Escape
 module Nue = Nue_core.Nue
+module Nue_dijkstra = Nue_core.Nue_dijkstra
 module Prng = Nue_structures.Prng
 
 let test_case = Alcotest.test_case
@@ -265,6 +266,75 @@ let nue_path_lengths_reasonable () =
   Alcotest.(check bool) "max path bounded by 2x diameter + 2" true
     (stats.Nue_metrics.Pathstats.max_hops <= (2 * diameter) + 2)
 
+(* One destination search through [route_destination] on a fresh copy
+   of the same prepared CDG, so two calls see the same state. *)
+let dijkstra_fixture () =
+  let net = Helpers.random_net ~switches:12 ~links:30 ~terminals:2 () in
+  let dests = Network.terminals net in
+  let prepared () =
+    let cdg = Complete_cdg.create net in
+    (cdg, Escape.prepare cdg ~root:0 ~dests)
+  in
+  (net, dests, prepared)
+
+let dijkstra_scratch_creates_no_heap () =
+  (* A heap grows its arrays when a search outgrows them. Searching
+     with the scratch's heap, the first pass over the destinations pays
+     that growth once, so a second, identical pass allocates less; a
+     search that made its own heap would regrow it every time, and both
+     passes would allocate the same. *)
+  let net, dests, prepared = dijkstra_fixture () in
+  let weights = Array.make (Network.num_channels net) 1.0 in
+  let scratch = Nue_dijkstra.create_scratch net in
+  let pass () =
+    let cdg, escape = prepared () in
+    let stats = Nue_dijkstra.fresh_stats () in
+    let w0 = Gc.minor_words () in
+    let rows =
+      Array.map
+        (fun dest ->
+           Nue_dijkstra.route_destination cdg ~escape ~weights ~dest ~scratch
+             ~stats ())
+        dests
+    in
+    (rows, Gc.minor_words () -. w0)
+  in
+  let rows, first = pass () in
+  let rows', second = pass () in
+  Alcotest.(check bool) "same rows" true (rows = rows');
+  if not (second < first) then
+    Alcotest.failf "second pass allocated %.0f minor words, first %.0f"
+      second first
+
+let dijkstra_scratch_survives_a_raise () =
+  (* A weights array that misses the last quarter of the channels (the
+     links of the last switches' terminals) makes a search raise when it
+     first meets one, part-way through and with candidates left in its
+     heap. The next search on the same scratch must not see them. *)
+  let net, dests, prepared = dijkstra_fixture () in
+  let nc = Network.num_channels net in
+  let short = Array.make (3 * nc / 4) 1.0 and weights = Array.make nc 1.0 in
+  let raised = ref 0 in
+  let route ?scratch () =
+    let cdg, escape = prepared () in
+    let stats = Nue_dijkstra.fresh_stats () in
+    Array.map
+      (fun dest ->
+         (match
+            Nue_dijkstra.route_destination cdg ~escape ~weights:short ~dest
+              ?scratch ~stats ()
+          with
+          | exception Invalid_argument _ -> incr raised
+          | _ -> ());
+         Nue_dijkstra.route_destination cdg ~escape ~weights ~dest ?scratch
+           ~stats ())
+      dests
+  in
+  let scratch = Nue_dijkstra.create_scratch net in
+  let rows = route ~scratch () in
+  Alcotest.(check bool) "searches raised" true (!raised > 0);
+  Alcotest.(check bool) "same rows as fresh scratch" true (rows = route ())
+
 (* The paper's headline claim as a property: for ANY connected topology
    and ANY k >= 1, Nue produces valid deadlock-free destination-based
    routing. *)
@@ -318,4 +388,8 @@ let suite =
        test_case "stats consistency" `Quick nue_stats_consistency;
        test_case "path lengths reasonable" `Quick nue_path_lengths_reasonable;
        QCheck_alcotest.to_alcotest qcheck_nue_always_valid;
-       QCheck_alcotest.to_alcotest qcheck_nue_fallback_bounded ]) ]
+       QCheck_alcotest.to_alcotest qcheck_nue_fallback_bounded;
+       test_case "dijkstra scratch creates no heap" `Quick
+         dijkstra_scratch_creates_no_heap;
+       test_case "dijkstra scratch survives a raise" `Quick
+         dijkstra_scratch_survives_a_raise ]) ]

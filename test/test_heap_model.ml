@@ -93,7 +93,80 @@ let equal_key_order_golden () =
   Alcotest.(check (list int)) "equal-key pop order" golden_order
     (List.rev !out)
 
+(* The same tie order on a long stream, deep enough for high tree
+   degrees: three fill rounds of 2,000 inserts with keys from 8 values
+   (a fixed LCG), an extract after every third and every seventeenth
+   insert, and a full drain after each round, so one heap is drained
+   and refilled twice. 12,000 operations in all; the MD5 of the
+   payload sequence was recorded from the heap the pinned table digests
+   were built with. *)
+let long_stream_digest = "c10267bf00ffb956cc543a8fdec40c62"
+
+let long_stream_order_golden () =
+  let heap = Fib_heap.create () in
+  let buf = Buffer.create 65536 in
+  let pops = ref 0 in
+  let pop () =
+    match Fib_heap.extract_min heap with
+    | Some (v, _) ->
+      incr pops;
+      Buffer.add_string buf (string_of_int v);
+      Buffer.add_char buf ' ';
+      true
+    | None -> false
+  in
+  let x = ref 12345 in
+  for round = 0 to 2 do
+    for i = 0 to 1999 do
+      x := ((!x * 1103515245) + 12345) land 0x3fffffff;
+      Fib_heap.insert heap ~key:(float_of_int ((!x lsr 16) land 7))
+        ((round * 2000) + i);
+      if i mod 3 = 2 then ignore (pop ());
+      if i mod 17 = 16 then ignore (pop ())
+    done;
+    while pop () do () done
+  done;
+  Alcotest.(check int) "every insert popped" 6000 !pops;
+  Alcotest.(check string) "long-stream pop order" long_stream_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* A reused heap allocates nothing but each pop's result: the option
+   (2 words), the pair (3) and the boxed key (2). 100 rounds of 100
+   inserts and a full drain are 10,000 insert/extract pairs; the keys
+   are boxed once, up front, in a list. *)
+let words_per_pop = 7
+
+let allocation_per_pop () =
+  let heap = Fib_heap.create () in
+  let keys = List.init 100 (fun i -> float_of_int (((i * 5) + (i / 8)) land 7)) in
+  let rec fill i = function
+    | [] -> ()
+    | k :: rest ->
+      Fib_heap.insert heap ~key:k i;
+      fill (i + 1) rest
+  in
+  let rec drain n =
+    match Fib_heap.extract_min heap with Some _ -> drain (n + 1) | None -> n
+  in
+  (* The first round grows the arrays. *)
+  fill 0 keys;
+  ignore (drain 0);
+  let pops = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    fill 0 keys;
+    pops := !pops + drain 0
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "pairs" 10_000 !pops;
+  (* The two Gc.minor_words calls box a float each. *)
+  let limit = float_of_int ((words_per_pop * !pops) + 4) in
+  if words > limit then
+    Alcotest.failf "%.0f minor words for %d pops (limit %.0f)" words !pops limit
+
 let suite =
   [ ("heap:model",
      [ test_case "random ops vs sorted-list model" `Quick random_ops_vs_model;
-       test_case "equal-key pop order golden" `Quick equal_key_order_golden ]) ]
+       test_case "equal-key pop order golden" `Quick equal_key_order_golden;
+       test_case "long-stream pop order golden" `Quick long_stream_order_golden;
+       test_case "allocation per pop" `Quick allocation_per_pop ]) ]
