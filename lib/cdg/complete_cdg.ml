@@ -25,7 +25,7 @@ let c_reorder = Obs.counter "cdg.reorders"
    the authoritative CDG at commit time (see [replay] below for the
    soundness argument). Ops are packed three ints at a time: tag (0
    fresh channel use / 1 edge admission / 2 edge block), then the
-   channel or (from, slot) pair. *)
+   channel or the edge's two channels. *)
 type journal = {
   mutable ops : int array;
   mutable jlen : int; (* op count; 3 * jlen ints are live in [ops] *)
@@ -33,21 +33,25 @@ type journal = {
 
 type t = {
   net : Network.t;
-  succ : int array array;
-  off : int array; (* off.(c) + slot is the state index of edge c -> succ.(c).(slot) *)
-  pred : int array array;
-  pred_slot : int array array;
+  (* Definition 6 makes the edges a function of the adjacency, so only
+     their state is stored: edge c -> q at [off.(c) + pos.(q)], where
+     [off] sums the out-degrees of the channels' head nodes and
+     [pos.(q)] is q's index among its source's out-channels. Slots of
+     180-degree turns (over any parallel link) are dead and stay 0. *)
+  off : int array;
+  pos : int array;
   (* All mutable routing state lives in one int array, so an undo-trail
      entry names any write by a single index and a replica refresh is
-     one blit. Regions, in order: edge omegas ([0, nedges), row c at
-     [off.(c)]), channel omegas, union-find parents, group sizes, and
-     the topological order. Subgraph ids form a union-find forest over
-     [1 .. nc] (at most one fresh id per channel); stored omegas may be
-     stale after merges and [find] canonicalizes on read. The order is
-     a permutation of [0, nc) with ord(c) < ord(q) for every used edge
-     c -> q (Pearce & Kelly, JEA 2006). *)
+     one blit. Regions, in order: edge omegas ([0, nslots)), channel
+     omegas, union-find parents, group sizes, and the topological
+     order. Subgraph ids form a union-find forest over [1 .. nc] (at
+     most one fresh id per channel); stored omegas may be stale after
+     merges and [find] canonicalizes on read. The order is a permutation
+     of [0, nc) with ord(c) < ord(q) for every used edge c -> q (Pearce
+     & Kelly, JEA 2006). *)
   state : int array;
-  nedges : int; (* also the base of the channel-omega region *)
+  nslots : int; (* also the base of the channel-omega region *)
+  nedges : int; (* live slots: |E| of Definition 6 *)
   parent_base : int;
   size_base : int; (* group size: member count (channels + edges) per root *)
   ord_base : int;
@@ -74,44 +78,25 @@ type t = {
 
 let create net =
   let nc = Network.num_channels net in
-  let succ = Array.make nc [||] in
-  let pred_count = Array.make nc 0 in
   let off = Array.make (nc + 1) 0 in
+  let pos = Array.make nc 0 in
+  let dead = ref 0 in
   for c = 0 to nc - 1 do
-    let u = Network.src net c and v = Network.dst net c in
+    let u = Network.src net c in
+    let out = Network.out_channels net (Network.dst net c) in
+    off.(c + 1) <- off.(c) + Array.length out;
+    for i = 0 to Array.length out - 1 do
+      if Network.dst net out.(i) = u then incr dead
+    done
+  done;
+  for v = 0 to Network.num_nodes net - 1 do
     let out = Network.out_channels net v in
-    (* Successors: channels leaving v, except those returning to u
-       (Definition 6 requires n_x <> n_z, excluding 180-degree turns
-       through any parallel channel). *)
-    let count = ref 0 in
     for i = 0 to Array.length out - 1 do
-      if Network.dst net out.(i) <> u then incr count
-    done;
-    let s = Array.make !count 0 in
-    let j = ref 0 in
-    for i = 0 to Array.length out - 1 do
-      if Network.dst net out.(i) <> u then begin
-        s.(!j) <- out.(i);
-        incr j;
-        pred_count.(out.(i)) <- pred_count.(out.(i)) + 1
-      end
-    done;
-    succ.(c) <- s;
-    off.(c + 1) <- off.(c) + !count
+      pos.(out.(i)) <- i
+    done
   done;
-  let pred = Array.init nc (fun c -> Array.make pred_count.(c) 0) in
-  let pred_slot = Array.init nc (fun c -> Array.make pred_count.(c) 0) in
-  let fill = Array.make nc 0 in
-  for c = 0 to nc - 1 do
-    Array.iteri
-      (fun slot q ->
-         pred.(q).(fill.(q)) <- c;
-         pred_slot.(q).(fill.(q)) <- slot;
-         fill.(q) <- fill.(q) + 1)
-      succ.(c)
-  done;
-  let nedges = off.(nc) in
-  let parent_base = nedges + nc in
+  let nslots = off.(nc) in
+  let parent_base = nslots + nc in
   let size_base = parent_base + nc + 1 in
   let ord_base = size_base + nc + 1 in
   let state = Array.make (ord_base + nc) 0 in
@@ -121,8 +106,8 @@ let create net =
   for c = 0 to nc - 1 do
     state.(ord_base + c) <- c
   done;
-  { net; succ; off; pred; pred_slot; state; nedges; parent_base; size_base;
-    ord_base;
+  { net; off; pos; state; nslots; nedges = nslots - !dead; parent_base;
+    size_base; ord_base;
     next_id = 1;
     searches = 0;
     stamp = Array.make nc 0;
@@ -137,12 +122,11 @@ let create net =
     cp_searches = 0;
     journal = None }
 
-(* Replicas share the immutable structure (succ/pred/slot arrays, the
-   network) and own everything a search writes: the state, and the
-   search and trail scratch — shared scratch would race across
-   domains. *)
+(* Replicas share the network and the layout and own everything a
+   search writes: the state, and the search and trail scratch — shared
+   scratch would race across domains. *)
 let clone t =
-  let nc = Array.length t.succ in
+  let nc = Array.length t.pos in
   { t with
     state = Array.copy t.state;
     stamp = Array.make nc 0;
@@ -158,8 +142,8 @@ let clone t =
 (* Stamps and the clock stay [dst]'s own: they only need to be
    monotone per graph. *)
 let copy_state_into ~src ~dst =
-  if src.succ != dst.succ then
-    invalid_arg "Complete_cdg.copy_state_into: graphs do not share structure";
+  if src.net != dst.net || Array.length src.state <> Array.length dst.state
+  then invalid_arg "Complete_cdg.copy_state_into: graphs of different networks";
   if dst.recording then
     invalid_arg "Complete_cdg.copy_state_into: checkpoint open on dst";
   Array.blit src.state 0 dst.state 0 (Array.length src.state);
@@ -225,24 +209,35 @@ let jpush j tag a b =
 
 let network t = t.net
 
-let num_channels t = Array.length t.succ
+let num_channels t = Array.length t.pos
 
 let num_edges t = t.nedges
 
-let succ t c = t.succ.(c)
+let is_edge t ~from ~to_ =
+  let net = t.net in
+  Network.dst net from = Network.src net to_
+  && Network.dst net to_ <> Network.src net from
 
-let pred t c = t.pred.(c)
+(* State index of the edge [from -> to_]. *)
+let edge t ~from ~to_ =
+  if not (is_edge t ~from ~to_) then
+    invalid_arg
+      (Printf.sprintf "Complete_cdg: %d -> %d is not a dependency" from to_);
+  t.off.(from) + t.pos.(to_)
 
-let pred_slot t c = t.pred_slot.(c)
+let iter_succ t c f =
+  let net = t.net in
+  let u = Network.src net c in
+  Array.iter
+    (fun q -> if Network.dst net q <> u then f q)
+    (Network.out_channels net (Network.dst net c))
 
-let find_slot t ~from ~to_ =
-  let s = t.succ.(from) in
-  let rec go i =
-    if i >= Array.length s then None
-    else if s.(i) = to_ then Some i
-    else go (i + 1)
-  in
-  go 0
+let iter_pred t c f =
+  let net = t.net in
+  let w = Network.dst net c in
+  Array.iter
+    (fun a -> if Network.src net a <> w then f a)
+    (Network.in_channels net (Network.src net c))
 
 (* Canonical subgraph id, with path halving. The surviving root under
    union-by-size (first argument wins ties) is exactly the id the old
@@ -260,22 +255,22 @@ let find t x =
   !x
 
 let channel_omega t c =
-  let s = t.state.(t.nedges + c) in
+  let s = t.state.(t.nslots + c) in
   if s <= 0 then s else find t s
 
-let edge_omega t ~from ~slot =
-  let s = t.state.(t.off.(from) + slot) in
+let edge_omega t ~from ~to_ =
+  let s = t.state.(edge t ~from ~to_) in
   if s <= 0 then s else find t s
 
 let add_size t id n = set t (t.size_base + id) (t.state.(t.size_base + id) + n)
 
 let use_channel t c =
-  let s = t.state.(t.nedges + c) in
+  let s = t.state.(t.nslots + c) in
   if s > 0 then find t s
   else begin
     let id = t.next_id in
     t.next_id <- id + 1;
-    set t (t.nedges + c) id;
+    set t (t.nslots + c) id;
     set t (t.size_base + id) 1;
     (match t.journal with Some j -> jpush j 0 c 0 | None -> ());
     id
@@ -299,10 +294,10 @@ let merge t a b =
     keep
   end
 
-(* [id] must be canonical (callers pass a fresh [use_channel]/[merge]
-   result or a [channel_omega] read). *)
-let mark_edge_used t ~from ~slot id =
-  set t (t.off.(from) + slot) id;
+(* [e] is an edge's state index; [id] must be canonical (callers pass
+   a fresh [use_channel]/[merge] result or a [channel_omega] read). *)
+let mark_edge_used t e id =
+  set t e id;
   add_size t id 1
 
 let order t c = t.state.(t.ord_base + c)
@@ -319,6 +314,7 @@ let discover_forward t ~from ~q =
   t.clock <- t.clock + 1;
   let mark = t.clock in
   let st = t.state and stamp = t.stamp and fwd = t.fwd and ob = t.ord_base in
+  let net = t.net in
   let bound = st.(ob + from) in
   stamp.(q) <- mark;
   fwd.(0) <- q;
@@ -327,7 +323,8 @@ let discover_forward t ~from ~q =
     let c = fwd.(!i) in
     incr i;
     Obs.incr c_visited;
-    let s = t.succ.(c) and base = t.off.(c) in
+    (* Dead slots read 0, so the used test alone skips 180-degree turns. *)
+    let s = Network.out_channels net (Network.dst net c) and base = t.off.(c) in
     for k = 0 to Array.length s - 1 do
       if st.(base + k) >= 1 then begin
         let y = s.(k) in
@@ -348,6 +345,7 @@ let discover_backward t ~from ~q =
   t.clock <- t.clock + 1;
   let mark = t.clock in
   let st = t.state and stamp = t.stamp and bwd = t.bwd and ob = t.ord_base in
+  let net = t.net and off = t.off in
   let bound = st.(ob + q) in
   stamp.(from) <- mark;
   bwd.(0) <- from;
@@ -356,10 +354,11 @@ let discover_backward t ~from ~q =
     let c = bwd.(!i) in
     incr i;
     Obs.incr c_visited;
-    let p = t.pred.(c) and ps = t.pred_slot.(c) in
+    (* Every a -> c sits at column pos(c) of a's row. *)
+    let p = Network.in_channels net (Network.src net c) and pc = t.pos.(c) in
     for k = 0 to Array.length p - 1 do
       let a = p.(k) in
-      if st.(t.off.(a) + ps.(k)) >= 1 && st.(ob + a) > bound
+      if st.(off.(a) + pc) >= 1 && st.(ob + a) > bound
          && stamp.(a) <> mark
       then begin
         stamp.(a) <- mark;
@@ -461,9 +460,10 @@ let verdict_to_string = function
   | Search_acyclic -> "search-acyclic"
   | Search_cycle -> "search-cycle"
 
-let usable t ~from ~slot ~commit =
+let usable t ~from ~to_:q ~commit =
+  let e = edge t ~from ~to_:q in
   Obs.incr c_usable;
-  let state = t.state.(t.off.(from) + slot) in
+  let state = t.state.(e) in
   if state = -1 then begin
     (* (a) known to close a cycle *)
     Obs.incr c_hit_blocked;
@@ -477,7 +477,6 @@ let usable t ~from ~slot ~commit =
     Used_memo
   end
   else begin
-    let q = t.succ.(from).(slot) in
     let ascending = order t from < order t q in
     (* Canonical omegas: stored ids may be stale after merges. *)
     let om_p = channel_omega t from and om_q = channel_omega t q in
@@ -496,13 +495,13 @@ let usable t ~from ~slot ~commit =
         let id_p = use_channel t from in
         let id_q = use_channel t q in
         let id = merge t id_p id_q in
-        mark_edge_used t ~from ~slot id;
+        mark_edge_used t e id;
         (* No used path joins the two subgraphs, so the discovery from
            [q] cannot meet [from]; it only collects the forward set. *)
         if not ascending then
           reorder t ~from ~q ~nf:(discover_forward t ~from ~q);
         t.journal <- j;
-        (match j with Some j -> jpush j 1 from slot | None -> ())
+        (match j with Some j -> jpush j 1 from q | None -> ())
       end;
       Distinct_merge
     end
@@ -538,29 +537,29 @@ let usable t ~from ~slot ~commit =
         (* (d) same subgraph but no used path back: still acyclic. *)
         if commit then begin
           Obs.incr c_accept;
-          mark_edge_used t ~from ~slot om_p;
+          mark_edge_used t e om_p;
           if not ascending then reorder t ~from ~q ~nf;
-          (match t.journal with Some j -> jpush j 1 from slot | None -> ())
+          (match t.journal with Some j -> jpush j 1 from q | None -> ())
         end;
         Search_acyclic
       end
       else begin
         if commit then begin
           Obs.incr c_reject;
-          set t (t.off.(from) + slot) (-1);
-          (match t.journal with Some j -> jpush j 2 from slot | None -> ())
+          set t e (-1);
+          (match t.journal with Some j -> jpush j 2 from q | None -> ())
         end;
         Search_cycle
       end
     end
   end
 
-let try_use_edge t ~from ~slot = verdict_ok (usable t ~from ~slot ~commit:true)
+let try_use_edge t ~from ~to_ = verdict_ok (usable t ~from ~to_ ~commit:true)
 
-let try_use_edge_v t ~from ~slot = usable t ~from ~slot ~commit:true
+let try_use_edge_v t ~from ~to_ = usable t ~from ~to_ ~commit:true
 
-let would_use_edge t ~from ~slot =
-  verdict_ok (usable t ~from ~slot ~commit:false)
+let would_use_edge t ~from ~to_ =
+  verdict_ok (usable t ~from ~to_ ~commit:false)
 
 (* Replay a speculation's journal onto the authoritative graph. The
    speculation ran against snapshot + its own ops (on a replica, or on
@@ -592,55 +591,34 @@ let replay t j =
     let a = j.ops.(base + 1) and b = j.ops.(base + 2) in
     (match tag with
      | 0 -> ignore (use_channel t a)
-     | 1 -> if not (try_use_edge t ~from:a ~slot:b) then ok := false
+     | 1 -> if not (try_use_edge t ~from:a ~to_:b) then ok := false
      | _ ->
-       let e = t.off.(a) + b in
+       let e = edge t ~from:a ~to_:b in
        if t.state.(e) >= 1 then ok := false
        else if t.state.(e) = 0 then set t e (-1));
     Stdlib.incr i
   done;
   !ok
 
+(* Every used edge, row by row. *)
+let iter_used t f =
+  for c = 0 to num_channels t - 1 do
+    let s = Network.out_channels t.net (Network.dst t.net c)
+    and base = t.off.(c) in
+    for k = 0 to Array.length s - 1 do
+      if t.state.(base + k) >= 1 then f c s.(k)
+    done
+  done
+
 let used_subgraph_acyclic t =
-  let nc = num_channels t in
-  let color = Array.make nc 0 in
-  let acyclic = ref true in
-  (* Iterative DFS with an explicit (vertex, next-slot) stack. *)
-  let stack = Stack.create () in
-  for start = 0 to nc - 1 do
-    if !acyclic && color.(start) = 0 && t.state.(t.nedges + start) >= 1
-    then begin
-      color.(start) <- 1;
-      Stack.push (start, ref 0) stack;
-      while !acyclic && not (Stack.is_empty stack) do
-        let c, next = Stack.top stack in
-        let s = t.succ.(c) and base = t.off.(c) in
-        let advanced = ref false in
-        while (not !advanced) && !next < Array.length s do
-          let i = !next in
-          incr next;
-          if t.state.(base + i) >= 1 then begin
-            let q = s.(i) in
-            if color.(q) = 1 then acyclic := false
-            else if color.(q) = 0 then begin
-              color.(q) <- 1;
-              Stack.push (q, ref 0) stack;
-              advanced := true
-            end
-          end
-        done;
-        if (not !advanced) && !next >= Array.length s then begin
-          color.(c) <- 2;
-          ignore (Stack.pop stack)
-        end
-      done;
-      Stack.clear stack
-    end
-  done;
-  !acyclic
+  let g = Digraph.create (num_channels t) in
+  iter_used t (Digraph.add_edge g);
+  Digraph.is_acyclic g
 
 let count_states t ~used ~blocked ~unused =
-  for e = 0 to t.nedges - 1 do
+  (* Dead slots stay 0: take them out of the unused count. *)
+  unused := !unused - (t.nslots - t.nedges);
+  for e = 0 to t.nslots - 1 do
     let s = t.state.(e) in
     if s = -1 then incr blocked
     else if s = 0 then incr unused
@@ -649,6 +627,13 @@ let count_states t ~used ~blocked ~unused =
 
 let cycle_searches t = t.searches
 
+let used_digraph t =
+  let g = Acyclic_digraph.create (num_channels t) in
+  iter_used t (fun c q ->
+      if not (Acyclic_digraph.try_add_edge g c q) then
+        invalid_arg "Complete_cdg.used_digraph: used edges contain a cycle");
+  g
+
 (* Graphviz rendering of the complete CDG with its routing state.
    Vertices are channels (labelled with their endpoints), edges are
    dependencies colored by omega: gray dotted while unused, blue while
@@ -656,19 +641,6 @@ let cycle_searches t = t.searches
    [escape] flags channels to draw double-bordered (the escape-path
    tree); [highlight_path] overlays one pair's channel sequence in
    orange, including the dependency edges between consecutive hops. *)
-let used_digraph t =
-  let nc = Array.length t.succ in
-  let g = Acyclic_digraph.create nc in
-  for c = 0 to nc - 1 do
-    let s = t.succ.(c) and base = t.off.(c) in
-    for slot = 0 to Array.length s - 1 do
-      if t.state.(base + slot) >= 1 then
-        if not (Acyclic_digraph.try_add_edge g c s.(slot)) then
-          invalid_arg "Complete_cdg.used_digraph: used edges contain a cycle"
-    done
-  done;
-  g
-
 let to_dot ?(highlight_path = []) ?(escape = [||]) t =
   let nc = num_channels t in
   let on_path = Array.make nc false in
@@ -705,23 +677,18 @@ let to_dot ?(highlight_path = []) ?(escape = [||]) t =
          fill fontcolor peripheries)
   done;
   for c = 0 to nc - 1 do
-    let s = t.succ.(c) and base = t.off.(c) in
-    for i = 0 to Array.length s - 1 do
-      let q = s.(i) in
-      let attrs =
-        if Hashtbl.mem path_edge (c, q) then
-          "color=orange, penwidth=2.5"
-        else
-          match t.state.(base + i) with
-          | -1 -> "color=red, style=dashed"
-          | 0 -> "color=gray70, style=dotted"
-          | _ ->
-            Printf.sprintf "color=blue, label=\"%d\", fontsize=8"
-              (edge_omega t ~from:c ~slot:i)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  c%d -> c%d [%s];\n" c q attrs)
-    done
+    iter_succ t c (fun q ->
+        let attrs =
+          if Hashtbl.mem path_edge (c, q) then
+            "color=orange, penwidth=2.5"
+          else
+            match edge_omega t ~from:c ~to_:q with
+            | -1 -> "color=red, style=dashed"
+            | 0 -> "color=gray70, style=dotted"
+            | om -> Printf.sprintf "color=blue, label=\"%d\", fontsize=8" om
+        in
+        Buffer.add_string buf
+          (Printf.sprintf "  c%d -> c%d [%s];\n" c q attrs))
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

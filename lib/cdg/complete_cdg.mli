@@ -3,8 +3,13 @@
 
     Vertices are the channels of the network; there is an edge
     (c_p, c_q) whenever c_q continues where c_p ends without returning
-    to c_p's source node. Each vertex and edge carries the state of the
-    incrementally built induced CDG:
+    to c_p's source node. Only routing state is stored: the edges are
+    read through the network's adjacency and named by their two
+    channels. Each channel has a row of edge states with a slot per
+    out-channel of its head node, so an edge's state is found in O(1);
+    the slots of 180-degree turns are dead and never written. Each
+    vertex and edge carries the state of the incrementally built
+    induced CDG:
 
     - omega = -1: the edge is {e blocked} — using it would close a cycle
       (vertices are never blocked);
@@ -28,66 +33,68 @@
 type t
 
 val create : Nue_netgraph.Network.t -> t
-(** Build the complete CDG of a network; everything starts unused. *)
+(** The complete CDG of a network; everything starts unused. Allocates
+    the routing state and O(channels) words besides. *)
 
 val clone : t -> t
 (** A replica for speculative routing on another domain: shares the
-    immutable structure (successor/predecessor arrays, the network) and
-    copies the mutable routing state. It gets its own discovery lists,
-    visit stamps and undo trail, so the replica and the original can be
-    searched concurrently. The clone's journal starts unset and no
-    checkpoint is open on it. *)
+    network and copies the mutable routing state. It gets its own
+    discovery lists, visit stamps and undo trail, so the replica and the
+    original can be searched concurrently. The clone's journal starts
+    unset and no checkpoint is open on it. *)
 
 val copy_state_into : src:t -> dst:t -> unit
 (** Overwrite [dst]'s routing state (omegas, subgraph forest,
     topological order, next fresh id, search count) with [src]'s: one
-    blit that refreshes a replica without re-allocating. [dst] keeps its own visit stamps.
-    @raise Invalid_argument if [dst] does not share [src]'s successor
-    arrays (it must be [src] itself or stem from it through {!clone}),
-    or if a checkpoint is open on [dst]. *)
+    blit that refreshes a replica without re-allocating. [dst] keeps its
+    own visit stamps.
+    @raise Invalid_argument if [dst] is not a complete CDG of the same
+    network (physically equal, with a state of the same size), or if a
+    checkpoint is open on [dst]. *)
 
 val network : t -> Nue_netgraph.Network.t
 
 val num_channels : t -> int
 
 val num_edges : t -> int
-(** |Ē|: number of channel-dependency edges. *)
+(** |Ē|: number of channel-dependency edges (dead slots not counted). *)
 
 (** {1 Structure} *)
 
-val succ : t -> int -> int array
-(** Successor channels of a channel (the channels its packets can be
-    forwarded to next). Do not mutate. *)
+val is_edge : t -> from:int -> to_:int -> bool
+(** Whether [from -> to_] is an edge of Definition 6: [to_] leaves the
+    node [from] enters and does not return to [from]'s source node. O(1). *)
 
-val pred : t -> int -> int array
-(** Predecessor channels. Do not mutate. *)
+val iter_succ : t -> int -> (int -> unit) -> unit
+(** [iter_succ t c f] applies [f] to the successors of [c] in the order
+    of [Network.out_channels] of [c]'s head node. *)
 
-val pred_slot : t -> int -> int array
-(** [pred_slot t c] aligns with [pred t c]: entry [i] is the slot [j]
-    such that [succ t (pred t c).(i)).(j) = c], i.e. the location of the
-    edge's state. Do not mutate. *)
+val iter_pred : t -> int -> (int -> unit) -> unit
+(** [iter_pred t c f] applies [f] to the predecessors of [c] in the
+    order of [Network.in_channels] of [c]'s tail node. *)
 
-val find_slot : t -> from:int -> to_:int -> int option
-(** Slot of the edge [from -> to_] in [succ t from], if present. *)
+(** {1 State}
 
-(** {1 State} *)
+    Every operation on an edge takes its two channels and raises
+    [Invalid_argument], leaving the state untouched, if they are not an
+    edge ({!is_edge}). *)
 
 val channel_omega : t -> int -> int
 (** 0 if the channel is unused, otherwise its subgraph id (>= 1). *)
 
-val edge_omega : t -> from:int -> slot:int -> int
+val edge_omega : t -> from:int -> to_:int -> int
 (** -1 blocked, 0 unused, >= 1 used (subgraph id). *)
 
 val use_channel : t -> int -> int
 (** Mark a channel used; returns its subgraph id (a fresh one if it was
     unused). *)
 
-val try_use_edge : t -> from:int -> slot:int -> bool
-(** Algorithm 3 on edge [from -> succ.(from).(slot)]. Returns [true] and
-    marks the edge (and both endpoint channels) used if this keeps the
-    used subgraph acyclic; returns [false] and marks the edge blocked
-    otherwise. Blocked edges stay blocked: the used subgraph only grows,
-    so a once-detected cycle never disappears. *)
+val try_use_edge : t -> from:int -> to_:int -> bool
+(** Algorithm 3 on edge [from -> to_]. Returns [true] and marks the edge
+    (and both endpoint channels) used if this keeps the used subgraph
+    acyclic; returns [false] and marks the edge blocked otherwise.
+    Blocked edges stay blocked: the used subgraph only grows, so a
+    once-detected cycle never disappears. *)
 
 (** Which of Section 4.6.1's conditions decided a [try_use_edge] call —
     the provenance layer records this per rejected (and accepted)
@@ -112,11 +119,11 @@ val verdict_condition : verdict -> char
 
 val verdict_to_string : verdict -> string
 
-val try_use_edge_v : t -> from:int -> slot:int -> verdict
+val try_use_edge_v : t -> from:int -> to_:int -> verdict
 (** [try_use_edge] returning the deciding condition instead of a bare
     boolean; identical state mutations and counter increments. *)
 
-val would_use_edge : t -> from:int -> slot:int -> bool
+val would_use_edge : t -> from:int -> to_:int -> bool
 (** Like [try_use_edge] but without committing: [true] iff the edge is
     usable right now. Does not block the edge on failure. *)
 
@@ -181,8 +188,9 @@ val replay : t -> journal -> bool
 (** {1 Inspection (tests, metrics)} *)
 
 val used_subgraph_acyclic : t -> bool
-(** Global recheck that the used edges form an acyclic graph; O(|C|+|Ē|).
-    Intended for tests — the incremental invariant makes it always true. *)
+(** Global recheck that the used edges form an acyclic graph: an offline
+    depth-first search ({!Digraph.is_acyclic}); O(|C|+|Ē|). Intended for
+    tests — the incremental invariant makes it always true. *)
 
 val count_states : t -> used:int ref -> blocked:int ref -> unused:int ref -> unit
 (** Tally edge states. *)

@@ -61,23 +61,18 @@ let prepare_gen ~strict cdg ~root ~dests =
                  (fun c_in ->
                     if
                       t.tree.Graph_algo.tree_channel.(c_in)
-                      && Network.src net c_in <> Network.dst net c_out
+                      && Complete_cdg.is_edge cdg ~from:c_in ~to_:c_out
+                      && Complete_cdg.edge_omega cdg ~from:c_in ~to_:c_out = 0
                     then begin
-                      match Complete_cdg.find_slot cdg ~from:c_in ~to_:c_out with
-                      | None -> ()
-                      | Some slot ->
-                        if Complete_cdg.edge_omega cdg ~from:c_in ~slot = 0
-                        then begin
-                          let ok =
-                            Complete_cdg.try_use_edge cdg ~from:c_in ~slot
-                          in
-                          if ok then t.initial_deps <- t.initial_deps + 1
-                          else if strict then
-                            (* Tree-induced dependencies can never close
-                               a cycle on a pristine CDG. *)
-                            assert false
-                          else raise Refused
-                        end
+                      let ok =
+                        Complete_cdg.try_use_edge cdg ~from:c_in ~to_:c_out
+                      in
+                      if ok then t.initial_deps <- t.initial_deps + 1
+                      else if strict then
+                        (* Tree-induced dependencies can never close a
+                           cycle on a pristine CDG. *)
+                        assert false
+                      else raise Refused
                     end)
                  (Network.in_channels net node)
              end

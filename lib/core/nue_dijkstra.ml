@@ -49,27 +49,26 @@ type state = {
   heap : Fib_heap.t;
 }
 
-(* Dependency slot of the edge [from -> to_]; both are channels. When
-   the provenance recorder is on, the same commit goes through the
-   verdict-returning variant so the trail can say which of conditions
-   (a)-(d) decided the edge; state mutations and counters are
-   identical. *)
+(* Algorithm 3 on the dependency [from -> to_]; both are channels, and
+   a 180-degree turn is no dependency. When the provenance recorder is
+   on, the same commit goes through the verdict-returning variant so the
+   trail can say which of conditions (a)-(d) decided the edge; state
+   mutations and counters are identical. *)
 let edge_usable st ~from ~to_ =
-  match Complete_cdg.find_slot st.cdg ~from ~to_ with
-  | None ->
+  if not (Complete_cdg.is_edge st.cdg ~from ~to_) then begin
     if Provenance.enabled () then
       Provenance.record_check ~channel:from ~onto:to_ ~omega_before:0
         Provenance.No_edge;
     false
-  | Some slot ->
-    if Provenance.enabled () then begin
-      let before = Complete_cdg.edge_omega st.cdg ~from ~slot in
-      let v = Complete_cdg.try_use_edge_v st.cdg ~from ~slot in
-      Provenance.record_check ~channel:from ~onto:to_ ~omega_before:before
-        (Provenance.Cdg_edge v);
-      Complete_cdg.verdict_ok v
-    end
-    else Complete_cdg.try_use_edge st.cdg ~from ~slot
+  end
+  else if Provenance.enabled () then begin
+    let before = Complete_cdg.edge_omega st.cdg ~from ~to_ in
+    let v = Complete_cdg.try_use_edge_v st.cdg ~from ~to_ in
+    Provenance.record_check ~channel:from ~onto:to_ ~omega_before:before
+      (Provenance.Cdg_edge v);
+    Complete_cdg.verdict_ok v
+  end
+  else Complete_cdg.try_use_edge st.cdg ~from ~to_
 
 (* Expand a freshly routed node [n]: offer every in-channel a = (x, n)
    whose key improves x's tentative distance (the relaxation condition
@@ -192,7 +191,7 @@ let solve_island st w =
                   let x = Network.dst st.net a in
                   if
                     st.routed.(x) && x <> w
-                    && Network.src st.net c <> Network.dst st.net a
+                    && Complete_cdg.is_edge st.cdg ~from:c ~to_:a
                   then begin
                     let d =
                       st.ndist.(x) +. st.weights.(a) +. st.weights.(c)
@@ -221,12 +220,9 @@ let solve_island st w =
         | Some a ->
           (* The island depends on c -> a; check it is not already
              doomed before disturbing m. *)
-          (match Complete_cdg.find_slot st.cdg ~from:c ~to_:a with
-           | None -> false
-           | Some slot ->
-             Complete_cdg.edge_omega st.cdg ~from:c ~slot <> -1
-             && try_switch st m ~to_channel:a
-             && edge_usable st ~from:c ~to_:a)
+          Complete_cdg.edge_omega st.cdg ~from:c ~to_:a <> -1
+          && try_switch st m ~to_channel:a
+          && edge_usable st ~from:c ~to_:a
       in
       if committed then begin
         finalize ~via:Provenance.Backtrack st w ~channel:c ~dist;

@@ -271,6 +271,8 @@ let nue_incremental (state : state) (remap : Fault.remap) affected =
              aff_by_layer.(vl) <- d :: aff_by_layer.(vl))
           affected;
         let next_channel = Array.map Array.copy old_t.next_channel in
+        (* One search scratch for every destination rerouted here. *)
+        let scratch = Nue_dijkstra.create_scratch dnet in
         for vl = 0 to num_vls - 1 do
           match aff_by_layer.(vl) with
           | [] -> ()
@@ -287,13 +289,12 @@ let nue_incremental (state : state) (remap : Fault.remap) affected =
                      List.iter
                        (fun (a, b) ->
                           let a = b2d.(a) and b = b2d.(b) in
-                          if a < 0 || b < 0 then raise Infeasible;
-                          match Complete_cdg.find_slot cdg ~from:a ~to_:b with
-                          | None -> raise Infeasible
-                          | Some slot ->
-                            if
-                              not (Complete_cdg.try_use_edge cdg ~from:a ~slot)
-                            then raise Infeasible)
+                          if
+                            a < 0 || b < 0
+                            || not (Complete_cdg.is_edge cdg ~from:a ~to_:b)
+                            || not
+                                 (Complete_cdg.try_use_edge cdg ~from:a ~to_:b)
+                          then raise Infeasible)
                        (dest_deps old_t pos d))
                 old_t.dests
             in
@@ -312,7 +313,7 @@ let nue_incremental (state : state) (remap : Fault.remap) affected =
                   (fun d ->
                      let next =
                        Nue_dijkstra.route_destination cdg ~escape ~weights
-                         ~dest:d ~stats ()
+                         ~dest:d ~scratch ~stats ()
                      in
                      let pos = Table.dest_position old_t d in
                      next_channel.(pos) <-

@@ -6,6 +6,7 @@ module Digraph = Nue_cdg.Digraph
 module Acyclic_digraph = Nue_cdg.Acyclic_digraph
 module Complete_cdg = Nue_cdg.Complete_cdg
 module Prng = Nue_structures.Prng
+module Topology = Nue_netgraph.Topology
 
 let test_case = Alcotest.test_case
 
@@ -150,6 +151,12 @@ let pk_stress_order_invariant () =
 
 (* {1 Complete CDG} *)
 
+(* Successors of [c], in the CDG's order. *)
+let succs cdg c =
+  let l = ref [] in
+  Complete_cdg.iter_succ cdg c (fun q -> l := q :: !l);
+  Array.of_list (List.rev !l)
+
 let cdg_fig3_structure () =
   (* Fig. 3: the complete CDG of the 5-ring with shortcut has 12
      vertices (channels) and 18 dependency edges. *)
@@ -168,25 +175,160 @@ let cdg_no_u_turns () =
   let net = Helpers.random_net () in
   let cdg = Complete_cdg.create net in
   for c = 0 to Complete_cdg.num_channels cdg - 1 do
-    Array.iter
-      (fun q ->
-         Alcotest.(check bool) "no 180-degree turn" false
-           (Network.dst net q = Network.src net c))
-      (Complete_cdg.succ cdg c)
+    Complete_cdg.iter_succ cdg c (fun q ->
+        Alcotest.(check bool) "no 180-degree turn" false
+          (Network.dst net q = Network.src net c))
   done
 
-let cdg_pred_slots () =
-  let net = Helpers.ring5 ~with_terminals:false () in
+(* Definition 6 by brute force over all channel pairs: c -> q is an edge
+   iff q leaves the node c enters and does not return to c's source.
+   The derived CDG must agree on every pair, list each channel's
+   successors and predecessors in ascending id (the order of the
+   network's adjacency), count the same edges, and start with all of
+   them unused. *)
+let definition6_holds net =
   let cdg = Complete_cdg.create net in
-  for c = 0 to Complete_cdg.num_channels cdg - 1 do
-    let preds = Complete_cdg.pred cdg c in
-    let slots = Complete_cdg.pred_slot cdg c in
-    Array.iteri
-      (fun i p ->
-         Alcotest.(check int) "slot points back" c
-           (Complete_cdg.succ cdg p).(slots.(i)))
-      preds
-  done
+  let nc = Network.num_channels net in
+  let edge c q =
+    Network.dst net c = Network.src net q
+    && Network.dst net q <> Network.src net c
+  in
+  let listed iter c =
+    let l = ref [] in
+    iter cdg c (fun x -> l := x :: !l);
+    List.rev !l
+  in
+  let all = List.init nc Fun.id in
+  let edges = ref 0 and ok = ref true in
+  for c = 0 to nc - 1 do
+    let succ = List.filter (edge c) all in
+    let pred = List.filter (fun a -> edge a c) all in
+    edges := !edges + List.length succ;
+    if listed Complete_cdg.iter_succ c <> succ
+       || listed Complete_cdg.iter_pred c <> pred
+    then ok := false;
+    List.iter
+      (fun q ->
+         if Complete_cdg.is_edge cdg ~from:c ~to_:q <> edge c q then
+           ok := false)
+      all
+  done;
+  let used = ref 0 and blocked = ref 0 and unused = ref 0 in
+  Complete_cdg.count_states cdg ~used ~blocked ~unused;
+  !ok && Complete_cdg.num_edges cdg = !edges
+  && (!used, !blocked, !unused) = (0, 0, !edges)
+
+let qcheck_definition6 =
+  QCheck2.Test.make ~name:"Definition 6 by brute force" ~count:100
+    Helpers.arbitrary_net definition6_holds
+
+let cdg_definition6_parallel_links () =
+  (* Redundancy 2 doubles every link, so each channel has a 180-degree
+     turn over the parallel link as well as over its own. *)
+  let net =
+    Topology.kautz ~degree:2 ~diameter:2 ~terminals_per_switch:1
+      ~redundancy:2 ()
+  in
+  let parallel_turns = ref 0 in
+  for c = 0 to Network.num_channels net - 1 do
+    Array.iter
+      (fun q ->
+         if Network.dst net q = Network.src net c && q <> Network.rev net c
+         then incr parallel_turns)
+      (Network.out_channels net (Network.dst net c))
+  done;
+  Alcotest.(check bool) "fixture has parallel links" true (!parallel_turns > 0);
+  Alcotest.(check bool) "Definition 6 holds" true (definition6_holds net)
+
+(* A pair that is not an edge has no state: every edge operation
+   refuses it and leaves the CDG as it was. *)
+let cdg_non_edges_raise () =
+  let check name net ~admit ~from ~to_ =
+    let cdg = Complete_cdg.create net in
+    let a, b = admit in
+    Alcotest.(check bool) (name ^ ": admitted") true
+      (Complete_cdg.try_use_edge cdg ~from:a ~to_:b);
+    Alcotest.(check bool) (name ^ ": not an edge") false
+      (Complete_cdg.is_edge cdg ~from ~to_);
+    let before = Complete_cdg.clone cdg in
+    let raises f =
+      match f cdg with exception Invalid_argument _ -> true | _ -> false
+    in
+    Alcotest.(check bool) (name ^ ": edge_omega raises") true
+      (raises (fun g -> ignore (Complete_cdg.edge_omega g ~from ~to_)));
+    Alcotest.(check bool) (name ^ ": try_use_edge raises") true
+      (raises (fun g -> ignore (Complete_cdg.try_use_edge g ~from ~to_)));
+    Alcotest.(check bool) (name ^ ": try_use_edge_v raises") true
+      (raises (fun g -> ignore (Complete_cdg.try_use_edge_v g ~from ~to_)));
+    Alcotest.(check bool) (name ^ ": would_use_edge raises") true
+      (raises (fun g -> ignore (Complete_cdg.would_use_edge g ~from ~to_)));
+    let states g =
+      let used = ref 0 and blocked = ref 0 and unused = ref 0 in
+      Complete_cdg.count_states g ~used ~blocked ~unused;
+      (!used, !blocked, !unused)
+    in
+    Alcotest.(check bool) (name ^ ": state untouched") true
+      (states cdg = states before
+       && Complete_cdg.edge_omega cdg ~from:a ~to_:b
+          = Complete_cdg.edge_omega before ~from:a ~to_:b
+       && Complete_cdg.cycle_searches cdg = Complete_cdg.cycle_searches before
+       && List.for_all
+            (fun c ->
+               Complete_cdg.channel_omega cdg c
+               = Complete_cdg.channel_omega before c
+               && Complete_cdg.order cdg c = Complete_cdg.order before c)
+            (List.init (Complete_cdg.num_channels cdg) Fun.id))
+  in
+  (* On a 4-ring, channel 0 (0->1) has the single successor 1->2; the
+     only dependency of channel 1 (1->0) is onto 0->3. *)
+  let ring = Helpers.ring ~terminals:0 4 in
+  let chan u v = Option.get (Network.find_channel ring u v) in
+  check "channels that do not meet" ring ~admit:(chan 1 0, chan 0 3)
+    ~from:(chan 0 1) ~to_:(chan 0 3);
+  check "180-degree turn" ring ~admit:(chan 1 0, chan 0 3) ~from:(chan 0 1)
+    ~to_:(chan 1 0);
+  (* Two parallel links a-b and a link b-c: a->b over one link, then
+     back b->a over the other. *)
+  let b = Network.Builder.create () in
+  let sa = Network.Builder.add_switch b in
+  let sb = Network.Builder.add_switch b in
+  let sc = Network.Builder.add_switch b in
+  Network.Builder.connect b sa sb;
+  Network.Builder.connect b sa sb;
+  Network.Builder.connect b sb sc;
+  let net = Network.Builder.build b in
+  let ab = Network.out_channels net sa in
+  let back = Network.rev net ab.(1) in
+  check "180-degree turn over a parallel link" net
+    ~admit:(ab.(0), Option.get (Network.find_channel net sb sc))
+    ~from:ab.(0) ~to_:back
+
+(* [create] keeps only routing state: the state array (a slot per
+   out-channel of each channel's head, then four per-channel regions)
+   and O(channels) words of layout and scratch besides. Storing the
+   edges themselves would cost a few words more per edge. *)
+let cdg_create_footprint () =
+  let net = Topology.kary_ntree ~k:8 ~n:3 ~terminals_per_leaf:8 () in
+  let nc = Network.num_channels net in
+  let slots = ref 0 in
+  for c = 0 to nc - 1 do
+    slots := !slots + Network.degree net (Network.dst net c)
+  done;
+  let state = !slots + (4 * nc) + 2 in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let cdg = Sys.opaque_identity (Complete_cdg.create net) in
+  let allocated = words () -. w0 in
+  Alcotest.(check bool) "over 8 edges per channel" true
+    (Complete_cdg.num_edges cdg > 8 * nc);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= state %d + 8 per channel (%d)" allocated
+       state nc)
+    true
+    (allocated <= float_of_int (state + (8 * nc) + 2048))
 
 let cdg_use_channel_fresh_ids () =
   let net = Helpers.ring5 ~with_terminals:false () in
@@ -201,18 +343,17 @@ let cdg_edge_merging () =
   let cdg = Complete_cdg.create net in
   (* Find a channel and one of its successors. *)
   let c = 0 in
-  let q = (Complete_cdg.succ cdg c).(0) in
+  let q = (succs cdg c).(0) in
   ignore (Complete_cdg.use_channel cdg c);
   ignore (Complete_cdg.use_channel cdg q);
-  let slot = Option.get (Complete_cdg.find_slot cdg ~from:c ~to_:q) in
   Alcotest.(check bool) "edge usable" true
-    (Complete_cdg.try_use_edge cdg ~from:c ~slot);
+    (Complete_cdg.try_use_edge cdg ~from:c ~to_:q);
   Alcotest.(check int) "subgraphs merged"
     (Complete_cdg.channel_omega cdg c)
     (Complete_cdg.channel_omega cdg q);
   Alcotest.(check int) "edge in same subgraph"
     (Complete_cdg.channel_omega cdg c)
-    (Complete_cdg.edge_omega cdg ~from:c ~slot)
+    (Complete_cdg.edge_omega cdg ~from:c ~to_:q)
 
 let cdg_blocks_ring_closure () =
   (* Use the whole clockwise ring of a 4-ring: the last edge that would
@@ -223,20 +364,18 @@ let cdg_blocks_ring_closure () =
   let ring = [ chan 0 1; chan 1 2; chan 2 3; chan 3 0 ] in
   let rec use = function
     | a :: (b :: _ as rest) ->
-      let slot = Option.get (Complete_cdg.find_slot cdg ~from:a ~to_:b) in
       Alcotest.(check bool) "chain edge ok" true
-        (Complete_cdg.try_use_edge cdg ~from:a ~slot);
+        (Complete_cdg.try_use_edge cdg ~from:a ~to_:b);
       use rest
     | _ -> ()
   in
   use ring;
   (* Closing dependency (3->0) -> (0->1). *)
   let a = chan 3 0 and b = chan 0 1 in
-  let slot = Option.get (Complete_cdg.find_slot cdg ~from:a ~to_:b) in
   Alcotest.(check bool) "closing edge refused" false
-    (Complete_cdg.try_use_edge cdg ~from:a ~slot);
+    (Complete_cdg.try_use_edge cdg ~from:a ~to_:b);
   Alcotest.(check int) "edge blocked" (-1)
-    (Complete_cdg.edge_omega cdg ~from:a ~slot);
+    (Complete_cdg.edge_omega cdg ~from:a ~to_:b);
   Alcotest.(check bool) "used subgraph still acyclic" true
     (Complete_cdg.used_subgraph_acyclic cdg);
   Alcotest.(check bool) "at least one DFS ran" true
@@ -247,11 +386,10 @@ let cdg_would_use_does_not_commit () =
   let cdg = Complete_cdg.create net in
   let chan u v = Option.get (Network.find_channel net u v) in
   let a = chan 0 1 and b = chan 1 2 in
-  let slot = Option.get (Complete_cdg.find_slot cdg ~from:a ~to_:b) in
   Alcotest.(check bool) "would be usable" true
-    (Complete_cdg.would_use_edge cdg ~from:a ~slot);
+    (Complete_cdg.would_use_edge cdg ~from:a ~to_:b);
   Alcotest.(check int) "but still unused" 0
-    (Complete_cdg.edge_omega cdg ~from:a ~slot)
+    (Complete_cdg.edge_omega cdg ~from:a ~to_:b)
 
 let cdg_random_usage_invariant () =
   (* Throw random edge-use requests at the CDG; the used subgraph must
@@ -262,11 +400,11 @@ let cdg_random_usage_invariant () =
   let nc = Complete_cdg.num_channels cdg in
   for _ = 1 to 500 do
     let c = Prng.int p nc in
-    let succ = Complete_cdg.succ cdg c in
+    let succ = succs cdg c in
     if Array.length succ > 0 then begin
-      let slot = Prng.int p (Array.length succ) in
+      let q = succ.(Prng.int p (Array.length succ)) in
       ignore (Complete_cdg.use_channel cdg c);
-      ignore (Complete_cdg.try_use_edge cdg ~from:c ~slot)
+      ignore (Complete_cdg.try_use_edge cdg ~from:c ~to_:q)
     end
   done;
   Alcotest.(check bool) "used subgraph acyclic" true
@@ -276,10 +414,7 @@ let cdg_blocked_stays_blocked () =
   let net = Helpers.ring ~terminals:0 3 in
   let cdg = Complete_cdg.create net in
   let chan u v = Option.get (Network.find_channel net u v) in
-  let use a b =
-    let slot = Option.get (Complete_cdg.find_slot cdg ~from:a ~to_:b) in
-    Complete_cdg.try_use_edge cdg ~from:a ~slot
-  in
+  let use a b = Complete_cdg.try_use_edge cdg ~from:a ~to_:b in
   Alcotest.(check bool) "01->12" true (use (chan 0 1) (chan 1 2));
   Alcotest.(check bool) "12->20" true (use (chan 1 2) (chan 2 0));
   Alcotest.(check bool) "closing blocked" false (use (chan 2 0) (chan 0 1));
@@ -298,33 +433,29 @@ let cdg_blocked_edges_justified () =
   let nc = Complete_cdg.num_channels cdg in
   for _ = 1 to 800 do
     let c = Prng.int p nc in
-    let succ = Complete_cdg.succ cdg c in
+    let succ = succs cdg c in
     if Array.length succ > 0 then begin
-      let slot = Prng.int p (Array.length succ) in
+      let q = succ.(Prng.int p (Array.length succ)) in
       ignore (Complete_cdg.use_channel cdg c);
-      ignore (Complete_cdg.try_use_edge cdg ~from:c ~slot)
+      ignore (Complete_cdg.try_use_edge cdg ~from:c ~to_:q)
     end
   done;
   (* Rebuild the used graph in a plain digraph and re-judge every
      blocked edge. *)
   let g = Digraph.create nc in
   for c = 0 to nc - 1 do
-    Array.iteri
-      (fun slot q ->
-         if Complete_cdg.edge_omega cdg ~from:c ~slot >= 1 then
-           Digraph.add_edge g c q)
-      (Complete_cdg.succ cdg c)
+    Complete_cdg.iter_succ cdg c (fun q ->
+        if Complete_cdg.edge_omega cdg ~from:c ~to_:q >= 1 then
+          Digraph.add_edge g c q)
   done;
   let checked = ref 0 in
   for c = 0 to nc - 1 do
-    Array.iteri
-      (fun slot q ->
-         if Complete_cdg.edge_omega cdg ~from:c ~slot = -1 then begin
-           incr checked;
-           Alcotest.(check bool) "blocked edge closes a cycle" true
-             (Digraph.would_close_cycle g c q)
-         end)
-      (Complete_cdg.succ cdg c)
+    Complete_cdg.iter_succ cdg c (fun q ->
+        if Complete_cdg.edge_omega cdg ~from:c ~to_:q = -1 then begin
+          incr checked;
+          Alcotest.(check bool) "blocked edge closes a cycle" true
+            (Digraph.would_close_cycle g c q)
+        end)
   done;
   Alcotest.(check bool) "some edges were blocked" true (!checked > 0)
 
@@ -337,21 +468,20 @@ let cdg_omega_consistency () =
   let nc = Complete_cdg.num_channels cdg in
   for _ = 1 to 600 do
     let c = Prng.int p nc in
-    let succ = Complete_cdg.succ cdg c in
+    let succ = succs cdg c in
     if Array.length succ > 0 then begin
       ignore (Complete_cdg.use_channel cdg c);
-      ignore (Complete_cdg.try_use_edge cdg ~from:c ~slot:(Prng.int p (Array.length succ)))
+      let q = succ.(Prng.int p (Array.length succ)) in
+      ignore (Complete_cdg.try_use_edge cdg ~from:c ~to_:q)
     end
   done;
   for c = 0 to nc - 1 do
-    Array.iteri
-      (fun slot q ->
-         let om = Complete_cdg.edge_omega cdg ~from:c ~slot in
-         if om >= 1 then begin
-           Alcotest.(check int) "tail id" om (Complete_cdg.channel_omega cdg c);
-           Alcotest.(check int) "head id" om (Complete_cdg.channel_omega cdg q)
-         end)
-      (Complete_cdg.succ cdg c)
+    Complete_cdg.iter_succ cdg c (fun q ->
+        let om = Complete_cdg.edge_omega cdg ~from:c ~to_:q in
+        if om >= 1 then begin
+          Alcotest.(check int) "tail id" om (Complete_cdg.channel_omega cdg c);
+          Alcotest.(check int) "head id" om (Complete_cdg.channel_omega cdg q)
+        end)
   done
 
 (* {1 Speculation API: checkpoint, rollback, journal, replay} *)
@@ -366,15 +496,13 @@ let used_path cdg ~start ~target =
   let found = ref (start = target) in
   while (not !found) && not (Queue.is_empty queue) do
     let c = Queue.pop queue in
-    Array.iteri
-      (fun slot q ->
-         if Complete_cdg.edge_omega cdg ~from:c ~slot >= 1 && not seen.(q)
-         then begin
-           if q = target then found := true;
-           seen.(q) <- true;
-           Queue.add q queue
-         end)
-      (Complete_cdg.succ cdg c)
+    Complete_cdg.iter_succ cdg c (fun q ->
+        if Complete_cdg.edge_omega cdg ~from:c ~to_:q >= 1 && not seen.(q)
+        then begin
+          if q = target then found := true;
+          seen.(q) <- true;
+          Queue.add q queue
+        end)
   done;
   !found
 
@@ -382,9 +510,9 @@ let omegas cdg =
   let nc = Complete_cdg.num_channels cdg in
   ( Array.init nc (Complete_cdg.channel_omega cdg),
     Array.init nc (fun c ->
-        Array.mapi
-          (fun slot _ -> Complete_cdg.edge_omega cdg ~from:c ~slot)
-          (Complete_cdg.succ cdg c)) )
+        Array.map
+          (fun q -> Complete_cdg.edge_omega cdg ~from:c ~to_:q)
+          (succs cdg c)) )
 
 let orders cdg = Array.init (Complete_cdg.num_channels cdg) (Complete_cdg.order cdg)
 
@@ -397,12 +525,10 @@ let order_valid cdg =
   for c = 0 to nc - 1 do
     let o = Complete_cdg.order cdg c in
     if o < 0 || o >= nc || seen.(o) then ok := false else seen.(o) <- true;
-    Array.iteri
-      (fun slot q ->
-         if Complete_cdg.edge_omega cdg ~from:c ~slot >= 1
-            && o >= Complete_cdg.order cdg q
-         then ok := false)
-      (Complete_cdg.succ cdg c)
+    Complete_cdg.iter_succ cdg c (fun q ->
+        if Complete_cdg.edge_omega cdg ~from:c ~to_:q >= 1
+           && o >= Complete_cdg.order cdg q
+        then ok := false)
   done;
   !ok
 
@@ -418,16 +544,16 @@ let random_ops cdg p n =
   let ok = ref true in
   for _ = 1 to n do
     let c = Prng.int p nc in
-    let succ = Complete_cdg.succ cdg c in
+    let succ = succs cdg c in
     (match Prng.int p 3 with
      | 0 -> ignore (Complete_cdg.use_channel cdg c)
      | op when Array.length succ > 0 ->
-       let slot = Prng.int p (Array.length succ) in
-       let admissible = not (used_path cdg ~start:succ.(slot) ~target:c) in
+       let q = succ.(Prng.int p (Array.length succ)) in
+       let admissible = not (used_path cdg ~start:q ~target:c) in
        let verdict =
          if op = 1 then
-           Complete_cdg.verdict_ok (Complete_cdg.try_use_edge_v cdg ~from:c ~slot)
-         else Complete_cdg.would_use_edge cdg ~from:c ~slot
+           Complete_cdg.verdict_ok (Complete_cdg.try_use_edge_v cdg ~from:c ~to_:q)
+         else Complete_cdg.would_use_edge cdg ~from:c ~to_:q
        in
        if verdict <> admissible then ok := false
      | _ -> ());
@@ -513,8 +639,7 @@ let cdg_replay_detects_misspeculation () =
   let net = Helpers.ring ~terminals:0 4 in
   let cdg = Complete_cdg.create net in
   let chan u v = Option.get (Network.find_channel net u v) in
-  let slot a b = Option.get (Complete_cdg.find_slot cdg ~from:a ~to_:b) in
-  let use a b = Complete_cdg.try_use_edge cdg ~from:a ~slot:(slot a b) in
+  let use a b = Complete_cdg.try_use_edge cdg ~from:a ~to_:b in
   (* The speculation admits (3->0) -> (0->1) and is rolled back. *)
   let j = Complete_cdg.journal_create () in
   Complete_cdg.checkpoint cdg;
@@ -523,7 +648,7 @@ let cdg_replay_detects_misspeculation () =
   Complete_cdg.set_journal cdg None;
   Complete_cdg.rollback cdg;
   Alcotest.(check int) "rolled back" 0
-    (Complete_cdg.edge_omega cdg ~from:(chan 3 0) ~slot:(slot (chan 3 0) (chan 0 1)));
+    (Complete_cdg.edge_omega cdg ~from:(chan 3 0) ~to_:(chan 0 1));
   (* An earlier commit uses the rest of the ring, which blocks the
      speculated edge. *)
   Alcotest.(check bool) "01->12" true (use (chan 0 1) (chan 1 2));
@@ -569,28 +694,28 @@ let cdg_would_use_allocation_free () =
   ignore (random_ops cdg (Prng.create 17) 800);
   let edges = ref [] in
   for c = Complete_cdg.num_channels cdg - 1 downto 0 do
-    Array.iteri
-      (fun slot q ->
+    Array.iter
+      (fun q ->
          let om = Complete_cdg.channel_omega cdg c in
          if om >= 1 && om = Complete_cdg.channel_omega cdg q
-            && Complete_cdg.edge_omega cdg ~from:c ~slot = 0
-         then edges := (c, slot) :: !edges)
-      (Complete_cdg.succ cdg c)
+            && Complete_cdg.edge_omega cdg ~from:c ~to_:q = 0
+         then edges := (c, q) :: !edges)
+      (succs cdg c)
   done;
   let edges = Array.of_list !edges in
   let n = Array.length edges in
   let admitted =
     Array.fold_left
-      (fun acc (from, slot) ->
-         if Complete_cdg.would_use_edge cdg ~from ~slot then acc + 1 else acc)
+      (fun acc (from, to_) ->
+         if Complete_cdg.would_use_edge cdg ~from ~to_ then acc + 1 else acc)
       0 edges
   in
   Alcotest.(check bool) "both answers occur" true (admitted > 0 && admitted < n);
   let searches = Complete_cdg.cycle_searches cdg in
   let w0 = Gc.minor_words () in
   for i = 0 to 9_999 do
-    let from, slot = edges.(i mod n) in
-    ignore (Sys.opaque_identity (Complete_cdg.would_use_edge cdg ~from ~slot))
+    let from, to_ = edges.(i mod n) in
+    ignore (Sys.opaque_identity (Complete_cdg.would_use_edge cdg ~from ~to_))
   done;
   let w1 = Gc.minor_words () in
   Alcotest.(check int) "every probe is a (d) query" (searches + 10_000)
@@ -614,7 +739,11 @@ let suite =
     ("complete_cdg",
      [ test_case "Fig. 3 structure" `Quick cdg_fig3_structure;
        test_case "no u-turns" `Quick cdg_no_u_turns;
-       test_case "pred slots" `Quick cdg_pred_slots;
+       QCheck_alcotest.to_alcotest qcheck_definition6;
+       test_case "Definition 6 with parallel links" `Quick
+         cdg_definition6_parallel_links;
+       test_case "non-edges raise" `Quick cdg_non_edges_raise;
+       test_case "create allocates state only" `Quick cdg_create_footprint;
        test_case "fresh subgraph ids" `Quick cdg_use_channel_fresh_ids;
        test_case "edge use merges subgraphs" `Quick cdg_edge_merging;
        test_case "ring closure blocked" `Quick cdg_blocks_ring_closure;
