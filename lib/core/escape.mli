@@ -17,7 +17,9 @@ val prepare :
   t
 (** Build the BFS spanning tree rooted at [root] on the CDG's network and
     mark every escape-path channel and dependency toward the given
-    destinations as used.
+    destinations as used: one walk of the tree makes the CDG calls of
+    expanding every node's hop toward each destination in turn, in that
+    order, in O(channels + nodes log nodes) time and O(nodes) words.
     @raise Invalid_argument if the network is disconnected. *)
 
 val prepare_into :
@@ -39,4 +41,5 @@ val initial_dependencies : t -> int
 
 val next_toward : t -> dest:int -> int array
 (** Escape-path next channel per node toward [dest] (the routing R^s
-    restricted to one destination); memoized per destination. *)
+    restricted to one destination), built per call in O(nodes) for a
+    search that falls back; safe to call from several domains. *)

@@ -17,7 +17,8 @@ let centrality ?mask ?members net =
   let dist = Array.make n max_int in
   let sigma = Array.make n 0.0 in
   let delta = Array.make n 0.0 in
-  let queue = Queue.create () in
+  (* BFS queue: nodes in non-decreasing distance order. *)
+  let queue = Array.make n 0 in
   for s = 0 to n - 1 do
     if is_member.(s) then begin
       Array.fill dist 0 n max_int;
@@ -25,19 +26,19 @@ let centrality ?mask ?members net =
       Array.fill delta 0 n 0.0;
       dist.(s) <- 0;
       sigma.(s) <- 1.0;
-      Queue.clear queue;
-      Queue.add s queue;
-      let order = ref [] in
-      while not (Queue.is_empty queue) do
-        let u = Queue.take queue in
-        order := u :: !order;
+      queue.(0) <- s;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
         let adj = Network.out_channels net u in
         for i = 0 to Array.length adj - 1 do
           let v = Network.dst net adj.(i) in
           if inside.(v) then begin
             if dist.(v) = max_int then begin
               dist.(v) <- dist.(u) + 1;
-              Queue.add v queue
+              queue.(!tail) <- v;
+              incr tail
             end;
             (* Each parallel channel contributes a distinct path. *)
             if dist.(v) = dist.(u) + 1 then
@@ -47,19 +48,19 @@ let centrality ?mask ?members net =
       done;
       (* Accumulate dependencies in decreasing-distance order, counting
          only targets that are members. *)
-      List.iter
-        (fun w ->
-           if w <> s then begin
-             let target = if is_member.(w) then 1.0 else 0.0 in
-             let coeff = (target +. delta.(w)) /. sigma.(w) in
-             let inc = Network.in_channels net w in
-             for i = 0 to Array.length inc - 1 do
-               let v = Network.src net inc.(i) in
-               if inside.(v) && dist.(v) + 1 = dist.(w) then
-                 delta.(v) <- delta.(v) +. (sigma.(v) *. coeff)
-             done
-           end)
-        !order;
+      for k = !tail - 1 downto 0 do
+        let w = queue.(k) in
+        if w <> s then begin
+          let target = if is_member.(w) then 1.0 else 0.0 in
+          let coeff = (target +. delta.(w)) /. sigma.(w) in
+          let inc = Network.in_channels net w in
+          for i = 0 to Array.length inc - 1 do
+            let v = Network.src net inc.(i) in
+            if inside.(v) && dist.(v) + 1 = dist.(w) then
+              delta.(v) <- delta.(v) +. (sigma.(v) *. coeff)
+          done
+        end
+      done;
       (* delta.(v) now holds the dependency of s on v; add it for
          intermediate nodes (v <> s). *)
       for v = 0 to n - 1 do

@@ -12,142 +12,145 @@ type report = {
 
 let default_sources (t : Table.t) = Network.terminals t.net
 
+(* {1 One walk per destination tree}
+
+   [settle] follows the table from a source until it meets the
+   destination, a node settled before or one of its own walk, or a dead
+   end: no hop, or a hop whose channel does not leave the node. Every
+   node of the walk then takes the verdict — it reaches, dead-ends or
+   loops — as stamp [base + verdict]; [base] itself marks the walk in
+   progress, and stamps below it are earlier destinations', so one array
+   serves every destination. [walked] lists the nodes settled toward
+   the current destination; the destination itself reaches. *)
+
+type walk = {
+  stamp : int array;
+  walked : int array;
+  mutable len : int;
+  mutable base : int;
+}
+
+let reaches = 1 and dead_end = 2 and loop = 3
+
+let walk nn =
+  { stamp = Array.make nn 0; walked = Array.make nn 0; len = 0; base = 0 }
+
+let start w dest =
+  w.base <- w.base + 4;
+  w.len <- 0;
+  w.stamp.(dest) <- w.base + reaches
+
+let leaves net node c = c >= 0 && Network.src net c = node
+
+let settle w net nexts src =
+  let first = w.len and node = ref src and verdict = ref 0 in
+  while !verdict = 0 do
+    let s = w.stamp.(!node) in
+    if s >= w.base then verdict := if s = w.base then loop else s - w.base
+    else begin
+      w.stamp.(!node) <- w.base;
+      w.walked.(w.len) <- !node;
+      w.len <- w.len + 1;
+      let c = nexts.(!node) in
+      if leaves net !node c then node := Network.dst net c
+      else verdict := dead_end
+    end
+  done;
+  for i = first to w.len - 1 do
+    w.stamp.(w.walked.(i)) <- w.base + !verdict
+  done;
+  !verdict
+
+(* [f c vl] for each hop of a pair that reaches [dest]. *)
+let iter_hops (t : Table.t) nexts ~src ~dest f =
+  let node = ref src and hop = ref 0 in
+  while !node <> dest do
+    let c = nexts.(!node) in
+    f c (Table.vl_of t ~src ~dest ~hop:!hop ~channel:c);
+    node := Network.dst t.net c;
+    incr hop
+  done
+
+(* Unreachable pairs and whether no pair loops. The recheck shards over
+   the pool by destination, each domain with its own walk; tallies land
+   in index-slotted arrays and are folded sequentially: sums and
+   conjunctions commute, so the result is identical for any job
+   count. *)
+let tally ~label ~sources (t : Table.t) =
+  let nd = Array.length t.dests in
+  let unreach_of = Array.make nd 0 and cycle_free_of = Array.make nd true in
+  Nue_parallel.Pool.run_with ~label ~n:nd
+    ~init:(fun () -> walk (Network.num_nodes t.net))
+    (fun w pos ->
+       let dest = t.dests.(pos) and nexts = t.next_channel.(pos) in
+       start w dest;
+       Array.iter
+         (fun src ->
+            let v = settle w t.net nexts src in
+            if v <> reaches then unreach_of.(pos) <- unreach_of.(pos) + 1;
+            if v = loop then cycle_free_of.(pos) <- false)
+         sources);
+  (Array.fold_left ( + ) 0 unreach_of, Array.for_all Fun.id cycle_free_of)
+
 let induced_vcdg ?sources (t : Table.t) =
   let sources = match sources with Some s -> s | None -> default_sources t in
-  let nc = Network.num_channels t.net in
-  let nn = Network.num_nodes t.net in
+  let net = t.net in
+  let nc = Network.num_channels net in
   let g = Digraph.create (nc * max 1 t.num_vls) in
   let vid c vl = (vl * nc) + c in
   let add a b = if not (Digraph.mem_edge g a b) then Digraph.add_edge g a b in
-  let per_dest_layer =
-    (* When the whole destination tree lives on one VL, dependencies can
-       be read off the tree in O(|N|) instead of walking every path. *)
-    match t.vl with
-    | Table.All_zero -> Some (fun _ -> 0)
-    | Table.Per_dest a -> Some (fun pos -> a.(pos))
-    | Table.Per_pair _ | Table.Per_hop _ -> None
+  let w = walk (Network.num_nodes net) in
+  let prev = ref (-1) in
+  let hop c vl =
+    let u = vid c vl in
+    if !prev >= 0 then add !prev u;
+    prev := u
   in
-  (* Per-destination dependency collection only reads the table and the
-     network, so it shards over the pool into per-destination edge
-     lists; the edges are then inserted sequentially in destination
-     order, keeping the digraph's adjacency order — and hence any cycle
-     witness — independent of the job count and domain schedule. *)
-  let nd = Array.length t.dests in
-  let collected = Array.make nd [] in
-  (match per_dest_layer with
-   | Some layer_of ->
-     Nue_parallel.Pool.run_with ~label:"verify.vcdg" ~n:nd
-       ~init:(fun () -> Array.make nn false)
-       (fun on_path pos ->
-          let dest = t.dests.(pos) in
-          let vl = layer_of pos in
-          let nexts = t.next_channel.(pos) in
-          Array.fill on_path 0 nn false;
-          (* Mark the nodes reachable from the sources along the tree
-             (amortized O(|N|) over all sources). *)
-          Array.iter
-            (fun src ->
-               let rec mark node hops =
-                 if node <> dest && hops <= nn && not on_path.(node) then begin
-                   on_path.(node) <- true;
-                   let c = nexts.(node) in
-                   if c >= 0 then mark (Network.dst t.net c) (hops + 1)
-                 end
-               in
-               mark src 0)
-            sources;
-          let acc = ref [] in
-          for node = nn - 1 downto 0 do
-            if on_path.(node) then begin
-              let c1 = nexts.(node) in
-              if c1 >= 0 then begin
-                let m = Network.dst t.net c1 in
-                if m <> dest && on_path.(m) then begin
-                  let c2 = nexts.(m) in
-                  if c2 >= 0 then acc := (vid c1 vl, vid c2 vl) :: !acc
-                end
-              end
-            end
-          done;
-          collected.(pos) <- !acc)
-   | None ->
-     Nue_parallel.Pool.run ~label:"verify.vcdg" ~n:nd (fun pos ->
-       let dest = t.dests.(pos) in
-       let acc = ref [] in
-       Array.iter
-         (fun src ->
-            if src <> dest then
-              match Table.path_with_vls t ~src ~dest with
-              | None -> ()
-              | Some hops ->
-                let rec walk = function
-                  | (c1, v1) :: ((c2, v2) :: _ as rest) ->
-                    acc := (vid c1 v1, vid c2 v2) :: !acc;
-                    walk rest
-                  | _ -> ()
-                in
-                walk hops)
-         sources;
-       collected.(pos) <- List.rev !acc));
-  Array.iter (List.iter (fun (a, b) -> add a b)) collected;
+  (* Dependencies go straight into the digraph, one destination after
+     another; its successor lists are kept sorted, so the graph — and
+     any cycle witness — does not depend on the insertion order. *)
+  Array.iteri
+    (fun pos dest ->
+       let nexts = t.next_channel.(pos) in
+       start w dest;
+       match t.vl with
+       | Table.All_zero | Table.Per_dest _ ->
+         (* The whole destination tree lives on one VL: every hop walked
+            from a source, whether or not it reaches, waits for the next
+            node's hop. O(|N|) per destination. *)
+         let vl = match t.vl with Table.Per_dest a -> a.(pos) | _ -> 0 in
+         Array.iter (fun src -> ignore (settle w net nexts src)) sources;
+         for i = 0 to w.len - 1 do
+           let x = w.walked.(i) in
+           let c1 = nexts.(x) in
+           if leaves net x c1 then begin
+             let m = Network.dst net c1 in
+             let c2 = nexts.(m) in
+             if m <> dest && leaves net m c2 then add (vid c1 vl) (vid c2 vl)
+           end
+         done
+       | Table.Per_pair _ | Table.Per_hop _ ->
+         (* Lanes may differ per pair: walk each pair that reaches. *)
+         Array.iter
+           (fun src ->
+              if settle w net nexts src = reaches then begin
+                prev := -1;
+                iter_hops t nexts ~src ~dest hop
+              end)
+           sources)
+    t.dests;
   g
 
 let check ?sources (t : Table.t) =
   let sources = match sources with Some s -> s | None -> default_sources t in
   let nc = Network.num_channels t.net in
-  let nn = Network.num_nodes t.net in
-  (* The all-pairs recheck shards over the pool by destination, each
-     domain carrying its own stamped seen-set scratch. Per-destination
-     tallies land in index-slotted arrays and are folded sequentially:
-     sums and conjunctions commute, so the report is identical for any
-     job count. *)
-  let nd = Array.length t.dests in
-  let unreach_of = Array.make nd 0 in
-  let cycle_free_of = Array.make nd true in
-  Nue_parallel.Pool.run_with ~label:"verify.check" ~n:nd
-    ~init:(fun () -> (Array.make nn 0, ref 0))
-    (fun (seen, clock) pos ->
-       let dest = t.dests.(pos) in
-       let nexts = t.next_channel.(pos) in
-       Array.iter
-         (fun src ->
-            if src <> dest then
-              match Table.path t ~src ~dest with
-              | Some _ -> ()
-              | None ->
-                unreach_of.(pos) <- unreach_of.(pos) + 1;
-                (* Distinguish loop from dead-end: a dead-end is a
-                   connectivity failure, a loop violates cycle-freedom.
-                   [Table.path] returns None for both; recheck. *)
-                incr clock;
-                let node = ref src and stop = ref false in
-                while not !stop do
-                  if !node = dest then stop := true
-                  else if seen.(!node) = !clock then begin
-                    cycle_free_of.(pos) <- false;
-                    stop := true
-                  end
-                  else begin
-                    seen.(!node) <- !clock;
-                    let c = nexts.(!node) in
-                    if c >= 0 then node := Network.dst t.net c
-                    else stop := true
-                  end
-                done)
-         sources)
-  ;
-  let unreachable = ref 0 and cycle_free = ref true in
-  for pos = 0 to nd - 1 do
-    unreachable := !unreachable + unreach_of.(pos);
-    cycle_free := !cycle_free && cycle_free_of.(pos)
-  done;
-  let g = induced_vcdg ~sources t in
-  let cycle = Digraph.find_cycle g in
+  let unreachable, cycle_free = tally ~label:"verify.check" ~sources t in
+  let cycle = Digraph.find_cycle (induced_vcdg ~sources t) in
   {
-    connected = !unreachable = 0;
-    cycle_free = !cycle_free;
+    connected = unreachable = 0;
+    cycle_free;
     deadlock_free = cycle = None;
-    unreachable_pairs = !unreachable;
+    unreachable_pairs = unreachable;
     dependency_cycle =
       Option.map (List.map (fun v -> (v mod nc, v / nc))) cycle;
   }
@@ -157,15 +160,7 @@ let deadlock_free ?sources t =
 
 let connected ?sources (t : Table.t) =
   let sources = match sources with Some s -> s | None -> default_sources t in
-  let nd = Array.length t.dests in
-  let ok = Array.make nd true in
-  Nue_parallel.Pool.run ~label:"verify.connected" ~n:nd (fun pos ->
-    let dest = t.dests.(pos) in
-    ok.(pos) <-
-      Array.for_all
-        (fun src -> src = dest || Table.path t ~src ~dest <> None)
-        sources);
-  Array.for_all Fun.id ok
+  fst (tally ~label:"verify.connected" ~sources t) = 0
 
 (* {1 Witness rendering}
 
@@ -245,15 +240,16 @@ let vls_used ?sources (t : Table.t) =
        (fun per_src -> Array.iter (fun v -> Bitset.add seen v) per_src)
        a
    | Table.Per_hop _ ->
-     Array.iter
-       (fun dest ->
+     let w = walk (Network.num_nodes t.net) in
+     let add_vl _ v = Bitset.add seen v in
+     Array.iteri
+       (fun pos dest ->
+          let nexts = t.next_channel.(pos) in
+          start w dest;
           Array.iter
             (fun src ->
-               if src <> dest then
-                 match Table.path_with_vls t ~src ~dest with
-                 | None -> ()
-                 | Some hops ->
-                   List.iter (fun (_, v) -> Bitset.add seen v) hops)
+               if settle w t.net nexts src = reaches then
+                 iter_hops t nexts ~src ~dest add_vl)
             sources)
        t.dests);
   Bitset.cardinal seen

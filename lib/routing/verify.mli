@@ -5,7 +5,13 @@
     freedom is checked on the virtual channel dependency graph: vertices
     are (channel, virtual lane) pairs and an edge connects the resources
     held/requested by consecutive hops of some path. By Dally & Seitz
-    this graph is acyclic iff the routing is deadlock-free. *)
+    this graph is acyclic iff the routing is deadlock-free.
+
+    Each destination's tree is walked once, settling every node its
+    sources reach as reaching, dead-ending or looping. A hop whose
+    channel does not leave its node is a dead end: the pair is
+    unreachable, and no dependency is read past that hop. O(nodes) per
+    destination (O(hops) per pair with per-pair or per-hop lanes). *)
 
 type report = {
   connected : bool;       (** every source reaches every destination *)
@@ -18,7 +24,9 @@ type report = {
 
 val check : ?sources:int array -> Table.t -> report
 (** Full validation. [sources] defaults to the network's terminals;
-    destinations are the table's routed destinations. *)
+    destinations are the table's routed destinations. Allocates
+    O(nodes + channels × VLs) words plus the induced VCDG's edges,
+    however many pairs the table routes. *)
 
 val deadlock_free : ?sources:int array -> Table.t -> bool
 
@@ -26,7 +34,11 @@ val connected : ?sources:int array -> Table.t -> bool
 
 val induced_vcdg : ?sources:int array -> Table.t -> Nue_cdg.Digraph.t
 (** The induced virtual channel dependency graph; vertex ids are
-    [vl * num_channels + channel]. *)
+    [vl * num_channels + channel]. With one lane per destination tree
+    ([All_zero], [Per_dest]), every hop walked from a source depends on
+    the next node's hop, whether or not the pair reaches; otherwise only
+    the hops of pairs that reach do. Built in one sequential pass, in
+    destination order. *)
 
 val render_cycle : Table.t -> (int * int) list -> string
 (** Human-readable rendering of a [dependency_cycle] witness: one line

@@ -109,6 +109,15 @@ let arbitrary_net =
          ~terminals_per_switch:terminals ~max_switch_ports:64 ())
     gen
 
+(* Words [f] allocates on the calling domain, minor and major heap. The
+   minor heap is emptied first, so the words promoted meanwhile are
+   [f]'s own and subtracting them counts each word once. *)
+let words_allocated f =
+  Gc.minor ();
+  let w0 = Gc.allocated_bytes () in
+  let r = f () in
+  (r, (Gc.allocated_bytes () -. w0) /. float_of_int (Sys.word_size / 8))
+
 let check_table_valid name table =
   let r = Nue_routing.Verify.check table in
   Alcotest.(check bool) (name ^ ": connected") true r.Nue_routing.Verify.connected;

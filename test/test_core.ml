@@ -145,6 +145,120 @@ let escape_routing_total () =
        done)
     dests
 
+(* Reference for [Escape.prepare]: the literal loop over destinations,
+   then nodes in id order, that uses each node's tree hop toward the
+   destination and admits each tree in-channel's dependency onto it.
+   The admitted count, or [None] once an admission is refused. *)
+let escape_reference cdg ~root ~dests =
+  let net = Complete_cdg.network cdg in
+  let tree = Nue_netgraph.Graph_algo.spanning_tree net ~root in
+  let deps = ref 0 in
+  match
+    Array.iter
+      (fun dest ->
+         let next = Nue_netgraph.Graph_algo.tree_next_channel net tree ~dest in
+         for node = 0 to Network.num_nodes net - 1 do
+           let c_out = next.(node) in
+           if node <> dest && c_out >= 0 then begin
+             ignore (Complete_cdg.use_channel cdg c_out);
+             Array.iter
+               (fun c_in ->
+                  if
+                    tree.Nue_netgraph.Graph_algo.tree_channel.(c_in)
+                    && Complete_cdg.is_edge cdg ~from:c_in ~to_:c_out
+                    && Complete_cdg.edge_omega cdg ~from:c_in ~to_:c_out = 0
+                  then
+                    if Complete_cdg.try_use_edge cdg ~from:c_in ~to_:c_out
+                    then incr deps
+                    else raise Exit)
+               (Network.in_channels net node)
+           end
+         done)
+      dests
+  with
+  | () -> Some !deps
+  | exception Exit -> None
+
+(* Everything the escape set-up can change that a later search reads:
+   channel and edge omegas, the topological order, the search count. *)
+let cdg_state cdg =
+  let nc = Complete_cdg.num_channels cdg in
+  let edges = ref [] in
+  for c = nc - 1 downto 0 do
+    Complete_cdg.iter_succ cdg c (fun q ->
+        edges := Complete_cdg.edge_omega cdg ~from:c ~to_:q :: !edges)
+  done;
+  ( Array.init nc (Complete_cdg.channel_omega cdg),
+    Array.init nc (Complete_cdg.order cdg),
+    !edges,
+    Complete_cdg.cycle_searches cdg )
+
+(* Random edge admissions, the same on every CDG of the network for a
+   seed: a partly decided orientation for [prepare_into]. *)
+let admit_random_edges cdg ~seed ~count =
+  let prng = Prng.create seed in
+  let nc = Complete_cdg.num_channels cdg in
+  for _ = 1 to count do
+    let c = Prng.int prng nc in
+    let succ = ref [] in
+    Complete_cdg.iter_succ cdg c (fun q -> succ := q :: !succ);
+    match !succ with
+    | [] -> ()
+    | l ->
+      let q = List.nth l (Prng.int prng (List.length l)) in
+      ignore (Complete_cdg.try_use_edge cdg ~from:c ~to_:q)
+  done
+
+let qcheck_escape_matches_reference =
+  QCheck2.Test.make
+    ~name:"escape: one tree walk makes the per-destination loop's calls"
+    ~count:60
+    QCheck2.Gen.(pair Helpers.arbitrary_net (int_range 0 100000))
+    (fun (net, seed) ->
+       let prng = Prng.create seed in
+       let nn = Network.num_nodes net in
+       let root = Prng.int prng nn in
+       (* Any nodes, any order, repeats allowed. *)
+       let dests =
+         Array.init (1 + Prng.int prng (2 * nn)) (fun _ -> Prng.int prng nn)
+       in
+       let fresh = Complete_cdg.create net in
+       let reference = Complete_cdg.create net in
+       let escape = Escape.prepare fresh ~root ~dests in
+       let deps = escape_reference reference ~root ~dests in
+       let prepared_ok =
+         deps = Some (Escape.initial_dependencies escape)
+         && cdg_state fresh = cdg_state reference
+       in
+       (* Onto a CDG with used (and blocked) edges already. *)
+       let replayed = Complete_cdg.create net in
+       let reference = Complete_cdg.create net in
+       let count = Complete_cdg.num_channels replayed / 4 in
+       admit_random_edges replayed ~seed ~count;
+       admit_random_edges reference ~seed ~count;
+       let into = Escape.prepare_into replayed ~root ~dests in
+       let deps = escape_reference reference ~root ~dests in
+       prepared_ok
+       && Option.map Escape.initial_dependencies into = deps
+       && cdg_state replayed = cdg_state reference)
+
+let escape_allocation_bounded () =
+  (* The escape set-up allocates its tree and O(nodes) scratch, not an
+     escape next-array per destination. *)
+  let net = (Topology.torus3d ~dims:(6, 6, 6) ~terminals_per_switch:2 ()).net in
+  let dests = Network.terminals net in
+  let cdg = Complete_cdg.create net in
+  let escape, words =
+    Helpers.words_allocated (fun () -> Escape.prepare cdg ~root:0 ~dests)
+  in
+  let size = Network.num_nodes net + Network.num_channels net in
+  Alcotest.(check int) "destinations" 432 (Array.length dests);
+  Alcotest.(check bool) "dependencies admitted" true
+    (Escape.initial_dependencies escape > 0);
+  if words > float_of_int (16 * size) then
+    Alcotest.failf "Escape.prepare allocated %.0f words, bound 16 x %d" words
+      size
+
 (* {1 Nue routing} *)
 
 let nue_all_topologies_all_k () =
@@ -372,7 +486,10 @@ let suite =
     ("escape",
      [ test_case "acyclic dependencies" `Quick escape_marks_acyclic_dependencies;
        test_case "root choice matters (Fig. 5)" `Quick escape_root_choice_matters;
-       test_case "escape routing is total" `Quick escape_routing_total ]);
+       test_case "escape routing is total" `Quick escape_routing_total;
+       QCheck_alcotest.to_alcotest qcheck_escape_matches_reference;
+       test_case "allocation independent of destinations" `Quick
+         escape_allocation_bounded ]);
     ("nue",
      [ test_case "valid on all topologies, k in {1,2,3,8}" `Slow
          nue_all_topologies_all_k;

@@ -187,6 +187,204 @@ let verify_vls_break_deadlock () =
   Alcotest.(check bool) "per-dest lanes deadlock-free" true
     (Verify.deadlock_free table)
 
+let verify_misdirected_hop_is_dead_end () =
+  (* t4's hop toward t6 is overwritten with s2 -> t6: following that
+     channel's head lands on t6, but the hop does not leave t4, so no
+     packet can take it. *)
+  let net = Helpers.ring ~terminals:1 4 in
+  let routed = Minhop.route net in
+  let pos = Table.dest_position routed 6 in
+  Alcotest.(check (pair int int)) "channel 13 is s2 -> t6" (2, 6)
+    (Network.src net 13, Network.dst net 13);
+  let next_channel = Array.map Array.copy routed.Table.next_channel in
+  next_channel.(pos).(4) <- 13;
+  let table =
+    Table.make ~net ~algorithm:"misdirected" ~dests:routed.Table.dests
+      ~next_channel ~vl:Table.All_zero ~num_vls:1 ()
+  in
+  let r = Verify.check table in
+  Alcotest.(check int) "one unreachable pair" 1 r.Verify.unreachable_pairs;
+  Alcotest.(check bool) "not connected" false r.Verify.connected;
+  Alcotest.(check bool) "a dead end, not a loop" true r.Verify.cycle_free;
+  Alcotest.(check bool) "connected agrees" false (Verify.connected table);
+  (* The simulator refuses the same route when it sets up. *)
+  match
+    Nue_sim.Sim.run table
+      ~traffic:[ { Nue_sim.Traffic.src = 4; dst = 6; bytes = 64 } ]
+  with
+  | _ -> Alcotest.fail "Sim.run accepted a hop that does not leave its node"
+  | exception Invalid_argument _ -> ()
+
+(* {2 Reference verifier}
+
+   A pair-by-pair reference for [Verify]: each (source, destination)
+   pair is walked on its own, and a hop whose channel does not leave its
+   node is a dead end. *)
+
+type fate = Reaches | Dead_end | Loops
+
+(* The pair's walk: the nodes it passes with a hop that leaves them, in
+   order, and how it ends. *)
+let reference_walk (t : Table.t) ~src ~dest =
+  let nexts = t.Table.next_channel.(Table.dest_position t dest) in
+  let rec go node seen =
+    if node = dest then (List.rev seen, Reaches)
+    else if List.mem node seen then (List.rev seen, Loops)
+    else begin
+      let c = nexts.(node) in
+      if c < 0 || Network.src t.Table.net c <> node then
+        (List.rev seen, Dead_end)
+      else go (Network.dst t.Table.net c) (node :: seen)
+    end
+  in
+  go src []
+
+(* Report and induced VCDG, pair by pair. With the whole destination
+   tree on one VL, every walked hop depends on the next node's hop,
+   whether or not the pair reaches; with per-pair or per-hop lanes,
+   only the hops of [Table.path_with_vls] of reaching pairs. *)
+let reference_verify (t : Table.t) =
+  let net = t.Table.net in
+  let nc = Network.num_channels net in
+  let g = Nue_cdg.Digraph.create (nc * max 1 t.Table.num_vls) in
+  let add a b =
+    if not (Nue_cdg.Digraph.mem_edge g a b) then Nue_cdg.Digraph.add_edge g a b
+  in
+  let unreachable = ref 0 and cycle_free = ref true in
+  Array.iteri
+    (fun pos dest ->
+       let nexts = t.Table.next_channel.(pos) in
+       Array.iter
+         (fun src ->
+            if src <> dest then begin
+              let walked, fate = reference_walk t ~src ~dest in
+              if fate <> Reaches then incr unreachable;
+              if fate = Loops then cycle_free := false;
+              match t.Table.vl with
+              | Table.All_zero | Table.Per_dest _ ->
+                let vl = Table.vl_of t ~src ~dest ~hop:0 ~channel:0 in
+                List.iter
+                  (fun x ->
+                     let c1 = nexts.(x) in
+                     let m = Network.dst net c1 in
+                     let c2 = nexts.(m) in
+                     if m <> dest && c2 >= 0 && Network.src net c2 = m then
+                       add ((vl * nc) + c1) ((vl * nc) + c2))
+                  walked
+              | Table.Per_pair _ | Table.Per_hop _ ->
+                if fate = Reaches then begin
+                  let hops = Option.get (Table.path_with_vls t ~src ~dest) in
+                  Alcotest.(check (list int)) "Table.path agrees" walked
+                    (List.map (fun (c, _) -> Network.src net c) hops);
+                  let rec deps = function
+                    | (c1, v1) :: ((c2, v2) :: _ as rest) ->
+                      add ((v1 * nc) + c1) ((v2 * nc) + c2);
+                      deps rest
+                    | _ -> ()
+                  in
+                  deps hops
+                end
+            end)
+         (Network.terminals net))
+    t.Table.dests;
+  (!unreachable, !cycle_free, g)
+
+let edges g =
+  let acc = ref [] in
+  for v = Nue_cdg.Digraph.num_vertices g - 1 downto 0 do
+    let succ = ref [] in
+    Nue_cdg.Digraph.iter_succ g v (fun w ->
+        succ := (v, w, Nue_cdg.Digraph.multiplicity g v w) :: !succ);
+    acc := List.rev_append !succ !acc
+  done;
+  !acc
+
+(* Up to three injected faults per kind: a forwarding loop (a hop to a
+   random neighbour), a dead end, and a hop on a channel chosen from the
+   whole network, usually one that does not leave the node. *)
+let mutate prng (t : Table.t) ~vl ~num_vls =
+  let net = t.Table.net in
+  let nn = Network.num_nodes net and nc = Network.num_channels net in
+  let next_channel = Array.map Array.copy t.Table.next_channel in
+  let nd = Array.length t.Table.dests in
+  for _ = 1 to Prng.int prng 4 do
+    let row = next_channel.(Prng.int prng nd) and node = Prng.int prng nn in
+    match Prng.int prng 3 with
+    | 0 ->
+      let out = Network.out_channels net node in
+      if Array.length out > 0 then
+        row.(node) <- out.(Prng.int prng (Array.length out))
+    | 1 -> row.(node) <- -1
+    | _ -> row.(node) <- Prng.int prng nc
+  done;
+  Table.make ~net ~algorithm:t.Table.algorithm ~dests:t.Table.dests
+    ~next_channel ~vl ~num_vls ()
+
+let qcheck_verify_matches_reference =
+  QCheck2.Test.make ~name:"verify: one walk per destination matches pairs"
+    ~count:40
+    QCheck2.Gen.(pair Helpers.arbitrary_net (int_range 0 100000))
+    (fun (net, seed) ->
+       let prng = Prng.create seed in
+       let nn = Network.num_nodes net in
+       let minhop = Minhop.route net in
+       let nue = Nue_core.Nue.route ~vcs:2 net in
+       let nd = Array.length minhop.Table.dests in
+       let lanes =
+         [ (minhop, Table.All_zero, 1);
+           (nue, nue.Table.vl, nue.Table.num_vls);
+           ( minhop,
+             Table.Per_pair
+               (Array.init nd (fun _ ->
+                    Array.init nn (fun _ -> Prng.int prng 3))),
+             3 );
+           ( minhop,
+             Table.Per_hop
+               (fun ~src ~dest ~hop ~channel ->
+                  (src + dest + hop + channel) mod 3),
+             3 ) ]
+       in
+       let nc = Network.num_channels net in
+       List.for_all
+         (fun (engine, vl, num_vls) ->
+            let t = mutate prng engine ~vl ~num_vls in
+            let unreachable, cycle_free, g = reference_verify t in
+            let cycle = Nue_cdg.Digraph.find_cycle g in
+            let r = Verify.check t in
+            let vcdg = Verify.induced_vcdg t in
+            r.Verify.unreachable_pairs = unreachable
+            && r.Verify.connected = (unreachable = 0)
+            && r.Verify.cycle_free = cycle_free
+            && r.Verify.deadlock_free = (cycle = None)
+            && r.Verify.dependency_cycle
+               = Option.map (List.map (fun v -> (v mod nc, v / nc))) cycle
+            && Verify.connected t = (unreachable = 0)
+            && Verify.deadlock_free t = (cycle = None)
+            && edges vcdg = edges g
+            && Nue_cdg.Digraph.find_cycle vcdg = cycle)
+         lanes)
+
+let verify_check_allocation_bounded () =
+  (* The check allocates its walks, the induced VCDG and the cycle
+     search: O(nodes + channels x VLs) words, however many pairs the
+     table routes. *)
+  let net = (Topology.torus3d ~dims:(6, 6, 6) ~terminals_per_switch:2 ()).net in
+  let table = Nue_core.Nue.route ~vcs:4 net in
+  let size =
+    Network.num_nodes net + (Network.num_channels net * table.Table.num_vls)
+  in
+  let before = Nue_parallel.Pool.default_jobs () in
+  Nue_parallel.Pool.set_default_jobs 1;
+  let r, words =
+    Fun.protect
+      ~finally:(fun () -> Nue_parallel.Pool.set_default_jobs before)
+      (fun () -> Helpers.words_allocated (fun () -> Verify.check table))
+  in
+  Alcotest.(check bool) "valid" true
+    (r.Verify.connected && r.Verify.cycle_free && r.Verify.deadlock_free);
+  if words > float_of_int (64 * size) then
+    Alcotest.failf "Verify.check allocated %.0f words, bound 64 x %d" words size
+
 (* {1 Layers} *)
 
 let layers_ring_needs_two () =
@@ -492,7 +690,12 @@ let suite =
      [ test_case "accepts valid" `Quick verify_accepts_valid;
        test_case "detects forwarding loop" `Quick verify_detects_forwarding_loop;
        test_case "detects dependency cycle" `Quick verify_detects_deadlock;
-       test_case "virtual lanes break the cycle" `Quick verify_vls_break_deadlock ]);
+       test_case "virtual lanes break the cycle" `Quick verify_vls_break_deadlock;
+       test_case "a hop that does not leave its node is a dead end" `Quick
+         verify_misdirected_hop_is_dead_end;
+       QCheck_alcotest.to_alcotest qcheck_verify_matches_reference;
+       test_case "allocation independent of pairs" `Quick
+         verify_check_allocation_bounded ]);
     ("layers",
      [ test_case "ring needs two" `Quick layers_ring_needs_two;
        test_case "tree needs one" `Quick layers_tree_needs_one;
