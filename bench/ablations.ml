@@ -18,8 +18,11 @@ let test_net ~full =
     ~terminals_per_switch:terms ()
 
 let report label table stats seconds =
-  let g = Fi.summarize table in
-  let p = Ps.compute table in
+  let walked = Nue_routing.Verify.stats table in
+  let g =
+    Fi.of_loads table.Nue_routing.Table.net walked.Nue_routing.Verify.loads
+  in
+  let p = Ps.of_stats walked in
   Printf.printf "%s%s%s%s%s%s%s\n%!"
     (Common.cell 26 label)
     (Common.cell 10 (Common.fmt_f1 g.Fi.max))
@@ -131,8 +134,9 @@ let impasse ~full () =
     [ (30, "approach"); (14, "unreachable"); (12, "of pairs") ];
   List.iter
     (fun seed ->
-       let (_, unreachable), _ =
-         Common.time (fun () -> Nue_routing.Static_cdg.route ~seed net)
+       let table = Nue_routing.Static_cdg.route ~seed net in
+       let unreachable =
+         (Nue_routing.Verify.check table).Nue_routing.Verify.unreachable_pairs
        in
        Printf.printf "%s%s%s\n%!"
          (Common.cell 30 (Printf.sprintf "static acyclic CDG (seed %d)" seed))

@@ -30,8 +30,9 @@ let fresh () =
     applicable = 0 }
 
 let record acc table ~fallbacks =
-  let s = Fi.summarize table in
-  let p = Ps.compute table in
+  let stats = Nue_routing.Verify.stats table in
+  let s = Fi.of_loads table.Table.net stats.Nue_routing.Verify.loads in
+  let p = Ps.of_stats stats in
   acc.summaries <- s :: acc.summaries;
   if p.Ps.max_hops > acc.max_hops then acc.max_hops <- p.Ps.max_hops;
   acc.hops_sum <- acc.hops_sum +. p.Ps.avg_hops;

@@ -88,12 +88,12 @@ type speculation = {
    leaves no major-heap garbage besides its table row: one Dijkstra
    scratch per participant slot, one journal per round position (a
    round's journals are consumed by its commit before the next round
-   starts) and the balancing counts of the commit loop. *)
+   starts) and the balancing walk of the commit loop. *)
 type work = {
   jobs : int;
   scratch : Nue_dijkstra.scratch option array; (* per participant slot *)
   journals : Complete_cdg.journal array; (* per round position *)
-  loads : int array;
+  walk : Nue_routing.Verify.walk;
 }
 
 let scratch_of work net k =
@@ -125,7 +125,7 @@ let route_subset ~options ~cdg ~escape ~weights ~scale ~net ~sources ~layer
     in
     if Provenance.enabled () then Provenance.end_dest ();
     commit ~dest ~nexts;
-    Balance.update_weights ~scale ~loads:work.loads net ~weights ~nexts ~dest
+    Balance.update_weights ~scale ~walk:work.walk net ~weights ~nexts ~dest
       ~sources
   in
   (* Rounds have at least two tasks, so the pool runs them inline
@@ -224,7 +224,7 @@ let route_subset ~options ~cdg ~escape ~weights ~scale ~net ~sources ~layer
            | Some trail -> Provenance.commit_dest trail
            | None -> ());
           commit ~dest ~nexts:sp.sp_nexts;
-          Balance.update_weights ~scale ~loads:work.loads net ~weights
+          Balance.update_weights ~scale ~walk:work.walk net ~weights
             ~nexts:sp.sp_nexts ~dest ~sources
         end
         else begin
@@ -286,7 +286,7 @@ let route_with_stats ?(options = default_options) ?dests ?sources ~vcs net =
     { jobs;
       scratch = Array.make jobs None;
       journals = Array.init max_round (fun _ -> Complete_cdg.journal_create ());
-      loads = Array.make nc 0 }
+      walk = Nue_routing.Verify.walk net }
   in
   Array.iteri
     (fun layer subset ->

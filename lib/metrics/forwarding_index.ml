@@ -1,6 +1,5 @@
 module Network = Nue_netgraph.Network
-module Table = Nue_routing.Table
-module Balance = Nue_routing.Balance
+module Verify = Nue_routing.Verify
 
 type summary = {
   min : float;
@@ -9,24 +8,9 @@ type summary = {
   sd : float;
 }
 
-let per_channel ?sources (t : Table.t) =
-  let sources =
-    match sources with Some s -> s | None -> Network.terminals t.Table.net
-  in
-  let total = Array.make (Network.num_channels t.Table.net) 0 in
-  Array.iteri
-    (fun pos dest ->
-       let loads =
-         Balance.channel_loads t.Table.net ~nexts:t.Table.next_channel.(pos)
-           ~dest ~sources
-       in
-       Array.iteri (fun c l -> total.(c) <- total.(c) + l) loads)
-    t.Table.dests;
-  total
+let per_channel ?sources t = (Verify.stats ?sources t).Verify.loads
 
-let summarize ?sources (t : Table.t) =
-  let net = t.Table.net in
-  let loads = per_channel ?sources t in
+let of_loads net loads =
   let min_v = ref infinity and max_v = ref neg_infinity in
   let sum = ref 0.0 and sum2 = ref 0.0 and n = ref 0 in
   Array.iteri

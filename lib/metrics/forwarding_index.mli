@@ -12,12 +12,14 @@ type summary = {
 
 val per_channel :
   ?sources:int array -> Nue_routing.Table.t -> int array
-(** Paths crossing each channel (indexed by channel id), counting all
-    (source, destination) pairs of the table. Terminal channels are
-    included in the array but excluded from {!summarize}. *)
+(** Paths crossing each channel (indexed by channel id), counting the
+    (source, destination) pairs of the table that reach: the loads of
+    {!Nue_routing.Verify.stats}, O(nodes) per destination. Terminal
+    channels are included in the array but excluded from {!of_loads}. *)
 
-val summarize : ?sources:int array -> Nue_routing.Table.t -> summary
-(** Statistics over inter-switch channels only, as in the paper. *)
+val of_loads : Nue_netgraph.Network.t -> int array -> summary
+(** Statistics of per-channel loads over inter-switch channels only, as
+    in the paper. *)
 
 val aggregate : summary list -> summary
 (** Arithmetic mean of each component over several topologies (the

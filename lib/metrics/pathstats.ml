@@ -1,5 +1,4 @@
-module Network = Nue_netgraph.Network
-module Table = Nue_routing.Table
+module Verify = Nue_routing.Verify
 
 type t = {
   max_hops : int;
@@ -8,30 +7,10 @@ type t = {
   unreachable : int;
 }
 
-let compute ?sources (table : Table.t) =
-  let sources =
-    match sources with
-    | Some s -> s
-    | None -> Network.terminals table.Table.net
-  in
-  let max_hops = ref 0 in
-  let total = ref 0 and pairs = ref 0 and unreachable = ref 0 in
-  Array.iter
-    (fun dest ->
-       Array.iter
-         (fun src ->
-            if src <> dest then
-              match Table.hop_count table ~src ~dest with
-              | Some h ->
-                incr pairs;
-                total := !total + h;
-                if h > !max_hops then max_hops := h
-              | None -> incr unreachable)
-         sources)
-    table.Table.dests;
-  { max_hops = !max_hops;
+let of_stats (s : Verify.stats) =
+  { max_hops = s.max_hops;
     avg_hops =
-      (if !pairs = 0 then 0.0
-       else float_of_int !total /. float_of_int !pairs);
-    pairs = !pairs;
-    unreachable = !unreachable }
+      (if s.pairs = 0 then 0.0
+       else float_of_int s.hops /. float_of_int s.pairs);
+    pairs = s.pairs;
+    unreachable = s.unreachable }

@@ -8,6 +8,7 @@ type t = {
   unreachable : int;
 }
 
-val compute : ?sources:int array -> Nue_routing.Table.t -> t
-(** Hop counts over all source/destination pairs of the table (sources
-    default to the terminals; the destination itself is skipped). *)
+val of_stats : Nue_routing.Verify.stats -> t
+(** Hop counts over the pairs that reach, as {!Nue_routing.Verify.stats}
+    counts them (O(nodes) per destination; sources default to the
+    terminals, and the destination itself is skipped). *)

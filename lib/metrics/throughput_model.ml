@@ -8,13 +8,13 @@ type t = {
   bottleneck_channel : int;
 }
 
-let all_to_all ?sources ?(link_capacity_gbs = 4.0) (table : Table.t) =
+(* The model over [loads], counted from [sources]. *)
+let model ?sources ?(link_capacity_gbs = 4.0) (table : Table.t) loads =
   let sources =
     match sources with
     | Some s -> s
     | None -> Network.terminals table.Table.net
   in
-  let loads = Forwarding_index.per_channel ~sources table in
   (* Include terminal channels: a terminal's injection link bounds its
      throughput exactly like any other channel. *)
   let gamma_max = ref 0 and bottleneck = ref (-1) in
@@ -38,3 +38,9 @@ let all_to_all ?sources ?(link_capacity_gbs = 4.0) (table : Table.t) =
       gamma_max = float_of_int !gamma_max;
       bottleneck_channel = !bottleneck }
   end
+
+let all_to_all ?sources ?link_capacity_gbs table =
+  model ?sources ?link_capacity_gbs table
+    (Forwarding_index.per_channel ?sources table)
+
+let of_loads table loads = model table loads

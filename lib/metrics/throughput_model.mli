@@ -23,3 +23,7 @@ val all_to_all :
   ?link_capacity_gbs:float ->
   Nue_routing.Table.t ->
   t
+
+val of_loads : Nue_routing.Table.t -> int array -> t
+(** {!all_to_all} at the default capacity, of loads already counted from
+    the terminals (as {!Nue_routing.Verify.measure} counts them). *)

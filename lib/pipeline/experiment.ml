@@ -147,11 +147,12 @@ type outcome = {
 
 let measure table =
   Span.with_ "pipeline.measure" @@ fun () ->
-  { verify = Verify.check table;
+  let verify, stats = Verify.measure table in
+  { verify;
     vls_used = Verify.vls_used table;
-    forwarding = Fi.summarize table;
-    paths = Ps.compute table;
-    throughput = Tm.all_to_all table }
+    forwarding = Fi.of_loads table.Table.net stats.Verify.loads;
+    paths = Ps.of_stats stats;
+    throughput = Tm.of_loads table stats.Verify.loads }
 
 let time f =
   let t0 = Unix.gettimeofday () in

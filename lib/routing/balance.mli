@@ -5,29 +5,19 @@
     number of source paths that cross it, steering later destinations
     away from loaded channels (Hoefler et al., Domke et al.). *)
 
-val channel_loads :
-  Nue_netgraph.Network.t ->
-  nexts:int array ->
-  dest:int ->
-  sources:int array ->
-  int array
-(** [channel_loads net ~nexts ~dest ~sources] walks every source's path
-    along the next-channel tree and counts, per channel, how many paths
-    cross it. Unreachable sources contribute nothing. *)
-
 val update_weights :
   ?scale:float ->
-  ?loads:int array ->
+  ?walk:Verify.walk ->
   Nue_netgraph.Network.t ->
   weights:float array ->
   nexts:int array ->
   dest:int ->
   sources:int array ->
   unit
-(** Add [scale] (default 1) times the per-channel loads for this
-    destination onto [weights]. [loads], when given, is the count
-    scratch: one zero per channel on entry, left all zeros on return
-    (else a fresh array is allocated per call). *)
+(** Add [scale] (default 1) times the number of [sources] whose path
+    to [dest] crosses a channel onto its weight: {!Verify.iter_loads},
+    so only sources that reach count. O(nodes). [walk] is the walk's
+    scratch, made for [net] (else one is allocated per call). *)
 
 val tie_break_scale : sources:int array -> dests:int array -> float
 (** A scale small enough that accumulated loads act as tie-breakers

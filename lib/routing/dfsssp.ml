@@ -11,6 +11,7 @@ let compute_paths net ~dests ~sources =
      (near-)minimal while spreading over parallel shortest routes, as
      OpenSM's SSSP engine does. *)
   let scale = Balance.tie_break_scale ~sources ~dests in
+  let walk = Verify.walk net in
   (* Rounds capped at 8: within a round every destination sees the same
      frozen weights, so large rounds make equal-hop tie-breaking pile
      onto the same parallel paths instead of spreading. 8 keeps the
@@ -21,7 +22,7 @@ let compute_paths net ~dests ~sources =
     ~compute:(fun frozen dest ->
       fst (Graph_algo.dijkstra_to_dest net ~weights:frozen ~dest))
     ~commit:(fun dest nexts ->
-      Balance.update_weights ~scale net ~weights ~nexts ~dest ~sources)
+      Balance.update_weights ~scale ~walk net ~weights ~nexts ~dest ~sources)
 
 let paths_only ?dests ?sources net =
   let dests, sources = defaults ?dests ?sources net in

@@ -206,10 +206,5 @@ let () =
         caps ~respects_vc_budget:true ~deadlock_free:true ~may_disconnect:true
           ()
 
-      let route s =
-        let table, _unreachable =
-          Static_cdg.route ~seed:s.seed ?dests:s.dests ?sources:s.sources
-            s.net
-        in
-        Ok table
+      let route s = Ok (Static_cdg.route ~seed:s.seed ?dests:s.dests s.net)
     end)

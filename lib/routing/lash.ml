@@ -23,26 +23,6 @@ let min_hop_tree net dest =
   done;
   nexts
 
-let switch_of net n =
-  if Network.is_switch net n then n else Network.terminal_attachment net n
-
-(* Dependencies of the switch-level path src_switch -> dest_switch in the
-   given tree: consecutive channel pairs. *)
-let switch_path_edges net ~nexts ~dest_switch ~src_switch =
-  let n = Network.num_nodes net in
-  let rec walk node prev hops acc =
-    if node = dest_switch || hops > n then acc
-    else begin
-      let c = nexts.(node) in
-      if c < 0 then acc
-      else begin
-        let acc = match prev with Some p -> (p, c) :: acc | None -> acc in
-        walk (Network.dst net c) (Some c) (hops + 1) acc
-      end
-    end
-  in
-  walk src_switch None 0 []
-
 (* [trees] is indexed by destination-switch position; [src_pos] maps a
    source switch id to its position in [src_switches]. The resulting
    layer table is flat: entry [dpos * |src_switches| + spos], 0 where no
@@ -62,7 +42,7 @@ let assign_layers net ~trees ~dest_switches ~src_switches ~src_pos ~max_layers =
            (fun sw ->
               if !ok && sw <> dw then begin
                 let edges =
-                  switch_path_edges net ~nexts ~dest_switch:dw ~src_switch:sw
+                  Layers.path_edges net ~nexts ~dest:dw ~src:sw
                 in
                 (* First layer that accepts all dependencies; rollback on
                    partial failure (removal keeps the order valid). *)
@@ -113,7 +93,7 @@ let run ?dests ?sources ~max_layers net =
      the switch lists are stable whatever order the inputs arrive in. *)
   let switch_set nodes =
     let set = Bitset.create nn in
-    Array.iter (fun x -> Bitset.add set (switch_of net x)) nodes;
+    Array.iter (fun x -> Bitset.add set (Layers.switch_of net x)) nodes;
     Array.of_list (Bitset.to_list set)
   in
   let dest_switches = switch_set dests in
@@ -137,7 +117,7 @@ let run ?dests ?sources ~max_layers net =
     let next_channel = Array.map (fun _ -> [||]) dests in
     Nue_parallel.Pool.run ~label:"lash.tables" ~n:(Array.length dests) (fun di ->
       let dest = dests.(di) in
-      let dw = switch_of net dest in
+      let dw = Layers.switch_of net dest in
       let tree = trees.(dest_pos.(dw)) in
       let nexts = Array.make nn (-1) in
       for node = 0 to nn - 1 do
@@ -158,10 +138,10 @@ let run ?dests ?sources ~max_layers net =
     let vl =
       Array.map
         (fun dest ->
-           let dw = switch_of net dest in
+           let dw = Layers.switch_of net dest in
            let dpos = dest_pos.(dw) in
            Array.init nn (fun src ->
-               let sw = switch_of net src in
+               let sw = Layers.switch_of net src in
                if sw = dw then 0
                else
                  match src_pos.(sw) with

@@ -12,6 +12,15 @@ type result = {
   layers_used : int;
 }
 
+val path_edges :
+  Nue_netgraph.Network.t -> nexts:int array -> dest:int -> src:int ->
+  (int * int) list
+(** Consecutive channel pairs of [src]'s path in the tree [nexts]
+    toward [dest], last pair first (LASH reads switch-level paths). *)
+
+val switch_of : Nue_netgraph.Network.t -> int -> int
+(** A switch itself, or the switch a terminal attaches to. *)
+
 val assign :
   Nue_netgraph.Network.t ->
   dests:int array ->

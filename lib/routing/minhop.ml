@@ -8,6 +8,7 @@ let route ?dests ?sources net =
   in
   let nn = Network.num_nodes net in
   let load = Array.make (Network.num_channels net) 0.0 in
+  let walk = Verify.walk net in
   (* The BFS distance fields are pure functions of the destination, so
      they shard over the pool with results slotted by index. The
      load-aware channel selection stays sequential against the live
@@ -34,7 +35,7 @@ let route ?dests ?sources net =
             nexts.(node) <- !best
           end
         done;
-        Balance.update_weights net ~weights:load ~nexts ~dest ~sources;
+        Balance.update_weights ~walk net ~weights:load ~nexts ~dest ~sources;
         nexts)
       dests
   in

@@ -2,11 +2,8 @@ module Network = Nue_netgraph.Network
 module Fib_heap = Nue_structures.Fib_heap
 module Prng = Nue_structures.Prng
 
-let route ?(seed = 1) ?dests ?sources net =
+let route ?(seed = 1) ?dests net =
   let dests = match dests with Some d -> d | None -> Network.terminals net in
-  let sources =
-    match sources with Some s -> s | None -> Network.terminals net
-  in
   let nn = Network.num_nodes net in
   let nc = Network.num_channels net in
   (* Random total order on the channels; a dependency (a, b) survives
@@ -54,17 +51,5 @@ let route ?(seed = 1) ?dests ?sources net =
          nexts)
       dests
   in
-  let table =
-    Table.make ~net ~algorithm:"static-cdg" ~dests ~next_channel
-      ~vl:Table.All_zero ~num_vls:1 ()
-  in
-  let unreachable = ref 0 in
-  Array.iter
-    (fun dest ->
-       Array.iter
-         (fun src ->
-            if src <> dest && Table.path table ~src ~dest = None then
-              incr unreachable)
-         sources)
-    dests;
-  (table, !unreachable)
+  Table.make ~net ~algorithm:"static-cdg" ~dests ~next_channel
+    ~vl:Table.All_zero ~num_vls:1 ()

@@ -11,12 +11,7 @@
     restriction placement. *)
 
 val route :
-  ?seed:int ->
-  ?dests:int array ->
-  ?sources:int array ->
-  Nue_netgraph.Network.t ->
-  Table.t * int
-(** [(table, unreachable)] where [unreachable] counts (source,
-    destination) pairs the restricted CDG cannot serve (their next
-    channels stay -1). The table is always deadlock-free; it is
-    connected only when [unreachable = 0]. *)
+  ?seed:int -> ?dests:int array -> Nue_netgraph.Network.t -> Table.t
+(** The restricted shortest-path table: the next channels of nodes the
+    restricted CDG cannot serve stay -1. Always deadlock-free; connected
+    only when {!Verify.check} finds no unreachable pair. *)

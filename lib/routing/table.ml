@@ -69,9 +69,4 @@ let path_with_vls t ~src ~dest =
          (fun hop c -> (c, vl_of t ~src ~dest ~hop ~channel:c))
          channels)
 
-let hop_count t ~src ~dest =
-  match path t ~src ~dest with
-  | None -> None
-  | Some channels -> Some (List.length channels)
-
 let info_value t key = List.assoc_opt key t.info

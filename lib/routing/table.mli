@@ -66,6 +66,4 @@ val vl_of : t -> src:int -> dest:int -> hop:int -> channel:int -> int
 val path_with_vls : t -> src:int -> dest:int -> (int * int) list option
 (** Like [path] but each hop is paired with its virtual lane. *)
 
-val hop_count : t -> src:int -> dest:int -> int option
-
 val info_value : t -> string -> float option

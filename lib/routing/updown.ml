@@ -37,6 +37,7 @@ let route ?root ?dests ?sources net =
   let nn = Network.num_nodes net in
   let level = Graph_algo.bfs_distances net root in
   let load = Array.make (Network.num_channels net) 0.0 in
+  let walk = Verify.walk net in
   let next_channel =
     Array.map
       (fun dest ->
@@ -122,7 +123,7 @@ let route ?root ?dests ?sources net =
              nexts.(node) <- !best
            end
          done;
-         Balance.update_weights net ~weights:load ~nexts ~dest ~sources;
+         Balance.update_weights ~walk net ~weights:load ~nexts ~dest ~sources;
          nexts)
       dests
   in

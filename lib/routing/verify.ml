@@ -10,7 +10,13 @@ type report = {
   dependency_cycle : (int * int) list option;
 }
 
-let default_sources (t : Table.t) = Network.terminals t.net
+type stats = {
+  loads : int array;
+  pairs : int;
+  unreachable : int;
+  hops : int;
+  max_hops : int;
+}
 
 (* {1 One walk per destination tree}
 
@@ -21,28 +27,50 @@ let default_sources (t : Table.t) = Network.terminals t.net
    loops — as stamp [base + verdict]; [base] itself marks the walk in
    progress, and stamps below it are earlier destinations', so one array
    serves every destination. [walked] lists the nodes settled toward
-   the current destination; the destination itself reaches. *)
+   the current destination, one segment per [settle] in walk order, and
+   [seg] where each segment starts; the destination itself reaches.
+
+   A node that reaches also gets its hop count, and [cross] starts at
+   the number of times it is listed as a source. A segment only ever
+   ends on a node settled before it ([ends]), so the segments last to
+   first, each in walk order, meet every node after all the nodes whose
+   hop leads to it: one pass adding each count onto the next node's
+   leaves at every node the number of listed paths that cross it.
+   Neither means anything where the node does not reach. *)
 
 type walk = {
   stamp : int array;
   walked : int array;
+  seg : int array;
+  ends : int array;
+  hops : int array;
+  cross : int array;
+  net : Network.t;
+  mutable dest : int;
   mutable len : int;
+  mutable segs : int;
   mutable base : int;
 }
 
 let reaches = 1 and dead_end = 2 and loop = 3
 
-let walk nn =
-  { stamp = Array.make nn 0; walked = Array.make nn 0; len = 0; base = 0 }
+let walk net =
+  let a () = Array.make (Network.num_nodes net) 0 in
+  { stamp = a (); walked = a (); seg = a (); ends = a (); hops = a ();
+    cross = a (); net; dest = 0; len = 0; segs = 0; base = 0 }
 
 let start w dest =
   w.base <- w.base + 4;
+  w.dest <- dest;
   w.len <- 0;
-  w.stamp.(dest) <- w.base + reaches
+  w.segs <- 0;
+  w.stamp.(dest) <- w.base + reaches;
+  w.hops.(dest) <- 0;
+  w.cross.(dest) <- 0
 
-let leaves net node c = c >= 0 && Network.src net c = node
+let leaves w node c = c >= 0 && Network.src w.net c = node
 
-let settle w net nexts src =
+let settle w nexts src =
   let first = w.len and node = ref src and verdict = ref 0 in
   while !verdict = 0 do
     let s = w.stamp.(!node) in
@@ -52,115 +80,162 @@ let settle w net nexts src =
       w.walked.(w.len) <- !node;
       w.len <- w.len + 1;
       let c = nexts.(!node) in
-      if leaves net !node c then node := Network.dst net c
+      if leaves w !node c then node := Network.dst w.net c
       else verdict := dead_end
     end
   done;
-  for i = first to w.len - 1 do
-    w.stamp.(w.walked.(i)) <- w.base + !verdict
+  if w.len > first then begin
+    w.seg.(w.segs) <- first;
+    w.ends.(w.segs) <- !node;
+    w.segs <- w.segs + 1
+  end;
+  let h = ref w.hops.(!node) in
+  for i = w.len - 1 downto first do
+    let x = w.walked.(i) in
+    w.stamp.(x) <- w.base + !verdict;
+    incr h;
+    w.hops.(x) <- !h;
+    w.cross.(x) <- 0
   done;
+  if !verdict = reaches && src <> w.dest then
+    w.cross.(src) <- w.cross.(src) + 1;
   !verdict
 
-(* [f c vl] for each hop of a pair that reaches [dest]. *)
-let iter_hops (t : Table.t) nexts ~src ~dest f =
-  let node = ref src and hop = ref 0 in
-  while !node <> dest do
-    let c = nexts.(!node) in
-    f c (Table.vl_of t ~src ~dest ~hop:!hop ~channel:c);
-    node := Network.dst t.net c;
-    incr hop
+(* Passes each reaching node's crossings on to the next node, then
+   [f c paths] for its hop [c]: segments last to first, each in walk
+   order, so every count is complete when its node is met. *)
+let iter_crossed w nexts f =
+  let stop = ref w.len in
+  for s = w.segs - 1 downto 0 do
+    let first = w.seg.(s) in
+    if w.stamp.(w.walked.(first)) = w.base + reaches then
+      for i = first to !stop - 1 do
+        let x = w.walked.(i) in
+        let m = if i + 1 < !stop then w.walked.(i + 1) else w.ends.(s) in
+        w.cross.(m) <- w.cross.(m) + w.cross.(x);
+        f nexts.(x) w.cross.(x)
+      done;
+    stop := first
   done
 
-(* Unreachable pairs and whether no pair loops. The recheck shards over
-   the pool by destination, each domain with its own walk; tallies land
-   in index-slotted arrays and are folded sequentially: sums and
-   conjunctions commute, so the result is identical for any job
-   count. *)
-let tally ~label ~sources (t : Table.t) =
-  let nd = Array.length t.dests in
-  let unreach_of = Array.make nd 0 and cycle_free_of = Array.make nd true in
-  Nue_parallel.Pool.run_with ~label ~n:nd
-    ~init:(fun () -> walk (Network.num_nodes t.net))
-    (fun w pos ->
-       let dest = t.dests.(pos) and nexts = t.next_channel.(pos) in
-       start w dest;
-       Array.iter
-         (fun src ->
-            let v = settle w t.net nexts src in
-            if v <> reaches then unreach_of.(pos) <- unreach_of.(pos) + 1;
-            if v = loop then cycle_free_of.(pos) <- false)
-         sources);
-  (Array.fold_left ( + ) 0 unreach_of, Array.for_all Fun.id cycle_free_of)
+let iter_loads w net ~nexts ~dest ~sources f =
+  if w.net != net then
+    invalid_arg "Verify.iter_loads: walk of another network";
+  start w dest;
+  for i = 0 to Array.length sources - 1 do
+    ignore (settle w nexts sources.(i))
+  done;
+  iter_crossed w nexts f
 
-let induced_vcdg ?sources (t : Table.t) =
-  let sources = match sources with Some s -> s | None -> default_sources t in
+type walked = { g : Digraph.t; s : stats; cycle_free : bool }
+
+(* Everything read from a table, in one walk per destination, in
+   destination order: the pairs that do not reach and whether one loops;
+   with [deps], the induced VCDG; into [lanes], the lanes of the reaching
+   pairs' hops; with [count], the paths crossing each channel and the
+   reaching pairs' hop counts. Dependencies go straight into the digraph;
+   its successor lists are kept sorted, so the graph — and any cycle
+   witness — does not depend on the insertion order. *)
+let walk_table ?sources ?lanes ?(deps = false) ?(count = false) (t : Table.t)
+  =
+  let sources =
+    match sources with Some s -> s | None -> Network.terminals t.net
+  in
   let net = t.net in
   let nc = Network.num_channels net in
-  let g = Digraph.create (nc * max 1 t.num_vls) in
+  let w = walk net and loads = Array.make (if count then nc else 0) 0 in
+  let g = Digraph.create (if deps then nc * max 1 t.num_vls else 0) in
+  let unreachable = ref 0 and cycle_free = ref true in
+  let pairs = ref 0 and hops = ref 0 and max_hops = ref 0 in
   let vid c vl = (vl * nc) + c in
   let add a b = if not (Digraph.mem_edge g a b) then Digraph.add_edge g a b in
-  let w = walk (Network.num_nodes net) in
+  let per_pair =
+    (deps || Option.is_some lanes)
+    && match t.vl with Table.Per_pair _ | Table.Per_hop _ -> true | _ -> false
+  in
   let prev = ref (-1) in
   let hop c vl =
+    (match lanes with Some seen -> Bitset.add seen vl | None -> ());
     let u = vid c vl in
-    if !prev >= 0 then add !prev u;
+    if deps && !prev >= 0 then add !prev u;
     prev := u
   in
-  (* Dependencies go straight into the digraph, one destination after
-     another; its successor lists are kept sorted, so the graph — and
-     any cycle witness — does not depend on the insertion order. *)
   Array.iteri
     (fun pos dest ->
        let nexts = t.next_channel.(pos) in
        start w dest;
-       match t.vl with
-       | Table.All_zero | Table.Per_dest _ ->
-         (* The whole destination tree lives on one VL: every hop walked
-            from a source, whether or not it reaches, waits for the next
-            node's hop. O(|N|) per destination. *)
-         let vl = match t.vl with Table.Per_dest a -> a.(pos) | _ -> 0 in
-         Array.iter (fun src -> ignore (settle w net nexts src)) sources;
-         for i = 0 to w.len - 1 do
-           let x = w.walked.(i) in
-           let c1 = nexts.(x) in
-           if leaves net x c1 then begin
-             let m = Network.dst net c1 in
-             let c2 = nexts.(m) in
-             if m <> dest && leaves net m c2 then add (vid c1 vl) (vid c2 vl)
-           end
-         done
-       | Table.Per_pair _ | Table.Per_hop _ ->
-         (* Lanes may differ per pair: walk each pair that reaches. *)
-         Array.iter
-           (fun src ->
-              if settle w net nexts src = reaches then begin
+       Array.iter
+         (fun src ->
+            let v = settle w nexts src in
+            if v <> reaches then begin
+              incr unreachable;
+              if v = loop then cycle_free := false
+            end
+            else begin
+              if w.hops.(src) > !max_hops then max_hops := w.hops.(src);
+              if per_pair then begin
+                (* Lanes may differ per pair: walk each pair that
+                   reaches. *)
                 prev := -1;
-                iter_hops t nexts ~src ~dest hop
-              end)
-           sources)
+                let node = ref src and i = ref 0 in
+                while !node <> dest do
+                  let c = nexts.(!node) in
+                  hop c (Table.vl_of t ~src ~dest ~hop:!i ~channel:c);
+                  node := Network.dst net c;
+                  incr i
+                done
+              end
+            end)
+         sources;
+       (match t.vl with
+        | (Table.All_zero | Table.Per_dest _) when deps ->
+          (* The whole destination tree lives on one VL: every hop walked
+             from a source, whether or not it reaches, waits for the next
+             node's hop. O(|N|) per destination. *)
+          let vl = match t.vl with Table.Per_dest a -> a.(pos) | _ -> 0 in
+          for i = 0 to w.len - 1 do
+            let x = w.walked.(i) in
+            let c1 = nexts.(x) in
+            if leaves w x c1 then begin
+              let m = Network.dst net c1 in
+              let c2 = nexts.(m) in
+              if m <> dest && leaves w m c2 then add (vid c1 vl) (vid c2 vl)
+            end
+          done
+        | _ -> ());
+       if count then begin
+         iter_crossed w nexts (fun c k ->
+             loads.(c) <- loads.(c) + k;
+             hops := !hops + k);
+         (* Every reaching path ends at the destination. *)
+         pairs := !pairs + w.cross.(dest)
+       end)
     t.dests;
-  g
+  { g; cycle_free = !cycle_free;
+    s = { loads; pairs = !pairs; unreachable = !unreachable; hops = !hops;
+          max_hops = !max_hops } }
 
-let check ?sources (t : Table.t) =
-  let sources = match sources with Some s -> s | None -> default_sources t in
+let checked ?sources ?count (t : Table.t) =
   let nc = Network.num_channels t.net in
-  let unreachable, cycle_free = tally ~label:"verify.check" ~sources t in
-  let cycle = Digraph.find_cycle (induced_vcdg ~sources t) in
-  {
-    connected = unreachable = 0;
-    cycle_free;
-    deadlock_free = cycle = None;
-    unreachable_pairs = unreachable;
-    dependency_cycle =
-      Option.map (List.map (fun v -> (v mod nc, v / nc))) cycle;
-  }
+  let { g; s; cycle_free } = walk_table ?sources ~deps:true ?count t in
+  let cycle = Digraph.find_cycle g in
+  let witness = List.map (fun v -> (v mod nc, v / nc)) in
+  ( { connected = s.unreachable = 0; cycle_free; deadlock_free = cycle = None;
+      unreachable_pairs = s.unreachable;
+      dependency_cycle = Option.map witness cycle },
+    s )
 
-let deadlock_free ?sources t =
-  Digraph.is_acyclic (induced_vcdg ?sources t)
+let check ?sources t = fst (checked ?sources t)
 
-let connected ?sources (t : Table.t) =
-  let sources = match sources with Some s -> s | None -> default_sources t in
-  fst (tally ~label:"verify.connected" ~sources t) = 0
+let measure t = checked ~count:true t
+
+let stats ?sources t = (walk_table ?sources ~count:true t).s
+
+let induced_vcdg ?sources t = (walk_table ?sources ~deps:true t).g
+
+let deadlock_free ?sources t = Digraph.is_acyclic (induced_vcdg ?sources t)
+
+let connected ?sources t = (walk_table ?sources t).s.unreachable = 0
 
 (* {1 Witness rendering}
 
@@ -230,7 +305,6 @@ let cycle_to_dot (t : Table.t) cycle =
   Buffer.contents buf
 
 let vls_used ?sources (t : Table.t) =
-  let sources = match sources with Some s -> s | None -> default_sources t in
   let seen = Bitset.create (max 1 t.num_vls) in
   (match t.vl with
    | Table.All_zero -> Bitset.add seen 0
@@ -239,17 +313,5 @@ let vls_used ?sources (t : Table.t) =
      Array.iter
        (fun per_src -> Array.iter (fun v -> Bitset.add seen v) per_src)
        a
-   | Table.Per_hop _ ->
-     let w = walk (Network.num_nodes t.net) in
-     let add_vl _ v = Bitset.add seen v in
-     Array.iteri
-       (fun pos dest ->
-          let nexts = t.next_channel.(pos) in
-          start w dest;
-          Array.iter
-            (fun src ->
-               if settle w t.net nexts src = reaches then
-                 iter_hops t nexts ~src ~dest add_vl)
-            sources)
-       t.dests);
+   | Table.Per_hop _ -> ignore (walk_table ?sources ~lanes:seen t));
   Bitset.cardinal seen

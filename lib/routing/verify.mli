@@ -11,7 +11,9 @@
     sources reach as reaching, dead-ending or looping. A hop whose
     channel does not leave its node is a dead end: the pair is
     unreachable, and no dependency is read past that hop. O(nodes) per
-    destination (O(hops) per pair with per-pair or per-hop lanes). *)
+    destination (O(hops) per pair with per-pair or per-hop lanes). The
+    engines' balancing ({!iter_loads}) and the table statistics
+    ({!stats}) read the same walk, and count only the pairs that reach. *)
 
 type report = {
   connected : bool;       (** every source reaches every destination *)
@@ -27,6 +29,21 @@ val check : ?sources:int array -> Table.t -> report
     destinations are the table's routed destinations. Allocates
     O(nodes + channels × VLs) words plus the induced VCDG's edges,
     however many pairs the table routes. *)
+
+type stats = {
+  loads : int array;  (** per channel: reaching paths that cross it *)
+  pairs : int;        (** reaching pairs, source <> destination *)
+  unreachable : int;  (** pairs that dead-end or loop *)
+  hops : int;         (** total hops of the reaching pairs *)
+  max_hops : int;
+}
+
+val stats : ?sources:int array -> Table.t -> stats
+(** {!check}'s walk, counted: O(nodes) per destination. *)
+
+val measure : Table.t -> report * stats
+(** {!check} and {!stats} from one walk per destination, from the
+    terminals. *)
 
 val deadlock_free : ?sources:int array -> Table.t -> bool
 
@@ -48,6 +65,19 @@ val render_cycle : Table.t -> (int * int) list -> string
 val cycle_to_dot : Table.t -> (int * int) list -> string
 (** The same witness as a Graphviz digraph (red cycle edges, one box per
     virtual channel). *)
+
+type walk
+(** Scratch for walking the destination trees of one network: six
+    words per node. *)
+
+val walk : Nue_netgraph.Network.t -> walk
+
+val iter_loads : walk -> Nue_netgraph.Network.t -> nexts:int array ->
+  dest:int -> sources:int array -> (int -> int -> unit) -> unit
+(** [iter_loads w net ~nexts ~dest ~sources f] walks the tree [nexts]
+    toward [dest] from every source, then calls [f channel paths] once
+    per channel the reaching paths cross. O(nodes). Raises
+    [Invalid_argument] if [w] was made for another network than [net]. *)
 
 val vls_used : ?sources:int array -> Table.t -> int
 (** Number of distinct virtual lanes actually appearing on the table's

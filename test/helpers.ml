@@ -182,3 +182,10 @@ let table_fingerprint (t : Nue_routing.Table.t) =
           done)
        t.Table.dests);
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* MD5 of the statistics [Experiment.measure] reads from a table, as
+   [Experiment.metrics_to_json] renders them. Must stay in sync with
+   tools/fingerprint.ml. *)
+let metrics_fingerprint table =
+  Experiment.metrics_to_json (Experiment.measure table)
+  |> Nue_pipeline.Json.to_string |> Digest.string |> Digest.to_hex

@@ -2,11 +2,16 @@
    for the CSR adjacency pool.
 
    The equivalence suite pins an MD5 digest for every engine x seeded
-   fixture. The digests were recorded with tools/fingerprint.exe when
-   the hashtable-backed graph core was replaced by the int-indexed
-   CSR/bitset representation; any future change to these tables is a
-   routing-behavior change, not a refactor, and must re-record the
-   digests deliberately (run the tool, explain the diff in the commit).
+   fixture, and a second one of the table's measured statistics
+   ([Experiment.metrics_to_json]). The table digests were recorded with
+   tools/fingerprint.exe when the hashtable-backed graph core was
+   replaced by the int-indexed CSR/bitset representation; any future
+   change to these tables is a routing-behavior change, not a refactor,
+   and must re-record the digests deliberately (run the tool, explain
+   the diff in the commit). The statistics digests come from the same
+   tool, recorded when every statistic moved onto [Verify]'s one walk
+   per destination tree; they move only with a table or with a
+   deliberate change to what a statistic counts.
 
    The recordings were last refreshed when route computation moved to
    batched rounds over the domain pool (see DESIGN.md "Parallel
@@ -148,8 +153,87 @@ let recorded =
        ("nue", "26a43e51a4820da1f9a846c613fbc54a");
        ("fattree", "e34b2bd2ae36f816d889264d03b6ee97") ]) ]
 
-let equivalence_case (name, build) =
-  Alcotest.test_case ("digests: " ^ name) `Quick (fun () ->
+(* [Experiment.metrics_to_json] digests of the same tables. *)
+let recorded_metrics =
+  [ ("ring5",
+     [ ("minhop", "53767ea4a99fdd954305f09ac7fa514d");
+       ("sssp", "24ad079c72ed26e3366cec065a209e7f");
+       ("updown", "980c8f925a6ea6dc942311af812918d6");
+       ("dfsssp", "24ad079c72ed26e3366cec065a209e7f");
+       ("lash", "3d2a2096d8d722ba77af42c523507fea");
+       ("static-cdg", "0f8add64cd649448682669f290a64303");
+       ("nue", "593848f486224345fb47008bc99bb461") ]);
+    ("ring8",
+     [ ("minhop", "dad36840de78a886d553e5c12a27fe8e");
+       ("sssp", "00fc6ba684231bb4ff8e077afc4d570a");
+       ("updown", "cf8740ab79b2c6eae6a2eb7092a5f69e");
+       ("dfsssp", "7bb5258e0e2eb2ce57d9b30b65dadfab");
+       ("lash", "9351ab8331dff8bda0c43950cd8354aa");
+       ("static-cdg", "60fb512a5ada6b25a15c15f8429a6de0");
+       ("nue", "6b13db7736984b0eab12492f30b259a1") ]);
+    ("line6",
+     [ ("minhop", "a1d05f8ade9e8e22e8eb6c0c7024d1fe");
+       ("sssp", "a1d05f8ade9e8e22e8eb6c0c7024d1fe");
+       ("updown", "a1d05f8ade9e8e22e8eb6c0c7024d1fe");
+       ("dfsssp", "a1d05f8ade9e8e22e8eb6c0c7024d1fe");
+       ("lash", "a1d05f8ade9e8e22e8eb6c0c7024d1fe");
+       ("static-cdg", "e694ec4810d93a0d921be3ede42b2458");
+       ("nue", "36f42ce93f41fe8830c5cd4f6bf093e5") ]);
+    ("torus333",
+     [ ("minhop", "91b28e86459fd1ee51d546b952511f49");
+       ("sssp", "a89e1870bce3cf1618ce9ba3eca444ca");
+       ("updown", "106e167cacab52e1591b13f40d65e055");
+       ("dfsssp", "da2df675c70d99caabd0a9589a2dd14f");
+       ("lash", "af0bc56ce785ac4d2bef231c18138864");
+       ("static-cdg", "f6a68b50a59593f41364b203e373fe63");
+       ("nue", "aefebef6c0b24f0b1c78ec05890f2dbd");
+       ("torus2qos", "8d9cc8a4b148210994a4ff43c3fc3fa1") ]);
+    ("torus443",
+     [ ("minhop", "fe8f2d232da40cca9f0f5e0a2363dddf");
+       ("sssp", "6e9ac1bc5572b5c0448bbcf6f1f2b0bb");
+       ("updown", "224f5ec6a592f73001fda507bcfee9b9");
+       ("dfsssp", "71b529a767ef1e3f2ca0e15c334277cb");
+       ("lash", "b4da45aa1d1e9a1b3804da8e333188cc");
+       ("static-cdg", "fee12478b7705936f6137d1b3464f65f");
+       ("nue", "06f9f6c0635b73784832a1a9f208a16e");
+       ("torus2qos", "64723b60e23f40a89a79da6f088b48c8") ]);
+    ("random12",
+     [ ("minhop", "cb2bd0d8f91039d9e3cae3d49c90b49f");
+       ("sssp", "4d55ac93a061c033ced3c468dc6d83c4");
+       ("updown", "9879e9206ca1e8d81d3bacaf55f4af89");
+       ("dfsssp", "2e0349d13f4e435798c81d1935ff0dc4");
+       ("lash", "c6f2d00747a2ffd5a6ccf7a93836499f");
+       ("static-cdg", "927be9a4a5361c0ede7d30e0648dae88");
+       ("nue", "6751cfbdc61cca6484a76201412090f5") ]);
+    ("dense16",
+     [ ("minhop", "8fb2b587fb83e4cc4bc52e0c757aba04");
+       ("sssp", "2fc29884074e5cc3a0808eb25a4c8345");
+       ("updown", "ca90ac5adc1700acef102ae4446979cc");
+       ("dfsssp", "ec2838c5c2ee3253068e2ee124fa4cae");
+       ("lash", "4aa77717521d291af46691799dda5f9b");
+       ("static-cdg", "3d219ce2e44f3e1e80d261f41546fb95");
+       ("nue", "a4acf8c125556026f3aca6fdcf1a964d") ]);
+    ("random20",
+     [ ("minhop", "6ad076658da1d0e8d7646fa0e7adf6d7");
+       ("sssp", "b41fcdf32b16540f99f710bb3579757f");
+       ("updown", "acfc04c3c36957eb3c3d20c50f598d64");
+       ("dfsssp", "9b11dbf1fb38bbd0a758a14d53a52b93");
+       ("lash", "860c634bfbdb7e54d75202e089f9d49d");
+       ("static-cdg", "282935f1836f962fd2af210cd80589d1");
+       ("nue", "60013dd22d82d7a36a81931783de30cc") ]);
+    ("tree442",
+     [ ("minhop", "9d361559e416f87aff199c3f9d143ea3");
+       ("sssp", "09bf2a5f02ee5d32e8badb625e637b5e");
+       ("updown", "86bfe13fbcda8148cc9db32af5a938e9");
+       ("dfsssp", "09bf2a5f02ee5d32e8badb625e637b5e");
+       ("lash", "86bfe13fbcda8148cc9db32af5a938e9");
+       ("static-cdg", "51ca78d0463652b0add1e4d9bccd7a2e");
+       ("nue", "7aff430f508ca6660fc6b839c9cb9435");
+       ("fattree", "8c1c45648b7e5c5d96ae8d628d218437") ]) ]
+
+(* [check name table expected] for every engine pinned in [digests]. *)
+let pinned_case title digests check (name, build) =
+  Alcotest.test_case (title ^ name) `Quick (fun () ->
       let built = build () in
       List.iter
         (fun (engine, expected) ->
@@ -157,11 +241,18 @@ let equivalence_case (name, build) =
            | Error e ->
              Alcotest.failf "%s/%s: %s" name engine (Engine_error.to_string e)
            | Ok table ->
-             Alcotest.(check string)
-               (name ^ "/" ^ engine)
-               expected
-               (Helpers.table_fingerprint table))
-        (List.assoc name recorded))
+             Alcotest.(check string) (name ^ "/" ^ engine) expected
+               (check table))
+        (List.assoc name digests))
+
+let equivalence_case =
+  pinned_case "digests: " recorded Helpers.table_fingerprint
+
+(* The statistics read from the same tables: the verify report, lanes
+   used, edge forwarding index, path lengths and throughput model. A
+   change to how they are computed must leave these unchanged. *)
+let metrics_case =
+  pinned_case "metrics digests: " recorded_metrics Helpers.metrics_fingerprint
 
 (* {1 Adjacency pool} *)
 
@@ -338,6 +429,7 @@ let test_scale_property () =
 let suite =
   [ ( "compact",
       List.map equivalence_case fixtures
+    @ List.map metrics_case fixtures
     @ [ Alcotest.test_case "adjacency basics" `Quick test_adjacency_basic;
         Alcotest.test_case "adjacency growth and teardown" `Quick
           test_adjacency_growth;

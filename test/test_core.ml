@@ -369,7 +369,9 @@ let nue_path_lengths_reasonable () =
      7-10 on random networks of diameter ~4). *)
   let net = Helpers.random_net ~switches:24 ~links:60 ~terminals:2 () in
   let table = Nue.route ~vcs:2 net in
-  let stats = Nue_metrics.Pathstats.compute table in
+  let stats =
+    Nue_metrics.Pathstats.of_stats (Nue_routing.Verify.stats table)
+  in
   let diameter =
     Array.fold_left
       (fun acc s ->

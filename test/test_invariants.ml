@@ -13,7 +13,16 @@
    - engines without [may_disconnect] must route every terminal pair;
    - engines with [respects_vc_budget] may not exceed the VL budget nor
      return [Vc_budget_exceeded];
-   - no engine may surface [Internal] (a trapped exception). *)
+   - no engine may surface [Internal] (a trapped exception).
+
+   The net does not require an [Ok] from every engine, and needs no
+   existence oracle for that: every case here has a deadlock-free
+   routing. Mendlovic and Matias's condition (Existence of Deadlock-Free
+   Routing for Arbitrary Networks) asks for an edge-disjoint in-tree and
+   out-tree rooted at one node, and a connected duplex fabric meets it
+   with the two orientations of one spanning tree ([Network.rev]). An
+   [Unroutable] from a topology-agnostic engine is the engine being
+   conservative, never the fabric forcing it. *)
 
 module Network = Nue_netgraph.Network
 module Prng = Nue_structures.Prng

@@ -151,11 +151,12 @@ let static_cdg_deadlock_free_but_lossy () =
   (* On a sizable torus the a-priori restriction strands pairs — the
      impasse problem of Section 3. *)
   let t = Topology.torus3d ~dims:(4, 4, 4) ~terminals_per_switch:1 () in
-  let table, unreachable = Static_cdg.route ~seed:3 t.Topology.net in
+  let table = Static_cdg.route ~seed:3 t.Topology.net in
+  let r = Verify.check table in
   Alcotest.(check bool) "deadlock-free by construction" true
     (Verify.deadlock_free table);
-  Alcotest.(check bool) "cycle-free" true (Verify.check table).Verify.cycle_free;
-  Alcotest.(check bool) "some pairs stranded" true (unreachable > 0)
+  Alcotest.(check bool) "cycle-free" true r.Verify.cycle_free;
+  Alcotest.(check bool) "some pairs stranded" true (r.Verify.unreachable_pairs > 0)
 
 let static_cdg_contrast_with_nue () =
   (* Same network: the static restriction strands pairs even on simple
@@ -163,9 +164,9 @@ let static_cdg_contrast_with_nue () =
      Nue's incremental restriction placement plus escape paths never
      strands anything. *)
   let net = Helpers.line 5 in
-  let _, unreachable = Static_cdg.route net in
+  let r = Verify.check (Static_cdg.route net) in
   Alcotest.(check bool) "static strands pairs even on a line" true
-    (unreachable > 0);
+    (r.Verify.unreachable_pairs > 0);
   let nue = Nue_core.Nue.route ~vcs:1 net in
   Alcotest.(check bool) "nue strands nothing" true (Verify.connected nue)
 

@@ -29,7 +29,9 @@ let line_loads () =
 let summary_excludes_terminal_links () =
   let net = Helpers.line 3 in
   let table = Minhop.route net in
-  let s = Forwarding_index.summarize table in
+  let s =
+    Forwarding_index.of_loads net (Forwarding_index.per_channel table)
+  in
   (* 4 inter-switch channels: 2, 2 forward; 2, 2 backward. All equal. *)
   Alcotest.(check (float 1e-9)) "min" 2.0 s.Forwarding_index.min;
   Alcotest.(check (float 1e-9)) "max" 2.0 s.Forwarding_index.max;
@@ -48,7 +50,7 @@ let aggregate_means () =
 let pathstats_line () =
   let net = Helpers.line 4 in
   let table = Minhop.route net in
-  let s = Pathstats.compute table in
+  let s = Pathstats.of_stats (Nue_routing.Verify.stats table) in
   Alcotest.(check int) "pairs" 12 s.Pathstats.pairs;
   Alcotest.(check int) "unreachable" 0 s.Pathstats.unreachable;
   (* Longest: end to end = 5 hops (t-s0-s1-s2-s3-t). *)

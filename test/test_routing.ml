@@ -15,6 +15,8 @@ module Lash = Nue_routing.Lash
 module Torus2qos = Nue_routing.Torus2qos
 module Fattree = Nue_routing.Fattree
 module Prng = Nue_structures.Prng
+module Forwarding_index = Nue_metrics.Forwarding_index
+module Pathstats = Nue_metrics.Pathstats
 
 let test_case = Alcotest.test_case
 
@@ -29,9 +31,7 @@ let table_paths () =
    | None -> Alcotest.fail "no path"
    | Some p ->
      (* terminal -> s0 -> s1 -> s2 -> s3 -> terminal = 5 hops. *)
-     Alcotest.(check int) "hop count" 5 (List.length p);
-     Alcotest.(check (option int)) "hop_count agrees" (Some 5)
-       (Table.hop_count table ~src ~dest));
+     Alcotest.(check int) "hop count" 5 (List.length p));
   Alcotest.(check bool) "unknown dest raises" true
     (match Table.path table ~src ~dest:0 with
      | exception Invalid_argument _ -> true
@@ -82,15 +82,30 @@ let balance_loads () =
   let terms = Network.terminals net in
   let table = Minhop.route net in
   let pos = Table.dest_position table terms.(2) in
-  let loads =
-    Balance.channel_loads net ~nexts:table.Table.next_channel.(pos)
-      ~dest:terms.(2) ~sources:terms
-  in
+  let loads = Array.make (Network.num_channels net) 0.0 in
+  Balance.update_weights net ~weights:loads
+    ~nexts:table.Table.next_channel.(pos) ~dest:terms.(2) ~sources:terms;
   (* Both other terminals route through switch link s1->s2. *)
   let c12 = Option.get (Network.find_channel net 1 2) in
-  Alcotest.(check int) "shared middle link" 2 loads.(c12);
+  Alcotest.(check (float 0.)) "shared middle link" 2.0 loads.(c12);
   let c01 = Option.get (Network.find_channel net 0 1) in
-  Alcotest.(check int) "first link carries one" 1 loads.(c01)
+  Alcotest.(check (float 0.)) "first link carries one" 1.0 loads.(c01)
+
+let balance_walk_of_another_network () =
+  let net = Helpers.line 3 in
+  let terms = Network.terminals net in
+  let table = Minhop.route net in
+  let pos = Table.dest_position table terms.(2) in
+  let weights = Array.make (Network.num_channels net) 0.0 in
+  (* An equal network, but another one: its walk is refused. *)
+  let other = Verify.walk (Helpers.line 3) in
+  Alcotest.check_raises "refused"
+    (Invalid_argument "Verify.iter_loads: walk of another network")
+    (fun () ->
+       Balance.update_weights ~walk:other net ~weights
+         ~nexts:table.Table.next_channel.(pos) ~dest:terms.(2) ~sources:terms);
+  Alcotest.(check bool) "weights untouched" true
+    (Array.for_all (fun w -> w = 0.0) weights)
 
 (* {1 Verify} *)
 
@@ -215,6 +230,38 @@ let verify_misdirected_hop_is_dead_end () =
   | _ -> Alcotest.fail "Sim.run accepted a hop that does not leave its node"
   | exception Invalid_argument _ -> ()
 
+(* The same 4-ring, with the row toward t6 broken three ways: a hop that
+   does not leave its node, a dead end at s0, and a loop between s0 and
+   its next switch. Every statistic reads the walk [Verify] reads, so
+   each counts the pairs [Verify] finds unreachable, and the loads are
+   those of the 12 - 1, 12 - 1 and 12 - 2 pairs that still reach. *)
+let statistics_agree_with_verify_on_broken_tables () =
+  let net = Helpers.ring ~terminals:1 4 in
+  let routed = Minhop.route net in
+  let pos = Table.dest_position routed 6 in
+  let s1 = Network.dst net routed.Table.next_channel.(pos).(0) in
+  let back = Option.get (Network.find_channel net s1 0) in
+  List.iter
+    (fun (name, edit, unreachable, total) ->
+       let next_channel = Array.map Array.copy routed.Table.next_channel in
+       edit next_channel.(pos);
+       let t =
+         Table.make ~net ~algorithm:name ~dests:routed.Table.dests
+           ~next_channel ~vl:Table.All_zero ~num_vls:1 ()
+       in
+       let r = Verify.check t and p = Pathstats.of_stats (Verify.stats t) in
+       Alcotest.(check int) (name ^ ": verify") unreachable
+         r.Verify.unreachable_pairs;
+       Alcotest.(check int) (name ^ ": pathstats") unreachable
+         p.Pathstats.unreachable;
+       Alcotest.(check int) (name ^ ": pairs") (12 - unreachable)
+         p.Pathstats.pairs;
+       Alcotest.(check int) (name ^ ": total load") total
+         (Array.fold_left ( + ) 0 (Forwarding_index.per_channel t)))
+    [ ("misdirected hop", (fun row -> row.(4) <- 13), 1, 36);
+      ("dead end", (fun row -> row.(0) <- -1), 1, 36);
+      ("loop", (fun row -> row.(s1) <- back), 2, 33) ]
+
 (* {2 Reference verifier}
 
    A pair-by-pair reference for [Verify]: each (source, destination)
@@ -289,6 +336,71 @@ let reference_verify (t : Table.t) =
     t.Table.dests;
   (!unreachable, !cycle_free, g)
 
+(* Per-pair loads reference: each source's path to [dests.(pos)] is
+   walked hop by hop, charging only the pairs [reference_walk] finds
+   reaching. *)
+let reference_loads (t : Table.t) pos =
+  let net = t.Table.net in
+  let dest = t.Table.dests.(pos) and nexts = t.Table.next_channel.(pos) in
+  let loads = Array.make (Network.num_channels net) 0 in
+  Array.iter
+    (fun src ->
+       if src <> dest && snd (reference_walk t ~src ~dest) = Reaches then begin
+         let node = ref src in
+         while !node <> dest do
+           let c = nexts.(!node) in
+           loads.(c) <- loads.(c) + 1;
+           node := Network.dst net c
+         done
+       end)
+    (Network.terminals net);
+  loads
+
+(* Path lengths of the reaching pairs, pair by pair. *)
+let reference_pathstats (t : Table.t) =
+  let max_hops = ref 0 and total = ref 0 and pairs = ref 0 in
+  let unreachable = ref 0 in
+  Array.iter
+    (fun dest ->
+       Array.iter
+         (fun src ->
+            if src <> dest then
+              match reference_walk t ~src ~dest with
+              | walked, Reaches ->
+                let h = List.length walked in
+                incr pairs;
+                total := !total + h;
+                max_hops := max !max_hops h
+              | _ -> incr unreachable)
+         (Network.terminals t.Table.net))
+    t.Table.dests;
+  { Pathstats.max_hops = !max_hops;
+    avg_hops =
+      (if !pairs = 0 then 0.0 else float_of_int !total /. float_of_int !pairs);
+    pairs = !pairs;
+    unreachable = !unreachable }
+
+(* Per-channel loads, path lengths and each destination's balancing
+   charges all agree with the references. *)
+let statistics_match_reference (t : Table.t) =
+  let net = t.Table.net in
+  let nc = Network.num_channels net in
+  let total = Array.make nc 0 in
+  let charges_match =
+    Array.for_all
+      (fun pos ->
+         let loads = reference_loads t pos in
+         Array.iteri (fun c l -> total.(c) <- total.(c) + l) loads;
+         let weights = Array.make nc 0.0 in
+         Balance.update_weights net ~weights ~nexts:t.Table.next_channel.(pos)
+           ~dest:t.Table.dests.(pos) ~sources:(Network.terminals net);
+         weights = Array.map float_of_int loads)
+      (Array.init (Array.length t.Table.dests) Fun.id)
+  in
+  charges_match
+  && Forwarding_index.per_channel t = total
+  && Pathstats.of_stats (Verify.stats t) = reference_pathstats t
+
 let edges g =
   let acc = ref [] in
   for v = Nue_cdg.Digraph.num_vertices g - 1 downto 0 do
@@ -361,15 +473,21 @@ let qcheck_verify_matches_reference =
             && Verify.connected t = (unreachable = 0)
             && Verify.deadlock_free t = (cycle = None)
             && edges vcdg = edges g
-            && Nue_cdg.Digraph.find_cycle vcdg = cycle)
+            && Nue_cdg.Digraph.find_cycle vcdg = cycle
+            && statistics_match_reference t)
          lanes)
 
-let verify_check_allocation_bounded () =
-  (* The check allocates its walks, the induced VCDG and the cycle
-     search: O(nodes + channels x VLs) words, however many pairs the
-     table routes. *)
+(* Nue at 4 VCs on the 6x6x6 torus with 2 terminals per switch: 186k
+   (source, destination) pairs. *)
+let torus_nue = lazy (
   let net = (Topology.torus3d ~dims:(6, 6, 6) ~terminals_per_switch:2 ()).net in
-  let table = Nue_core.Nue.route ~vcs:4 net in
+  Nue_core.Nue.route ~vcs:4 net)
+
+(* [f] allocates O(nodes + channels x VLs) words, however many pairs the
+   table routes, and reports the table valid. *)
+let allocation_bounded name f () =
+  let table = Lazy.force torus_nue in
+  let net = table.Table.net in
   let size =
     Network.num_nodes net + (Network.num_channels net * table.Table.num_vls)
   in
@@ -378,12 +496,22 @@ let verify_check_allocation_bounded () =
   let r, words =
     Fun.protect
       ~finally:(fun () -> Nue_parallel.Pool.set_default_jobs before)
-      (fun () -> Helpers.words_allocated (fun () -> Verify.check table))
+      (fun () -> Helpers.words_allocated (fun () -> f table))
   in
   Alcotest.(check bool) "valid" true
     (r.Verify.connected && r.Verify.cycle_free && r.Verify.deadlock_free);
   if words > float_of_int (64 * size) then
-    Alcotest.failf "Verify.check allocated %.0f words, bound 64 x %d" words size
+    Alcotest.failf "%s allocated %.0f words, bound 64 x %d" name words size
+
+(* The check allocates its walk, the induced VCDG and the cycle search. *)
+let verify_check_allocation_bounded =
+  allocation_bounded "Verify.check" (fun t -> Verify.check t)
+
+(* Measuring reads the report and every statistic from the same walk,
+   adding only the per-channel loads. *)
+let measure_allocation_bounded =
+  allocation_bounded "Experiment.measure" (fun t ->
+      (Nue_pipeline.Experiment.measure t).Nue_pipeline.Experiment.verify)
 
 (* {1 Layers} *)
 
@@ -464,7 +592,7 @@ let minhop_shortest () =
        Array.iter
          (fun src ->
             if src <> dest then
-              match Table.hop_count table ~src ~dest with
+              match Option.map List.length (Table.path table ~src ~dest) with
               | Some h -> Alcotest.(check int) "minimal" bfs.(src) h
               | None -> Alcotest.fail "unreachable")
          terms)
@@ -558,11 +686,13 @@ let dfsssp_paths_shortest () =
     Array.iter
       (fun src ->
          if src <> first then
-           match Table.hop_count table ~src ~dest:first with
+           match Option.map List.length (Table.path table ~src ~dest:first) with
            | Some h -> Alcotest.(check int) "first dest minimal" bfs.(src) h
            | None -> Alcotest.fail "unreachable")
       terms;
-    let stats = Nue_metrics.Pathstats.compute table in
+    let stats =
+      Nue_metrics.Pathstats.of_stats (Nue_routing.Verify.stats table)
+    in
     Alcotest.(check bool) "bounded stretch" true
       (stats.Nue_metrics.Pathstats.max_hops <= 12)
 
@@ -612,7 +742,10 @@ let torus2qos_intact () =
     Helpers.check_table_valid "torus2qos/intact" table;
     (* DOR on an intact torus is minimal in each dimension-ring. *)
     let terms = Network.terminals torus.Topology.net in
-    (match Table.hop_count table ~src:terms.(0) ~dest:terms.(1) with
+    (match
+       Option.map List.length
+         (Table.path table ~src:terms.(0) ~dest:terms.(1))
+     with
      | Some h -> Alcotest.(check bool) "short path" true (h <= 3)
      | None -> Alcotest.fail "unreachable")
 
@@ -668,7 +801,7 @@ let fattree_shortest () =
          Array.iter
            (fun src ->
               if src <> dest then
-                match Table.hop_count table ~src ~dest with
+                match Option.map List.length (Table.path table ~src ~dest) with
                 | Some h -> Alcotest.(check int) "minimal" bfs.(src) h
                 | None -> Alcotest.fail "unreachable")
            terms)
@@ -685,7 +818,10 @@ let suite =
        test_case "destination-based population" `Quick
          table_next_is_destination_based;
        test_case "vl schemes" `Quick table_vl_schemes ]);
-    ("balance", [ test_case "channel loads" `Quick balance_loads ]);
+    ( "balance",
+      [ test_case "channel loads" `Quick balance_loads;
+        test_case "walk of another network" `Quick
+          balance_walk_of_another_network ] );
     ("verify",
      [ test_case "accepts valid" `Quick verify_accepts_valid;
        test_case "detects forwarding loop" `Quick verify_detects_forwarding_loop;
@@ -693,9 +829,13 @@ let suite =
        test_case "virtual lanes break the cycle" `Quick verify_vls_break_deadlock;
        test_case "a hop that does not leave its node is a dead end" `Quick
          verify_misdirected_hop_is_dead_end;
+       test_case "statistics agree with verify on broken tables" `Quick
+         statistics_agree_with_verify_on_broken_tables;
        QCheck_alcotest.to_alcotest qcheck_verify_matches_reference;
        test_case "allocation independent of pairs" `Quick
-         verify_check_allocation_bounded ]);
+         verify_check_allocation_bounded;
+       test_case "measure allocation independent of pairs" `Quick
+         measure_allocation_bounded ]);
     ("layers",
      [ test_case "ring needs two" `Quick layers_ring_needs_two;
        test_case "tree needs one" `Quick layers_tree_needs_one;

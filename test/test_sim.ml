@@ -337,7 +337,8 @@ let allocation_per_flit_hop () =
     List.fold_left
       (fun acc { Traffic.src; dst; bytes } ->
          let flits = (bytes + config.Sim.flit_bytes - 1) / config.Sim.flit_bytes in
-         acc + (flits * Option.get (Table.hop_count table ~src ~dest:dst)))
+         let path = Option.get (Table.path table ~src ~dest:dst) in
+         acc + (flits * List.length path))
       0 traffic
   in
   let before = Gc.minor_words () in

@@ -1,9 +1,12 @@
 (* Routing-table fingerprints for the representation-equivalence suite.
 
-   Prints one `fixture engine md5` line per engine x seeded-fixture
-   combination. test/test_compact.ml pins these digests: the compact
-   int-indexed graph core must keep every seeded table byte-identical to
-   the hashtable-era tables recorded here. Regenerate with
+   Prints one `fixture engine table-md5 metrics-md5` line per engine x
+   seeded-fixture combination; the second digest is of the table's
+   [Experiment.metrics_to_json] (verify report, lanes, forwarding index,
+   path lengths, throughput model). test/test_compact.ml pins both: the
+   compact int-indexed graph core must keep every seeded table
+   byte-identical to the hashtable-era tables recorded here, and the
+   statistics read from a table must not move either. Regenerate with
 
      dune exec tools/fingerprint.exe
 
@@ -62,6 +65,10 @@ let table_fingerprint (t : Table.t) =
           done)
        t.Table.dests);
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let metrics_fingerprint table =
+  Experiment.metrics_to_json (Experiment.measure table)
+  |> Nue_pipeline.Json.to_string |> Digest.string |> Digest.to_hex
 
 (* Fixtures mirror test/helpers.ml; the builders must stay in sync. *)
 
@@ -152,7 +159,8 @@ let () =
          (fun engine ->
             match Engine.route engine (Experiment.spec ~vcs:8 built) with
             | Ok table ->
-              Printf.printf "%s %s %s\n" name engine (table_fingerprint table)
+              Printf.printf "%s %s %s %s\n" name engine
+                (table_fingerprint table) (metrics_fingerprint table)
             | Error e ->
               Printf.printf "%s %s ERROR:%s\n" name engine
                 (Nue_routing.Engine_error.to_string e))
