@@ -37,20 +37,27 @@ type t = {
      their state is stored: edge c -> q at [off.(c) + pos.(q)], where
      [off] sums the out-degrees of the channels' head nodes and
      [pos.(q)] is q's index among its source's out-channels. Slots of
-     180-degree turns (over any parallel link) are dead and stay 0. *)
+     180-degree turns (over any parallel link) are dead and stay
+     [edge_unused]. *)
   off : int array;
   pos : int array;
-  (* All mutable routing state lives in one int array, so an undo-trail
-     entry names any write by a single index and a replica refresh is
-     one blit. Regions, in order: edge omegas ([0, nslots)), channel
-     omegas, union-find parents, group sizes, and the topological
-     order. Subgraph ids form a union-find forest over [1 .. nc] (at
-     most one fresh id per channel); stored omegas may be stale after
-     merges and [find] canonicalizes on read. The order is a permutation
-     of [0, nc) with ord(c) < ord(q) for every used edge c -> q (Pearce
-     & Kelly, JEA 2006). *)
+  (* One byte per edge slot: [edge_unused], [edge_used] or
+     [edge_blocked]. No subgraph id is stored with an edge: a used
+     edge's id is its tail channel's, since both commit paths of
+     Algorithm 3 ((c) and (d)) count the edge into the group that
+     already holds the tail, and groups only merge. *)
+  edges : Bytes.t;
+  (* The rest of the routing state is one int array. Regions, in order:
+     channel omegas, union-find parents, group sizes, and the
+     topological order. Subgraph ids form a union-find forest over
+     [1 .. nc] (at most one fresh id per channel); stored omegas may be
+     stale after merges and [find] canonicalizes on read. The order is a
+     permutation of [0, nc) with ord(c) < ord(q) for every used edge
+     c -> q (Pearce & Kelly, JEA 2006). Undo-trail entries name a write
+     in one index space: an index below [nslots] is an edge slot, any
+     other is [state.(index - nslots)]. *)
   state : int array;
-  nslots : int; (* also the base of the channel-omega region *)
+  nslots : int;
   nedges : int; (* live slots: |E| of Definition 6 *)
   parent_base : int;
   size_base : int; (* group size: member count (channels + edges) per root *)
@@ -66,8 +73,8 @@ type t = {
   fwd : int array;
   bwd : int array;
   pool : int array;
-  (* Undo trail: (state index, old value) pairs, written only while a
-     checkpoint is open. *)
+  (* Undo trail: (index, old value) pairs in the index space above,
+     written only while a checkpoint is open. *)
   mutable trail : int array;
   mutable tlen : int; (* ints live in [trail] *)
   mutable recording : bool;
@@ -75,6 +82,11 @@ type t = {
   mutable cp_searches : int;
   mutable journal : journal option;
 }
+
+(* Edge states, one byte per slot. *)
+let edge_unused = '\000'
+let edge_used = '\001'
+let edge_blocked = '\002'
 
 let create net =
   let nc = Network.num_channels net in
@@ -96,7 +108,7 @@ let create net =
     done
   done;
   let nslots = off.(nc) in
-  let parent_base = nslots + nc in
+  let parent_base = nc in
   let size_base = parent_base + nc + 1 in
   let ord_base = size_base + nc + 1 in
   let state = Array.make (ord_base + nc) 0 in
@@ -106,8 +118,8 @@ let create net =
   for c = 0 to nc - 1 do
     state.(ord_base + c) <- c
   done;
-  { net; off; pos; state; nslots; nedges = nslots - !dead; parent_base;
-    size_base; ord_base;
+  { net; off; pos; edges = Bytes.make nslots edge_unused; state; nslots;
+    nedges = nslots - !dead; parent_base; size_base; ord_base;
     next_id = 1;
     searches = 0;
     stamp = Array.make nc 0;
@@ -128,6 +140,7 @@ let create net =
 let clone t =
   let nc = Array.length t.pos in
   { t with
+    edges = Bytes.copy t.edges;
     state = Array.copy t.state;
     stamp = Array.make nc 0;
     clock = 0;
@@ -142,17 +155,20 @@ let clone t =
 (* Stamps and the clock stay [dst]'s own: they only need to be
    monotone per graph. *)
 let copy_state_into ~src ~dst =
-  if src.net != dst.net || Array.length src.state <> Array.length dst.state
+  if src.net != dst.net
+     || Bytes.length src.edges <> Bytes.length dst.edges
+     || Array.length src.state <> Array.length dst.state
   then invalid_arg "Complete_cdg.copy_state_into: graphs of different networks";
   if dst.recording then
     invalid_arg "Complete_cdg.copy_state_into: checkpoint open on dst";
+  Bytes.blit src.edges 0 dst.edges 0 (Bytes.length src.edges);
   Array.blit src.state 0 dst.state 0 (Array.length src.state);
   dst.next_id <- src.next_id;
   dst.searches <- src.searches
 
-(* Every state write goes through [set]; while a checkpoint is open it
-   first saves the old value on the trail. *)
-let save t i =
+(* Every state write goes through [set] or [set_edge]; while a
+   checkpoint is open it first saves the old value on the trail. *)
+let save t i old =
   let n = t.tlen in
   if n + 2 > Array.length t.trail then begin
     let bigger = Array.make (2 * Array.length t.trail) 0 in
@@ -160,12 +176,16 @@ let save t i =
     t.trail <- bigger
   end;
   t.trail.(n) <- i;
-  t.trail.(n + 1) <- t.state.(i);
+  t.trail.(n + 1) <- old;
   t.tlen <- n + 2
 
 let[@inline] set t i v =
-  if t.recording then save t i;
+  if t.recording then save t (t.nslots + i) t.state.(i);
   t.state.(i) <- v
+
+let set_edge t e v =
+  if t.recording then save t e (Char.code (Bytes.get t.edges e));
+  Bytes.set t.edges e v
 
 let checkpoint t =
   if t.recording then
@@ -178,11 +198,12 @@ let checkpoint t =
 let rollback t =
   if not t.recording then
     invalid_arg "Complete_cdg.rollback: no checkpoint is open";
-  let tr = t.trail and st = t.state in
+  let tr = t.trail and st = t.state and ns = t.nslots in
   let i = ref t.tlen in
   while !i > 0 do
     i := !i - 2;
-    st.(tr.(!i)) <- tr.(!i + 1)
+    let k = tr.(!i) and v = tr.(!i + 1) in
+    if k < ns then Bytes.set t.edges k (Char.chr v) else st.(k - ns) <- v
   done;
   t.tlen <- 0;
   t.recording <- false;
@@ -218,7 +239,7 @@ let is_edge t ~from ~to_ =
   Network.dst net from = Network.src net to_
   && Network.dst net to_ <> Network.src net from
 
-(* State index of the edge [from -> to_]. *)
+(* Slot of the edge [from -> to_]. *)
 let edge t ~from ~to_ =
   if not (is_edge t ~from ~to_) then
     invalid_arg
@@ -255,22 +276,24 @@ let find t x =
   !x
 
 let channel_omega t c =
-  let s = t.state.(t.nslots + c) in
+  let s = t.state.(c) in
   if s <= 0 then s else find t s
 
 let edge_omega t ~from ~to_ =
-  let s = t.state.(edge t ~from ~to_) in
-  if s <= 0 then s else find t s
+  let s = Bytes.get t.edges (edge t ~from ~to_) in
+  if s = edge_used then channel_omega t from
+  else if s = edge_blocked then -1
+  else 0
 
 let add_size t id n = set t (t.size_base + id) (t.state.(t.size_base + id) + n)
 
 let use_channel t c =
-  let s = t.state.(t.nslots + c) in
+  let s = t.state.(c) in
   if s > 0 then find t s
   else begin
     let id = t.next_id in
     t.next_id <- id + 1;
-    set t (t.nslots + c) id;
+    set t c id;
     set t (t.size_base + id) 1;
     (match t.journal with Some j -> jpush j 0 c 0 | None -> ());
     id
@@ -294,10 +317,10 @@ let merge t a b =
     keep
   end
 
-(* [e] is an edge's state index; [id] must be canonical (callers pass
-   a fresh [use_channel]/[merge] result or a [channel_omega] read). *)
+(* [e] is an edge's slot; [id] is its tail's canonical subgraph id
+   (callers pass a [merge] result or a [channel_omega] read). *)
 let mark_edge_used t e id =
-  set t e id;
+  set_edge t e edge_used;
   add_size t id 1
 
 let order t c = t.state.(t.ord_base + c)
@@ -313,7 +336,8 @@ let order t c = t.state.(t.ord_base + c)
 let discover_forward t ~from ~q =
   t.clock <- t.clock + 1;
   let mark = t.clock in
-  let st = t.state and stamp = t.stamp and fwd = t.fwd and ob = t.ord_base in
+  let st = t.state and ed = t.edges and stamp = t.stamp and fwd = t.fwd
+  and ob = t.ord_base in
   let net = t.net in
   let bound = st.(ob + from) in
   stamp.(q) <- mark;
@@ -323,10 +347,11 @@ let discover_forward t ~from ~q =
     let c = fwd.(!i) in
     incr i;
     Obs.incr c_visited;
-    (* Dead slots read 0, so the used test alone skips 180-degree turns. *)
+    (* Dead slots stay unused, so the used test alone skips 180-degree
+       turns. The row holds one slot per entry of [s]. *)
     let s = Network.out_channels net (Network.dst net c) and base = t.off.(c) in
     for k = 0 to Array.length s - 1 do
-      if st.(base + k) >= 1 then begin
+      if Bytes.unsafe_get ed (base + k) = edge_used then begin
         let y = s.(k) in
         if y = from then cycle := true
         else if st.(ob + y) < bound && stamp.(y) <> mark then begin
@@ -344,7 +369,8 @@ let discover_forward t ~from ~q =
 let discover_backward t ~from ~q =
   t.clock <- t.clock + 1;
   let mark = t.clock in
-  let st = t.state and stamp = t.stamp and bwd = t.bwd and ob = t.ord_base in
+  let st = t.state and ed = t.edges and stamp = t.stamp and bwd = t.bwd
+  and ob = t.ord_base in
   let net = t.net and off = t.off in
   let bound = st.(ob + q) in
   stamp.(from) <- mark;
@@ -358,7 +384,7 @@ let discover_backward t ~from ~q =
     let p = Network.in_channels net (Network.src net c) and pc = t.pos.(c) in
     for k = 0 to Array.length p - 1 do
       let a = p.(k) in
-      if st.(off.(a) + pc) >= 1 && st.(ob + a) > bound
+      if Bytes.unsafe_get ed (off.(a) + pc) = edge_used && st.(ob + a) > bound
          && stamp.(a) <> mark
       then begin
         stamp.(a) <- mark;
@@ -463,14 +489,14 @@ let verdict_to_string = function
 let usable t ~from ~to_:q ~commit =
   let e = edge t ~from ~to_:q in
   Obs.incr c_usable;
-  let state = t.state.(e) in
-  if state = -1 then begin
+  let state = Bytes.unsafe_get t.edges e in
+  if state = edge_blocked then begin
     (* (a) known to close a cycle *)
     Obs.incr c_hit_blocked;
     if commit then Obs.incr c_reject;
     Blocked_memo
   end
-  else if state >= 1 then begin
+  else if state = edge_used then begin
     (* (b) already used, already acyclic *)
     Obs.incr c_hit_used;
     if commit then Obs.incr c_accept;
@@ -546,7 +572,7 @@ let usable t ~from ~to_:q ~commit =
       else begin
         if commit then begin
           Obs.incr c_reject;
-          set t e (-1);
+          set_edge t e edge_blocked;
           (match t.journal with Some j -> jpush j 2 from q | None -> ())
         end;
         Search_cycle
@@ -594,8 +620,9 @@ let replay t j =
      | 1 -> if not (try_use_edge t ~from:a ~to_:b) then ok := false
      | _ ->
        let e = edge t ~from:a ~to_:b in
-       if t.state.(e) >= 1 then ok := false
-       else if t.state.(e) = 0 then set t e (-1));
+       let s = Bytes.get t.edges e in
+       if s = edge_used then ok := false
+       else if s = edge_unused then set_edge t e edge_blocked);
     Stdlib.incr i
   done;
   !ok
@@ -606,7 +633,7 @@ let iter_used t f =
     let s = Network.out_channels t.net (Network.dst t.net c)
     and base = t.off.(c) in
     for k = 0 to Array.length s - 1 do
-      if t.state.(base + k) >= 1 then f c s.(k)
+      if Bytes.unsafe_get t.edges (base + k) = edge_used then f c s.(k)
     done
   done
 
@@ -616,13 +643,13 @@ let used_subgraph_acyclic t =
   Digraph.is_acyclic g
 
 let count_states t ~used ~blocked ~unused =
-  (* Dead slots stay 0: take them out of the unused count. *)
+  (* Dead slots stay unused: take them out of the unused count. *)
   unused := !unused - (t.nslots - t.nedges);
   for e = 0 to t.nslots - 1 do
-    let s = t.state.(e) in
-    if s = -1 then incr blocked
-    else if s = 0 then incr unused
-    else incr used
+    let s = Bytes.unsafe_get t.edges e in
+    if s = edge_blocked then incr blocked
+    else if s = edge_used then incr used
+    else incr unused
   done
 
 let cycle_searches t = t.searches

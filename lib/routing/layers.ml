@@ -14,7 +14,7 @@ let path_edges net ~nexts ~dest ~src =
     if node = dest || hops > n then acc
     else begin
       let c = nexts.(node) in
-      if c < 0 then acc
+      if c < 0 || Network.src net c <> node then acc
       else begin
         let acc = match prev with Some p -> (p, c) :: acc | None -> acc in
         walk (Network.dst net c) (Some c) (hops + 1) acc

@@ -16,7 +16,9 @@ val path_edges :
   Nue_netgraph.Network.t -> nexts:int array -> dest:int -> src:int ->
   (int * int) list
 (** Consecutive channel pairs of [src]'s path in the tree [nexts]
-    toward [dest], last pair first (LASH reads switch-level paths). *)
+    toward [dest], last pair first (LASH reads switch-level paths). The
+    path stops at a dead end, including a hop whose channel does not
+    leave its node. *)
 
 val switch_of : Nue_netgraph.Network.t -> int -> int
 (** A switch itself, or the switch a terminal attaches to. *)

@@ -41,7 +41,7 @@ let path t ~src ~dest =
     else if hops > n then None
     else begin
       let c = nexts.(node) in
-      if c < 0 then None
+      if c < 0 || Network.src t.net c <> node then None
       else go (Network.dst t.net c) (hops + 1) (c :: acc)
     end
   in

@@ -53,7 +53,8 @@ val next : t -> node:int -> dest:int -> int
 
 val path : t -> src:int -> dest:int -> int list option
 (** Channel sequence from [src] to [dest]; [None] if the table loops or
-    dead-ends before reaching [dest]. *)
+    dead-ends before reaching [dest]. A hop whose channel does not
+    leave its node is a dead end, as in {!Verify}. *)
 
 val path_nodes : t -> src:int -> dest:int -> int list option
 (** Node sequence from [src] to [dest] inclusive ([src] first); [None]

@@ -303,10 +303,11 @@ let cdg_non_edges_raise () =
     ~admit:(ab.(0), Option.get (Network.find_channel net sb sc))
     ~from:ab.(0) ~to_:back
 
-(* [create] keeps only routing state: the state array (a slot per
-   out-channel of each channel's head, then four per-channel regions)
-   and O(channels) words of layout and scratch besides. Storing the
-   edges themselves would cost a few words more per edge. *)
+(* [create] and [clone] allocate only routing state: a byte per edge
+   slot (a slot per out-channel of each channel's head), ten words per
+   channel of state, layout and scratch, and a fixed undo trail. A word
+   per slot, let alone the edges themselves, would not fit: the tree has
+   over 8 edges per channel. *)
 let cdg_create_footprint () =
   let net = Topology.kary_ntree ~k:8 ~n:3 ~terminals_per_leaf:8 () in
   let nc = Network.num_channels net in
@@ -314,21 +315,22 @@ let cdg_create_footprint () =
   for c = 0 to nc - 1 do
     slots := !slots + Network.degree net (Network.dst net c)
   done;
-  let state = !slots + (4 * nc) + 2 in
-  let words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. major -. promoted
+  let bound = (!slots / 8) + (12 * nc) + 2048 in
+  let cdg, created =
+    Helpers.words_allocated (fun () -> Complete_cdg.create net)
   in
-  let w0 = words () in
-  let cdg = Sys.opaque_identity (Complete_cdg.create net) in
-  let allocated = words () -. w0 in
+  let _, cloned = Helpers.words_allocated (fun () -> Complete_cdg.clone cdg) in
   Alcotest.(check bool) "over 8 edges per channel" true
     (Complete_cdg.num_edges cdg > 8 * nc);
-  Alcotest.(check bool)
-    (Printf.sprintf "%.0f words <= state %d + 8 per channel (%d)" allocated
-       state nc)
-    true
-    (allocated <= float_of_int (state + (8 * nc) + 2048))
+  List.iter
+    (fun (name, words) ->
+       Alcotest.(check bool)
+         (Printf.sprintf
+            "%s: %.0f words <= a byte per slot (%d) + 12 per channel (%d) + 2048"
+            name words !slots nc)
+         true
+         (words <= float_of_int bound))
+    [ ("create", created); ("clone", cloned) ]
 
 let cdg_use_channel_fresh_ids () =
   let net = Helpers.ring5 ~with_terminals:false () in
@@ -610,6 +612,71 @@ let qcheck_speculation_round_trip =
        ok_before && ok_spec && copied && restored && replayed && same_fresh_id
        && Complete_cdg.used_subgraph_acyclic target)
 
+(* A used edge belongs to the subgraph of both its channels: the (c)
+   merge and the (d) admission both put it in the subgraph that already
+   holds its tail, and subgraphs only ever merge. *)
+let used_edges_share_channel_omegas cdg =
+  let ok = ref true in
+  for c = 0 to Complete_cdg.num_channels cdg - 1 do
+    Complete_cdg.iter_succ cdg c (fun q ->
+        let om = Complete_cdg.edge_omega cdg ~from:c ~to_:q in
+        if om >= 1
+           && (om <> Complete_cdg.channel_omega cdg c
+               || om <> Complete_cdg.channel_omega cdg q)
+        then ok := false)
+  done;
+  !ok
+
+(* Random channel uses and edge admissions on a fabric with failed
+   links, cut into sequences by checkpoints, rollbacks and replica
+   refreshes (after a refresh the work goes on on the refreshed copy, as
+   Nue's speculation does). The property is checked after every
+   sequence, on both graphs. *)
+let qcheck_used_edge_omega_is_tails =
+  QCheck2.Test.make ~name:"a used edge's omega is its tail's and its head's"
+    ~count:40
+    QCheck2.Gen.(pair Helpers.arbitrary_net (int_range 0 1_000_000))
+    (fun (net, seed) ->
+       let p = Prng.create seed in
+       let net =
+         (Nue_netgraph.Fault.random_link_failures p net ~fraction:0.1)
+           .Nue_netgraph.Fault.net
+       in
+       let cur = ref (Complete_cdg.create net) in
+       let other = ref (Complete_cdg.clone !cur) in
+       let nc = Complete_cdg.num_channels !cur in
+       let recording = ref false and ok = ref true in
+       let check () =
+         ok := !ok && used_edges_share_channel_omegas !cur
+               && used_edges_share_channel_omegas !other
+       in
+       for _ = 1 to 600 do
+         let c = Prng.int p nc in
+         match Prng.int p 20 with
+         | 0 ->
+           if !recording then Complete_cdg.rollback !cur
+           else Complete_cdg.checkpoint !cur;
+           recording := not !recording;
+           check ()
+         | 1 ->
+           if !recording then Complete_cdg.rollback !cur;
+           recording := false;
+           Complete_cdg.copy_state_into ~src:!cur ~dst:!other;
+           let g = !cur in
+           cur := !other;
+           other := g;
+           check ()
+         | 2 | 3 | 4 -> ignore (Complete_cdg.use_channel !cur c)
+         | _ ->
+           let succ = succs !cur c in
+           if Array.length succ > 0 then
+             ignore
+               (Complete_cdg.try_use_edge !cur ~from:c
+                  ~to_:succ.(Prng.int p (Array.length succ)))
+       done;
+       check ();
+       !ok)
+
 let cdg_rollback_restores_live_graph () =
   (* The same round trip on a fixed fabric, with failures named. *)
   let net = Helpers.random_net ~switches:12 ~links:30 () in
@@ -754,6 +821,7 @@ let suite =
        test_case "omega consistency" `Quick cdg_omega_consistency ]);
     ("cdg:speculation",
      [ QCheck_alcotest.to_alcotest qcheck_speculation_round_trip;
+       QCheck_alcotest.to_alcotest qcheck_used_edge_omega_is_tails;
        test_case "rollback restores the live graph" `Quick
          cdg_rollback_restores_live_graph;
        test_case "replay detects misspeculation" `Quick

@@ -222,6 +222,14 @@ let verify_misdirected_hop_is_dead_end () =
   Alcotest.(check bool) "not connected" false r.Verify.connected;
   Alcotest.(check bool) "a dead end, not a loop" true r.Verify.cycle_free;
   Alcotest.(check bool) "connected agrees" false (Verify.connected table);
+  Alcotest.(check bool) "no path" true (Table.path table ~src:4 ~dest:6 = None);
+  Alcotest.(check bool) "no path with lanes" true
+    (Table.path_with_vls table ~src:4 ~dest:6 = None);
+  (* The same hop at s0: t4's path stops there, before any pair. *)
+  let row = Array.copy routed.Table.next_channel.(pos) in
+  row.(0) <- 13;
+  Alcotest.(check (list (pair int int))) "path edges stop at s0" []
+    (Layers.path_edges net ~nexts:row ~dest:6 ~src:4);
   (* The simulator refuses the same route when it sets up. *)
   match
     Nue_sim.Sim.run table

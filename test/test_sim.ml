@@ -167,7 +167,9 @@ let rejects_non_terminal_endpoints () =
 
 let rejects_route_off_its_channels () =
   (* A table whose next channel does not leave the node it is listed
-     for yields a "route" the simulator could not follow. *)
+     for has no path for that pair: [Table.path] stops at such a hop,
+     as [Verify] does, so the simulator refuses the pair when it sets
+     up. *)
   let net = two_terminals () in
   let good = Minhop.route net in
   let terms = Network.terminals net in
@@ -180,7 +182,7 @@ let rejects_route_off_its_channels () =
       ~vl:Table.All_zero ~num_vls:1 ()
   in
   Alcotest.check_raises "route must follow its channels"
-    (Invalid_argument "Sim.run: route does not follow its channels")
+    (Invalid_argument "Sim.run: unrouted source-destination pair")
     (fun () ->
        ignore (Sim.run bad ~traffic:[ { Traffic.src = a; dst = b; bytes = 64 } ]))
 
