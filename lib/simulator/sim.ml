@@ -10,6 +10,7 @@ let c_cycles = Obs.counter "sim.cycles"
 let c_deadlocks = Obs.counter "sim.deadlocks"
 let c_samples = Obs.counter "sim.telemetry_samples"
 let c_dropped = Obs.counter "sim.packets_dropped"
+let c_arbitrations = Obs.counter "sim.arbitrations"
 
 type config = {
   buffer_flits : int;
@@ -113,19 +114,27 @@ type packet = {
   mutable generation : int;  (** table activations seen when injected *)
 }
 
-(* Checks a route the simulator is about to follow: every hop leaves the
-   node the previous hop entered, starting at [src], on a VL the buffers
-   exist for. The hot loop relies on both. *)
-let check_route net ~vls ~src hops_vls =
-  ignore
-    (List.fold_left
-       (fun node (c, v) ->
-          if Network.src net c <> node then
-            invalid_arg "Sim.run: route does not follow its channels";
-          if v < 0 || v >= vls then
-            invalid_arg "Sim.run: path VL outside the table's VL range";
-          Network.dst net c)
-       src hops_vls)
+(* Checks that a route the simulator is about to follow stays on VLs the
+   buffers exist for. Routes come from [Table.path_with_vls], which stops
+   at a hop that does not leave its node, so a route is already
+   continuous: its first hop leaves the source and every later hop leaves
+   the node the previous one entered. The hot loop relies on both. *)
+let check_route ~vls hops_vls =
+  List.iter
+    (fun (_, v) ->
+       if v < 0 || v >= vls then
+         invalid_arg "Sim.run: path VL outside the table's VL range")
+    hops_vls
+
+(* Index of the lowest set bit of a nonzero int. *)
+let lowest_bit x =
+  let b = ref 0 and x = ref x in
+  if !x land 0xFFFF_FFFF = 0 then (b := 32; x := !x lsr 32);
+  if !x land 0xFFFF = 0 then (b := !b + 16; x := !x lsr 16);
+  if !x land 0xFF = 0 then (b := !b + 8; x := !x lsr 8);
+  if !x land 0xF = 0 then (b := !b + 4; x := !x lsr 4);
+  if !x land 0x3 = 0 then (b := !b + 2; x := !x lsr 2);
+  if !x land 0x1 = 0 then !b + 1 else !b
 
 let validate_telemetry fn (t : telemetry_config) =
   if t.sample_every < 1 then invalid_arg (fn ^ ": sample_every must be >= 1");
@@ -168,7 +177,7 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
        if not (Network.is_terminal net src && Network.is_terminal net dst)
        then invalid_arg "Sim.run: traffic endpoints must be terminals";
        (match Table.path_with_vls table ~src ~dest:dst with
-        | Some hops_vls -> check_route net ~vls ~src hops_vls
+        | Some hops_vls -> check_route ~vls hops_vls
         | None -> invalid_arg "Sim.run: unrouted source-destination pair");
        let remaining = ref bytes in
        while !remaining > 0 do
@@ -249,6 +258,35 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
          done)
       (Network.in_channels net n)
   done;
+  (* What the cycle loop asks of the network, read from arrays: [Network]
+     is compiled opaquely, so its accessors are calls. *)
+  let ch_src = Array.init nc (Network.src net) in
+  let to_terminal =
+    Array.init nc (fun c -> Network.is_terminal net (Network.dst net c))
+  in
+  let node_units =
+    Array.init nn (fun n -> Array.length (Network.in_channels net n) * vls)
+  in
+  (* Wake-up arbitration: one bit per channel, set while the channel's
+     arbitration could go differently from its last failed one. A channel
+     that neither transmits nor drops a packet (both wake it again)
+     sleeps until one of the events that decide its verdict happens: a
+     unit's new head flit requests it, a credit returns to one of its
+     units, its terminal's token bucket fills, or a table is activated.
+     Its output units' owners change only when it transmits, and a staged
+     swap's request only pauses injection, which unblocks nothing. *)
+  let word_bits = Sys.int_size in
+  let awake = Array.make ((nc + word_bits - 1) / word_bits) 0 in
+  let wake c =
+    let w = c / word_bits in
+    awake.(w) <- awake.(w) lor (1 lsl (c mod word_bits))
+  in
+  let wake_all () =
+    for c = 0 to nc - 1 do
+      wake c
+    done
+  in
+  wake_all ();
   (* The link pipe: (landing cycle, unit, flit) triples in a ring. Link
      latency is constant, so send order is landing order. Each channel
      sends at most one flit per cycle and a flit lands [link_latency]
@@ -306,6 +344,19 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
      full-load path byte-identical to an unthrottled run. *)
   let throttled = config.injection_rate < 1.0 in
   let tokens = if throttled then Array.make nn 0.0 else [||] in
+  (* The channels of the sources whose bucket is below one token. Only
+     these refill: a full bucket would stay at exactly 1.0, and one is
+     spent only when full, so it drops to 0.0 and rejoins. A terminal
+     has exactly one out-channel. *)
+  let filling = Array.make (if throttled then nn else 0) 0 in
+  let n_filling = ref 0 in
+  if throttled then
+    for n = 0 to nn - 1 do
+      if inj_next.(n) < inj_end.(n) then begin
+        filling.(!n_filling) <- (Network.out_channels net n).(0);
+        incr n_filling
+      end
+    done;
   Span.exit setup_span;
   (* Deterministic timeline for span events: while the simulator runs,
      span stamps are simulation cycles, offset so they extend the tick
@@ -367,6 +418,7 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
   let activate_swap k =
     active := swap_arr.(k).table;
     incr activations;
+    wake_all ();
     records.(k) <- { records.(k) with activated_at = !cycle };
     if spans_on then
       Span.instant "sim.swap"
@@ -430,7 +482,8 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
       req_prev.(u) <- -1;
       req_next.(u) <- first;
       if first >= 0 then req_prev.(first) <- u;
-      req_first.(o) <- u
+      req_first.(o) <- u;
+      wake o
     end
   in
   let fifo_push u flit =
@@ -463,7 +516,8 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
     pipe.((3 * slot) + 1) <- u;
     pipe.((3 * slot) + 2) <- flit;
     incr pipe_len;
-    moved := true
+    moved := true;
+    wake c
   in
   (* Assign a packet its route from the active table on first contact.
      A pair the active table no longer routes (transient churn states)
@@ -478,7 +532,7 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
       | exception Invalid_argument _ -> false
       | None -> false
       | Some hops_vls ->
-        check_route net ~vls ~src:p.p_src hops_vls;
+        check_route ~vls hops_vls;
         p.hops <- Array.of_list (List.map fst hops_vls);
         p.hop_vl <- Array.of_list (List.map snd hops_vls);
         Array.length p.hops > 0
@@ -499,6 +553,7 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
       else if p.injected = 0 && not (route_packet pid) then begin
         inj_next.(u_node) <- inj_next.(u_node) + 1;
         incr dropped_packets;
+        wake c;
         Obs.incr c_dropped;
         if spans_on then
           Span.counter "sim.packets_dropped"
@@ -517,7 +572,11 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
           p.injected <- p.injected + 1;
           let tail = p.injected = p.flits in
           transmit c u (encode pid 0 tail);
-          if throttled then tokens.(u_node) <- tokens.(u_node) -. 1.0;
+          if throttled then begin
+            tokens.(u_node) <- tokens.(u_node) -. 1.0;
+            filling.(!n_filling) <- c;
+            incr n_filling
+          end;
           if tail then inj_next.(u_node) <- inj_next.(u_node) + 1;
           true
         end
@@ -532,7 +591,7 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
   let try_forward c u_node =
     req_first.(c) >= 0
     && begin
-      let n_units = Array.length (Network.in_channels net u_node) * vls in
+      let n_units = node_units.(u_node) in
       let start = (!cycle + c) mod n_units in
       let best = ref (-1) in
       let best_dist = ref n_units in
@@ -559,6 +618,7 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
         let out = req.(v) in
         fifo_pop v;
         credits.(v) <- credits.(v) + 1;
+        wake (v / vls);
         transmit c out
           (encode (flit_pid flit) (flit_hop flit + 1) (flit land 1 = 1));
         true
@@ -566,7 +626,7 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
     end
   in
   let arbitrate_channel c =
-    let u_node = Network.src net c in
+    let u_node = ch_src.(c) in
     if req_first.(c) >= 0 || inj_next.(u_node) < inj_end.(u_node) then begin
       (* Alternate injection/through priority so neither starves. *)
       if !cycle land 1 = 0 then begin
@@ -624,21 +684,46 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
     List.map (fun unit -> (unit / vls, unit mod vls)) !cycle_units
   in
   let deadlocked = ref false in
+  let arbitrations = ref 0 in
   while
     !delivered_packets + !dropped_packets < total_packets
     && (not !deadlocked)
     && !cycle < config.max_cycles
   do
     moved := false;
-    if throttled then
-      for n = 0 to nn - 1 do
-        (* [Float.min 1.0] on a non-NaN sum, without boxing. *)
+    if throttled then begin
+      let i = ref 0 in
+      while !i < !n_filling do
+        let c = filling.(!i) in
+        let n = ch_src.(c) in
         let t = tokens.(n) +. config.injection_rate in
-        tokens.(n) <- (if t > 1.0 then 1.0 else t)
-      done;
+        (* Full: cap at exactly one token and leave the list. *)
+        if t >= 1.0 then begin
+          tokens.(n) <- 1.0;
+          wake c;
+          decr n_filling;
+          filling.(!i) <- filling.(!n_filling)
+        end
+        else begin
+          tokens.(n) <- t;
+          incr i
+        end
+      done
+    end;
     process_swaps ();
-    for c = 0 to nc - 1 do
-      arbitrate_channel c
+    (* Awake channels in ascending order, as a sweep of every channel
+       would visit them. The word is re-read after each arbitration, so a
+       channel woken above the current one still arbitrates this cycle;
+       one woken below it already had its turn and waits for the next. *)
+    for w = 0 to Array.length awake - 1 do
+      let b = ref 0 in
+      while !b < word_bits && awake.(w) lsr !b <> 0 do
+        let bit = !b + lowest_bit (awake.(w) lsr !b) in
+        awake.(w) <- awake.(w) land lnot (1 lsl bit);
+        incr arbitrations;
+        arbitrate_channel ((w * word_bits) + bit);
+        b := bit + 1
+      done
     done;
     (* Land flits whose wire time elapsed. *)
     while !pipe_len > 0 && pipe.(3 * !pipe_head) <= !cycle do
@@ -646,8 +731,10 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
       let flit = pipe.((3 * !pipe_head) + 2) in
       pipe_head := (if !pipe_head + 1 = pipe_cap then 0 else !pipe_head + 1);
       decr pipe_len;
-      if Network.is_terminal net (Network.dst net (u / vls)) then begin
+      let c = u / vls in
+      if to_terminal.(c) then begin
         credits.(u) <- credits.(u) + 1;
+        wake c;
         deliver flit
       end
       else fifo_push u flit
@@ -662,6 +749,7 @@ let run_impl ~(config : config) ~(telem : telemetry_config option)
   let wait_cycle = if !deadlocked then find_wait_cycle () else [] in
   let cycles = max 1 !cycle in
   Obs.add c_cycles cycles;
+  Obs.add c_arbitrations !arbitrations;
   if !deadlocked then begin
     Obs.incr c_deadlocks;
     if spans_on then

@@ -9,10 +9,12 @@
     outstanding, the run aborts and reports it — routing functions with
     cyclic dependency graphs visibly hang here, Nue's never do.
 
-    A cycle costs O(channels) int reads plus work per head flit that
-    requests an output, and allocates nothing outside telemetry samples:
-    buffers, wires and injection queues are flat int rings (DESIGN.md,
-    "Simulator state and cost model").
+    A cycle arbitrates only the channels woken since their last failed
+    arbitration (by a new head flit requesting them, a returned credit,
+    a refilled token or a table swap), plus a scan of one bit per
+    channel, and allocates nothing outside telemetry samples: buffers,
+    wires and injection queues are flat int rings (DESIGN.md, "Simulator
+    state and cost model").
 
     The optional telemetry sink ({!run_with_telemetry}) samples
     per-link and per-VC buffer occupancy every N cycles into a ring

@@ -8,6 +8,7 @@ module Sim = Nue_sim.Sim
 module Traffic = Nue_sim.Traffic
 module Nue = Nue_core.Nue
 module Prng = Nue_structures.Prng
+module Obs = Nue_obs.Obs
 
 let test_case = Alcotest.test_case
 
@@ -352,6 +353,46 @@ let allocation_per_flit_hop () =
   if per_hop > 4.0 then
     Alcotest.failf "%.1f minor words per flit-hop (limit 4)" per_hop
 
+let arbitrations_follow_events () =
+  (* Every channel arbitrates once at the start; after that, only a wake
+     event lets a channel arbitrate again. Per flit transmit there are at
+     most four: the sender stays awake, the flit becomes a head (at most
+     once per switch it enters), its credit returns, and the token it
+     spent, if injected, is refilled; each source's first refill is one
+     more. This run makes about 8,700 arbitrations under a limit of
+     16,144; a sweep that arbitrates every channel with queued work on
+     every cycle makes 27,577 here. *)
+  let net = torus332 () in
+  let table = Nue.route ~vcs:2 net in
+  let traffic =
+    Traffic.generate (Prng.create 5)
+      (Traffic.Incast { victims = 2; messages_per_source = 2 })
+      net ~message_bytes:2048
+  in
+  let config = { Sim.default_config with injection_rate = 0.25 } in
+  let was = Obs.enabled () in
+  Obs.enable ();
+  Obs.reset ();
+  let out, snap =
+    Fun.protect
+      ~finally:(fun () -> if not was then Obs.disable ())
+      (fun () ->
+         let out = Sim.run ~config table ~traffic in
+         (out, Obs.snapshot ()))
+  in
+  Alcotest.(check int) "all delivered" out.Sim.total_packets
+    out.Sim.delivered_packets;
+  let arbitrations = Obs.find snap "sim.arbitrations" in
+  let transmits = Obs.find snap "sim.flit_transmits" in
+  let channels = Network.num_channels net in
+  let limit = (4 * transmits) + channels + Network.num_terminals net in
+  if arbitrations < channels then
+    Alcotest.failf "%d arbitrations counted for %d channels" arbitrations
+      channels;
+  if arbitrations > limit then
+    Alcotest.failf "%d arbitrations for %d flit transmits (limit %d)"
+      arbitrations transmits limit
+
 (* {1 Golden digests}
 
    Every observable of a run — the outcome, every telemetry sample and
@@ -414,21 +455,23 @@ let golden_telemetry =
 let golden_runs () =
   let net = torus332 () in
   let table = Nue.route ~vcs:2 net in
+  let case name ?(config = Sim.default_config) table spec ~message_bytes =
+    let net = table.Table.net in
+    let traffic = Traffic.generate (Prng.create 5) spec net ~message_bytes in
+    let o, t =
+      Sim.run_with_telemetry ~config ~telemetry:golden_telemetry table ~traffic
+    in
+    (name, digest_run (o, Some t, []))
+  in
+  let rate r = { Sim.default_config with injection_rate = r } in
   let zoo =
     List.concat_map
       (fun spec ->
-         let traffic =
-           Traffic.generate (Prng.create 5) spec net ~message_bytes:512
-         in
          List.map
-           (fun rate ->
-              let config = { Sim.default_config with injection_rate = rate } in
-              let o, t =
-                Sim.run_with_telemetry ~config ~telemetry:golden_telemetry
-                  table ~traffic
-              in
-              ( Printf.sprintf "%s@%g" (Traffic.spec_name spec) rate,
-                digest_run (o, Some t, []) ))
+           (fun r ->
+              case
+                (Printf.sprintf "%s@%g" (Traffic.spec_name spec) r)
+                ~config:(rate r) table spec ~message_bytes:512)
            [ 1.0; 0.25 ])
       Test_traffic.zoo
   in
@@ -456,7 +499,69 @@ let golden_runs () =
     in
     digest_run (o, Some t, [])
   in
-  zoo @ [ ("swaps", swaps); ("ring-deadlock", deadlock) ]
+  let uniform = Traffic.Uniform { messages_per_terminal = 3 } in
+  let incast = Traffic.Incast { victims = 2; messages_per_source = 3 } in
+  (* Rates with no exact binary value. A bucket is only ever spent from
+     exactly 1.0, so a rate's float sum matters below the cap: 0.3 reaches
+     it on the fourth refill, as 0.25 does (the same digest as
+     uniform@0.25), while ten refills of 0.1 sum to 0.9999999999999999
+     and the bucket fills on the eleventh. *)
+  let inexact =
+    [ case "uniform@0.3" ~config:(rate 0.3) table uniform ~message_bytes:512;
+      case "incast@0.1" ~config:(rate 0.1) table incast ~message_bytes:512 ]
+  in
+  (* Long wires over one- and two-flit buffers: most of a unit's credits
+     are on the wire, so sends wait on credits that return late. *)
+  let long_wires =
+    List.map
+      (fun b ->
+         let config =
+           { Sim.default_config with link_latency = 3; buffer_flits = b }
+         in
+         case (Printf.sprintf "uniform@1 latency 3 buffer %d" b) ~config table
+           uniform ~message_bytes:512)
+      [ 1; 2 ]
+  in
+  let faulty_random =
+    let built =
+      Helpers.random_built ~faults:(Nue_pipeline.Experiment.Link_failures 0.1) ()
+    in
+    let table = Nue.route ~vcs:1 built.Nue_pipeline.Experiment.net in
+    List.map
+      (fun r ->
+         case (Printf.sprintf "faulty random vcs 1 uniform@%g" r)
+           ~config:(rate r) table uniform ~message_bytes:512)
+      [ 1.0; 0.3 ]
+  in
+  (* A 4-ary 3-tree carrying one short permutation at a trickle: nearly
+     every channel is idle on nearly every cycle. *)
+  let idle_tree =
+    let net = Nue_netgraph.Topology.kary_ntree ~k:4 ~n:3 ~terminals_per_leaf:2 () in
+    case "idle 4-ary 3-tree permutation@0.07" ~config:(rate 0.07)
+      (Nue.route ~vcs:2 net) Traffic.Random_permutation ~message_bytes:128
+  in
+  (* A swap to a table that routes only half the terminals: packets to
+     the rest are dropped at injection until a staged swap restores the
+     full table. *)
+  let drops =
+    let traffic =
+      List.concat
+        (List.init 2 (fun _ -> Traffic.all_to_all_shift net ~message_bytes:512))
+    in
+    let terms = Network.terminals net in
+    let half =
+      Nue.route ~dests:(Array.sub terms 0 (Array.length terms / 2)) ~vcs:2 net
+    in
+    digest_run
+      (Sim.run_with_swaps ~telemetry:golden_telemetry table
+         ~swaps:
+           [ { Sim.at_cycle = 50; table = half; staged = false };
+             { Sim.at_cycle = 400; table; staged = true } ]
+         ~traffic)
+  in
+  zoo
+  @ [ ("swaps", swaps); ("ring-deadlock", deadlock) ]
+  @ inexact @ long_wires @ faulty_random @ [ idle_tree; ("drops", drops) ]
 
 let golden_digests =
   [ ("shift@1", "f3974f86adc79b6d5364d44106d50aea");
@@ -482,7 +587,15 @@ let golden_digests =
     ("permutation@1", "8318678d98cc00f56273de1873547b61");
     ("permutation@0.25", "6d6d849e402c749bf3bd08ffd0fe1c70");
     ("swaps", "10e1b927a6bbd624dc81a6653cdeecd4");
-    ("ring-deadlock", "41ef7c30e2e7bc561565f77c6573ab4e") ]
+    ("ring-deadlock", "41ef7c30e2e7bc561565f77c6573ab4e");
+    ("uniform@0.3", "aed897b554fa62e4e9bd8c757ba7b391");
+    ("incast@0.1", "13b767617f770796e09558e8c8bcb504");
+    ("uniform@1 latency 3 buffer 1", "95b9fdf3709636c9a460002fb1e0544c");
+    ("uniform@1 latency 3 buffer 2", "b15b48a11ed9d75ce35523620614b562");
+    ("faulty random vcs 1 uniform@1", "4880a6fbd809118a44585a8df179674f");
+    ("faulty random vcs 1 uniform@0.3", "f5570ab0e907da0101f5d8452399c314");
+    ("idle 4-ary 3-tree permutation@0.07", "f3a4918b1932d8b446afe494d679b253");
+    ("drops", "1734576e1cb6f53bf97216a5f10ebac2") ]
 
 let golden_digests_match () =
   Alcotest.(check (list (pair string string)))
@@ -505,7 +618,9 @@ let suite =
        test_case "rejects a route off its channels" `Quick
          rejects_route_off_its_channels;
        test_case "VC trend sanity" `Slow more_vcs_do_not_hurt_much;
-       test_case "allocation per flit-hop" `Quick allocation_per_flit_hop ]);
+       test_case "allocation per flit-hop" `Quick allocation_per_flit_hop;
+       test_case "arbitrations follow events" `Quick
+         arbitrations_follow_events ]);
     ("sim:telemetry",
      [ test_case "observation-only" `Slow telemetry_matches_plain_run;
        test_case "sampling and utilization" `Slow
