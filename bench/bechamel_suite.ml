@@ -39,10 +39,10 @@ let tests () =
       Test.make ~name:"fig9:nue-k1-random"
         (Staged.stage (fun () -> Nue.route ~vcs:1 rnet));
       Test.make ~name:"fig10:dfsssp-dragonfly"
-        (Staged.stage (fun () -> Nue_routing.Dfsssp.route dragonfly));
+        (Staged.stage (fun () -> Nue_routing.Dfsssp.route_structured dragonfly));
       Test.make ~name:"fig11:torus2qos-faulty"
         (Staged.stage (fun () ->
-             Nue_routing.Torus2qos.route ~torus ~remap ()));
+             Nue_routing.Torus2qos.route_structured ~torus ~remap ()));
       (* Substrate kernels: the heap under a Dijkstra-shaped load and
          under a plain insert/extract stream. *)
       Test.make ~name:"substrate:fib-heap-dijkstra"

@@ -2,7 +2,7 @@
 
    One row per engine on the 4.8k-switch fat-tree: the measured Amdahl
    serial fraction, pool utilization and per-phase alloc breakdown from
-   [Experiment.with_profile] — the numeric targets the next perf PR
+   [Experiment.observe [Alloc]] — the numeric targets the next perf PR
    optimizes against (ROADMAP: layer-sequential routing and the serial
    commit fraction). Rows are compact on purpose: the phase map keeps
    the top two levels of the alloc tree only, so the flattened
@@ -82,13 +82,14 @@ let run ~full:_ () =
     (fun (engine, vcs) ->
        let before = Pool.default_jobs () in
        Pool.set_default_jobs jobs;
-       let result, prof =
+       let result, obs =
          Fun.protect
            ~finally:(fun () -> Pool.set_default_jobs before)
            (fun () ->
-              Experiment.with_profile (fun () ->
+              Experiment.observe [ Experiment.Alloc ] (fun () ->
                   Engine.route engine (Engine.spec ~vcs ~dests net)))
        in
+       let prof = obs.Experiment.profile in
        let ok = Result.is_ok result in
        let alloc_mw =
          List.fold_left

@@ -42,10 +42,11 @@ let run ?(full = false) () =
        let built = Experiment.build setup in
        List.iter
          (fun (module E : Engine.ENGINE) ->
-            let o, snap =
-              Experiment.with_trace (fun () ->
+            let o, obs =
+              Experiment.observe [ Experiment.Counters ] (fun () ->
                   Experiment.run ~vcs:8 ~engine:E.name built)
             in
+            let snap = obs.Experiment.counters in
             let c = Obs.find snap in
             let usable = c "cdg.usable_calls" in
             let memo_pct =

@@ -122,13 +122,16 @@ let json_payload built (o : Experiment.outcome) extra =
        ("outcome", Experiment.outcome_to_json o) ]
      @ extra)
 
-(* Run a thunk, tracing it when [--trace] was given; the snapshot is
-   [None] otherwise. *)
-let maybe_trace trace f =
-  if trace then
-    let r, snap = Experiment.with_trace f in
-    (r, Some snap)
-  else (f (), None)
+(* Run a thunk, counting it when [--trace] was given and spanning it
+   when [spans] is set; the counter snapshot is [None] without
+   [--trace]. *)
+let maybe_trace ?(spans = false) trace f =
+  let views =
+    (if trace then [ Experiment.Counters ] else [])
+    @ if spans then [ Experiment.Spans ] else []
+  in
+  let r, o = Experiment.observe views f in
+  (r, if trace then Some o.Experiment.counters else None)
 
 let trace_extra = function
   | None -> []
@@ -313,17 +316,12 @@ let sim_cmd =
       in
       (o, sim)
     in
-    let (o, sim), snap =
-      maybe_trace trace (fun () ->
-          if telemetry_on then begin
-            let r, _events = Experiment.with_spans body in
-            let oc = open_out telemetry_path in
-            output_string oc (Nue_obs.Span.to_chrome_string ());
-            close_out oc;
-            r
-          end
-          else body ())
-    in
+    let (o, sim), snap = maybe_trace ~spans:telemetry_on trace body in
+    if telemetry_on then begin
+      let oc = open_out telemetry_path in
+      output_string oc (Nue_obs.Span.to_chrome_string ());
+      close_out oc
+    end;
     match (o.Experiment.table, sim, format) with
     | Error e, _, `Json ->
       print_endline
@@ -629,11 +627,11 @@ let export_cmd =
    so [explain]/[inspect] pin the engine rather than taking --algorithm
    (a trail for a baseline engine would always come back empty). *)
 let run_with_provenance built vcs =
-  let o, run =
-    Experiment.with_provenance (fun () ->
+  let o, obs =
+    Experiment.observe [ Experiment.Provenance ] (fun () ->
         Experiment.run ~vcs ~engine:"nue" built)
   in
-  match (o.Experiment.table, run) with
+  match (o.Experiment.table, obs.Experiment.provenance) with
   | Error e, _ ->
     Printf.eprintf "routing failed: %s\n" (Engine_error.to_string e);
     exit 1
@@ -996,10 +994,11 @@ let profile_cmd =
   let module P = Nue_obs.Profile in
   let run built algorithm vcs jobs timelines format =
     set_jobs jobs;
-    let o, prof =
-      Experiment.with_profile (fun () ->
+    let o, obs =
+      Experiment.observe [ Experiment.Alloc ] (fun () ->
           Experiment.run ~vcs ~engine:algorithm built)
     in
+    let prof = obs.Experiment.profile in
     match format with
     | `Json ->
       print_endline

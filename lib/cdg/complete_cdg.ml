@@ -332,7 +332,8 @@ let order t c = t.state.(t.ord_base + c)
    Forward from [q]: every channel reachable over used edges whose
    order is below [from]'s. A used path from [q] to [from] only climbs
    in the order, so it stays inside that bound; reaching [from] means
-   the edge [from -> q] would close a cycle, reported as -1 at once. *)
+   the edge [from -> q] would close a cycle, reported at once as minus
+   the number of channels expanded so far (at least 1). *)
 let discover_forward t ~from ~q =
   t.clock <- t.clock + 1;
   let mark = t.clock in
@@ -362,7 +363,7 @@ let discover_forward t ~from ~q =
       end
     done
   done;
-  if !cycle then -1 else !n
+  if !cycle then - !i else !n
 
 (* Backward from [from]: every channel that reaches it over used edges
    and whose order is above [q]'s. *)
@@ -538,7 +539,7 @@ let usable t ~from ~to_:q ~commit =
          so condition (d) must decide acyclicity. When [from] precedes
          [q] in the order, no used path leads back and the order alone
          settles it; otherwise the forward discovery does. One span per
-         recheck; the visited-count delta is its payload. *)
+         recheck; the channels the discovery expanded are its payload. *)
       let traced = Span.enabled () in
       let span =
         if traced then
@@ -546,7 +547,6 @@ let usable t ~from ~to_:q ~commit =
             ~args:[ ("from", Span.Int from); ("to", Span.Int q) ]
         else Span.null_handle
       in
-      let v0 = Obs.peek c_visited in
       let nf =
         if ascending then begin
           Obs.incr c_settled;
@@ -558,7 +558,7 @@ let usable t ~from ~to_:q ~commit =
         Span.exit span
           ~args:
             [ ("cycle_found", Span.Bool (nf < 0));
-              ("visited", Span.Int (Obs.peek c_visited - v0)) ];
+              ("visited", Span.Int (abs nf)) ];
       if nf >= 0 then begin
         (* (d) same subgraph but no used path back: still acyclic. *)
         if commit then begin

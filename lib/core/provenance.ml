@@ -238,21 +238,6 @@ let capture () =
         r_trails =
           Array.of_list (List.rev_map freeze_trail rb.rb_rev_trails) }
 
-let with_recording f =
-  let was = enabled () in
-  enable ();
-  clear ();
-  let finish () =
-    let r = capture () in
-    if not was then disable ();
-    r
-  in
-  match f () with
-  | x -> (x, finish ())
-  | exception e ->
-    ignore (finish ());
-    raise e
-
 (* {1 Explanation} *)
 
 type hop = {

@@ -13,7 +13,8 @@
     default} (its own atomic flag): while disabled, every hook in
     the routing core reduces to a single flag test — no allocation, no
     work — mirroring the discipline of [Nue_obs]. Enable it around one
-    routing computation with {!with_recording}, then derive per-pair
+    routing computation (the [Provenance] view of
+    [Nue_pipeline.Experiment.observe]), then derive per-pair
     {!explanation}s that are cross-checked against the computed table.
 
     Everything recorded is a pure function of the routing inputs, so two
@@ -104,12 +105,6 @@ val enabled : unit -> bool
 val enable : unit -> unit
 
 val disable : unit -> unit
-
-val with_recording : (unit -> 'a) -> 'a * run option
-(** Run a thunk with recording enabled (clearing any partial state
-    first) and capture the trails the routing core recorded. [None]
-    when nothing recorded a run (the thunk did not route with Nue).
-    Restores the previous enabled state, also on exception. *)
 
 val capture : unit -> run option
 (** Take the currently recorded run, clearing the recorder. *)

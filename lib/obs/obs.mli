@@ -1,4 +1,5 @@
-(** Dependency-free counter/timer registry (the observability layer).
+(** Dependency-free counter/timer registry (the counter view of the
+    observability layer).
 
     Every hot layer of the system (CDG construction, the constrained
     Dijkstra, the Fibonacci heap, the engines, the flit simulator)
@@ -11,21 +12,13 @@
     Registration (name → handle) is global and process-wide, matching
     how the paper's quantities (omega-memoization effectiveness, heap op
     counts, per-engine wall time) are reported: as totals over a run.
-    The {e values}, however, are sharded per domain: every domain owns a
-    private set of cells (reached through domain-local storage), so
-    concurrent increments from a domain pool never race. A worker drains
-    its shard when its work ends ({!drain_shard}) and the spawning
-    domain folds it in ({!absorb_shard}); [Nue_parallel.Pool] does this
-    in worker-index order, making merged totals a function of the work
-    performed, not of the schedule. On a single domain nothing changes:
-    {!snapshot}/{!reset}/{!peek} act on the calling domain's shard, and
-    drivers that want per-phase numbers bracket the phase with {!reset}
-    and {!snapshot} as before.
-
-    This library deliberately depends on nothing (not even [unix]):
-    timers read the clock through {!set_clock}, which the pipeline
-    installs as [Unix.gettimeofday] at link time, falling back to
-    [Sys.time] otherwise. *)
+    The {e values} are cells of the calling domain's {!Recorder}: an
+    increment lands in the innermost open span scope's node (the root's
+    when none is open), and {!snapshot} sums the cells over the scope
+    tree. Concurrent increments from a domain pool never race, and
+    [Nue_parallel.Pool] merges what each task counted into the caller's
+    tree in task order, so merged totals are a function of the work
+    performed, not of the schedule. *)
 
 type counter
 (** A named monotonic counter. Registration is idempotent: two
@@ -37,7 +30,7 @@ type timer
 (** {1 Enabling} *)
 
 val enabled : unit -> bool
-(** Instrumentation state; [false] at startup. *)
+(** The counter view; [false] at startup. *)
 
 val enable : unit -> unit
 
@@ -51,16 +44,16 @@ val debug : unit -> bool
 val set_debug : bool -> unit
 
 val set_clock : (unit -> float) -> unit
-(** Install the wall-clock source used by {!time} (seconds, any fixed
-    epoch). Defaults to [Sys.time] (CPU seconds) so the library carries
-    no [unix] dependency; [Nue_pipeline.Experiment] installs
-    [Unix.gettimeofday] when linked. *)
+(** Install the layer's one wall clock ({!Recorder.set_clock}), read by
+    {!time}, the allocation view and the pool's busy timelines. *)
+
+val now : unit -> float
+(** The wall clock's current value. *)
 
 (** {1 Counters} *)
 
 val counter : string -> counter
-(** Register (or look up) the counter with this name. Shard merges sum
-    its per-domain values. *)
+(** Register (or look up) the counter with this name. *)
 
 val incr : counter -> unit
 (** Add 1 when enabled; a single flag test when disabled. Never
@@ -70,7 +63,8 @@ val add : counter -> int -> unit
 (** Add [n] when enabled. Never allocates. *)
 
 val peek : counter -> int
-(** Current value (regardless of the enabled flag). *)
+(** Current total over the calling domain's scope tree (regardless of
+    the enabled flag). *)
 
 (** {1 Timers} *)
 
@@ -92,29 +86,13 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Current values of every registered counter and timer, sorted by
-    name — the order is a function of the names only, never of
-    registration or mutation order. *)
+(** Every registered counter and timer, summed over the calling
+    domain's scope tree and sorted by name — the order is a function of
+    the names only, never of registration or mutation order. *)
 
 val reset : unit -> unit
-(** Zero every counter and timer cell of the calling domain's shard
-    (registrations are kept). *)
-
-(** {1 Shard transfer}
-
-    The merge half of the per-domain sharding: a worker domain calls
-    {!drain_shard} after its tasks finish, hands the result to the
-    spawning domain, and the spawner calls {!absorb_shard}. Counters
-    add, and timers add both seconds and activations. *)
-
-type shard
-(** A drained, immutable copy of one domain's cells. *)
-
-val drain_shard : unit -> shard
-(** Snapshot the calling domain's cells and zero them. *)
-
-val absorb_shard : shard -> unit
-(** Fold a drained shard into the calling domain's cells. *)
+(** {!Recorder.reset}: clear the calling domain's recorder — counters,
+    timers, span events and the scope tree (registrations are kept). *)
 
 val find : snapshot -> string -> int
 (** Counter value in a snapshot; 0 when absent. *)

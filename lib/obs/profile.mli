@@ -15,19 +15,16 @@
 
     Like the rest of the layer, profiling is {e off by default} and
     free while off: {!enabled} is a single atomic load, tested by the
-    pool before any clock read, and the {!Span} scope hooks are
-    uninstalled so span capture is untouched. Enabling the profiler
-    never changes routing results — it only reads [Gc] statistics and
-    the clock — and the span hooks ride on {!Span}'s own enabled flag,
-    so alloc attribution requires span capture to be on (which
-    [Nue_pipeline.Experiment.with_profile] arranges).
+    pool before any clock read. Enabling it switches on the recorder's
+    allocation view: every span scope charges the wall time and [Gc]
+    deltas since the last scope boundary to the innermost open scope's
+    node of the {!Recorder} tree — whether or not the span view fills
+    the event buffer. Profiling never changes routing results: it only
+    reads [Gc] statistics and the clock.
 
-    Attribution is per-domain, exactly like {!Obs} shards: scopes
-    entered on a pool worker accumulate into that worker's tree, which
-    the pool drains at join ({!drain_shard}) and the spawning domain
-    merges under its currently open span ({!absorb_shard}) in
-    worker-index order — a worker's [nue.dest] subtree lands beneath
-    the caller's open [nue.layer] node, where it belongs. *)
+    Pool tasks are captured like every other view ({!Recorder.mark}): a
+    worker's [nue.dest] subtree lands beneath the caller's open
+    [nue.layer] node, where it belongs. *)
 
 (** {1 Enabling} *)
 
@@ -35,34 +32,23 @@ val enabled : unit -> bool
 (** Profiling state; [false] at startup. *)
 
 val enable : unit -> unit
-(** Set the flag and install the {!Span} scope hooks. Does not reset
-    accumulated state — call {!reset} to open a fresh window. *)
+(** Switch the allocation view on. Does not reset accumulated state —
+    call {!reset} and [Span.reset] to open a fresh window. *)
 
 val disable : unit -> unit
-(** Clear the flag and uninstall the scope hooks. *)
-
-val set_clock : (unit -> float) -> unit
-(** Install the wall-clock source (seconds, any fixed epoch) used for
-    the profiling window, per-phase seconds and pool busy segments.
-    Defaults to [Sys.time] so this library stays dependency-free;
-    [Nue_pipeline.Experiment] installs [Unix.gettimeofday] when
-    linked. *)
-
-val now : unit -> float
-(** The current clock value (used by [Nue_parallel.Pool] to stamp busy
-    segments on worker domains). *)
 
 val reset : unit -> unit
-(** Drop all accumulated state of the calling domain and start a new
-    profiling window at [now ()]. *)
+(** Drop the pool regions and rounds and start a new profiling window
+    at [Obs.now ()]. The allocation tree is the recorder's: clear it
+    with [Span.reset]. *)
 
 (** {1 Per-phase GC/alloc accounting}
 
-    One node per span-name stack path. "Inclusive" covers the whole
-    scope, children included; "self" is the scope minus its same-domain
-    children — subtrees merged in from pool workers count toward the
-    parent's inclusive words only, since the parent's own [Gc] deltas
-    never saw them (allocation counters are per-domain). Collection
+    One node per span-name stack path. "Self" is what the node's scope
+    cost while it was the innermost one on its domain; "inclusive" adds
+    every descendant, including subtrees merged from pool tasks.
+    Seconds are the exception: inclusive seconds are the scope's own
+    wall time, since wall time does not add across domains. Collection
     counts are inclusive only. *)
 
 type alloc_node = {
@@ -114,7 +100,8 @@ val record_region : pool_region -> unit
 (** Called by [Nue_parallel.Pool] at join (no-op while disabled). The
     region's wall and busy totals always enter the serial-fraction
     accounting; the region record itself is kept for the report up to a
-    cap (see {!report}). *)
+    cap (see {!report}). Regions and rounds go to one process-wide log,
+    so a pool nested in a pool task is recorded too. *)
 
 (** {1 Speculation outcomes}
 
@@ -167,7 +154,9 @@ type report = {
 }
 
 val report : unit -> report
-(** Snapshot the calling domain's accumulated state. Does not reset. *)
+(** Snapshot the log and, while the allocation view is on, the calling
+    domain's allocation tree ([p_alloc] is empty while it is off). Does
+    not reset. *)
 
 val amdahl_speedup : report -> jobs:int -> float
 (** The speedup Amdahl's law predicts for this report's measured serial
@@ -185,19 +174,3 @@ val timeline : ?width:int -> report -> string
 (** Per-region utilization timelines: one bar per participant, bucketed
     over the region's wall clock ([#] busy >= 2/3 of the bucket, [+]
     partially busy, [.] idle), with busy seconds and chunk counts. *)
-
-(** {1 Shard transfer}
-
-    The pool drains a worker's tree on the worker and absorbs it on the
-    spawning domain (in worker-index order, before {!record_region}),
-    merging it under the caller's innermost open span — or at the root
-    when no span is open. Regions and rounds recorded on a worker (a
-    nested pool would) travel too. *)
-
-type shard
-
-val drain_shard : unit -> shard
-(** Take (and clear) the calling domain's accumulated state. The
-    profiling window stays open. *)
-
-val absorb_shard : shard -> unit

@@ -1,12 +1,12 @@
-type arg =
+type arg = Recorder.arg =
   | Int of int
   | Float of float
   | Str of string
   | Bool of bool
 
-type phase = Begin | End | Instant | Counter
+type phase = Recorder.phase = Begin | End | Instant | Counter
 
-type event = {
+type event = Recorder.event = {
   name : string;
   phase : phase;
   ts : int;
@@ -19,191 +19,75 @@ let null_handle = 0
 
 (* {1 Enabling}
 
-   The tracer carries its own flag, independent of [Obs.on]: counters
-   are cheap enough to run over a whole bench sweep, while span capture
-   buffers events and is usually scoped to a single traced run. The
-   flag and the buffer cap are global configuration ([Atomic]); all
-   recording state below is per-domain. *)
+   The span view fills the calling domain's event buffer; scopes are
+   opened whenever it or the allocation view is on, since both read the
+   scope tree. All recording state lives in [Recorder]. *)
 
-let on = Atomic.make false
+let enabled () = Atomic.get Recorder.views land Recorder.scopes <> 0
 
-let enabled () = Atomic.get on
+let enable () = Recorder.set_view Recorder.spans true
 
-let enable () = Atomic.set on true
-
-let disable () = Atomic.set on false
-
-let capacity = Atomic.make 262_144
+let disable () = Recorder.set_view Recorder.spans false
 
 let set_capacity n =
   if n < 1 then invalid_arg "Span.set_capacity: capacity must be >= 1";
-  Atomic.set capacity n
+  Atomic.set Recorder.capacity n
 
-(* {1 Scope hooks}
+(* {1 Clock}
 
-   One optional global pair of callbacks, fired on every span open and
-   close while capture is enabled. This is the seam [Profile] (the
-   resource-attribution layer) plugs into: it cannot live inside this
-   module without coupling the tracer to [Gc], and it cannot wrap every
-   call site. Hooks see exactly the scopes the buffer sees — including
-   the forced closes of a saturating [exit] — so a hook that maintains
-   its own stack stays in lockstep with the tracer's. [None] (the
-   default) costs one atomic load per scope. *)
+   [set_clock] installs an external integer clock (the simulator plugs
+   its cycle counter in), [use_tick_clock] switches back, jumping the
+   tick past the largest stamp already emitted so the timeline stays
+   monotonic. *)
 
-type scope_hooks = {
-  on_scope_enter : string -> unit;
-  on_scope_exit : string -> unit;
-}
-
-let hooks : scope_hooks option Atomic.t = Atomic.make None
-
-let set_scope_hooks h = Atomic.set hooks h
-
-let hook_enter name =
-  match Atomic.get hooks with
-  | Some h -> h.on_scope_enter name
-  | None -> ()
-
-let hook_exit name =
-  match Atomic.get hooks with
-  | Some h -> h.on_scope_exit name
-  | None -> ()
-
-(* {1 Per-domain recorder}
-
-   Every domain records into its own buffer with its own tick clock and
-   nesting stack, reached through [Domain.DLS] — concurrent spans from
-   a domain pool never interleave mid-nest. The pool cuts each task's
-   events out of whichever buffer recorded them ([mark]/[cut]) and the
-   spawning domain appends them in task order ([absorb]) with fresh
-   local stamps, so the merged timeline is the one a single domain
-   would have recorded.
-
-   The tick default makes timestamps a pure function of the (local)
-   event sequence — two identical seeded single-domain runs serialize
-   identically. [set_clock] installs an external integer clock (the
-   simulator plugs its cycle counter in), [use_tick_clock] switches
-   back, jumping the tick past the largest stamp already emitted so the
-   timeline stays monotonic. *)
-
-type state = {
-  mutable tick : int;
-  mutable last_ts : int;
-  mutable custom_clock : (unit -> int) option;
-  mutable buf : event array;
-  mutable len : int;
-  mutable dropped_events : int;
-  mutable stack : string list;
-  mutable depth : int;
-}
-
-let dummy = { name = ""; phase = Instant; ts = 0; args = [] }
-
-let fresh_state () = {
-  tick = 0;
-  last_ts = 0;
-  custom_clock = None;
-  buf = Array.make 1024 dummy;
-  len = 0;
-  dropped_events = 0;
-  stack = [];
-  depth = 0;
-}
-
-let state_key = Domain.DLS.new_key fresh_state
-
-let st () = Domain.DLS.get state_key
-
-let set_clock f = (st ()).custom_clock <- Some f
+let set_clock f = (Recorder.get ()).Recorder.custom_clock <- Some f
 
 let use_tick_clock () =
-  let s = st () in
-  s.custom_clock <- None;
-  if s.tick <= s.last_ts then s.tick <- s.last_ts + 1
+  let r = Recorder.get () in
+  r.Recorder.custom_clock <- None;
+  if r.Recorder.tick <= r.Recorder.last_ts then
+    r.Recorder.tick <- r.Recorder.last_ts + 1
 
 let now () =
-  let s = st () in
-  match s.custom_clock with Some f -> f () | None -> s.tick
-
-(* Events past the cap are counted as dropped rather than forcing an
-   unbounded trace. The stack bookkeeping keeps running even when
-   events are dropped, so nesting stays consistent. *)
-let record s name phase args =
-  let ts =
-    match s.custom_clock with
-    | Some f -> f ()
-    | None ->
-      let t = s.tick in
-      s.tick <- t + 1;
-      t
-  in
-  if ts > s.last_ts then s.last_ts <- ts;
-  let cap = Atomic.get capacity in
-  if s.len >= Array.length s.buf && Array.length s.buf < cap then begin
-    let nlen = min cap (2 * Array.length s.buf) in
-    let nbuf = Array.make nlen dummy in
-    Array.blit s.buf 0 nbuf 0 s.len;
-    s.buf <- nbuf
-  end;
-  (* The cap may sit below the physical array size (set_capacity after
-     the buffer already grew, or below the initial 1024). *)
-  if s.len < cap && s.len < Array.length s.buf then begin
-    s.buf.(s.len) <- { name; phase; ts; args };
-    s.len <- s.len + 1
-  end
-  else s.dropped_events <- s.dropped_events + 1
+  let r = Recorder.get () in
+  match r.Recorder.custom_clock with Some f -> f () | None -> r.Recorder.tick
 
 (* {1 Nesting}
 
-   [enter] pushes the span name and returns its depth as the handle;
-   [exit] must receive the handle of the innermost open span. A
-   mismatch raises under [Obs.debug] and saturates otherwise: exits
-   with no matching open span are ignored, exits over still-open
-   children close the children first. Totals are never corrupted
-   either way. *)
-
-let push s name =
-  s.stack <- name :: s.stack;
-  s.depth <- s.depth + 1;
-  hook_enter name
-
-let pop_record s args =
-  match s.stack with
-  | [] -> ()
-  | name :: rest ->
-    s.stack <- rest;
-    s.depth <- s.depth - 1;
-    record s name End args;
-    hook_exit name
+   [enter] returns the new depth as the handle; [exit] must receive the
+   handle of the innermost open span. A mismatch raises under
+   [Obs.debug] and saturates otherwise: exits with no matching open
+   span are ignored, exits over still-open children close the children
+   first. Totals are never corrupted either way. *)
 
 let enter ?(args = []) name =
-  if not (Atomic.get on) then null_handle
+  if Atomic.get Recorder.views land Recorder.scopes = 0 then null_handle
   else begin
-    let s = st () in
-    record s name Begin args;
-    push s name;
-    s.depth
+    let r = Recorder.get () in
+    Recorder.enter r name args;
+    r.Recorder.depth
   end
 
 let exit ?(args = []) h =
-  if Atomic.get on && h > null_handle then begin
-    let s = st () in
-    if s.depth < h then begin
+  if Atomic.get Recorder.views land Recorder.scopes <> 0 && h > null_handle
+  then begin
+    let r = Recorder.get () in
+    if r.Recorder.depth < h then begin
       if Obs.debug () then
         invalid_arg "Span.exit: span already closed (double exit)"
     end
     else begin
-      if s.depth > h && Obs.debug () then
+      if r.Recorder.depth > h && Obs.debug () then
         invalid_arg "Span.exit: unclosed child spans";
-      while s.depth > h do
-        pop_record s []
+      while r.Recorder.depth > h do
+        Recorder.exit r []
       done;
-      pop_record s args
+      Recorder.exit r args
     end
   end
 
 let with_ ?args name f =
-  if not (Atomic.get on) then f ()
+  if not (enabled ()) then f ()
   else begin
     let h = enter ?args name in
     match f () with
@@ -216,66 +100,24 @@ let with_ ?args name f =
   end
 
 let instant ?(args = []) name =
-  if Atomic.get on then record (st ()) name Instant args
+  if Atomic.get Recorder.views land Recorder.spans <> 0 then
+    ignore (Recorder.record (Recorder.get ()) name Instant args)
 
 let counter name args =
-  if Atomic.get on then record (st ()) name Counter args
+  if Atomic.get Recorder.views land Recorder.spans <> 0 then
+    ignore (Recorder.record (Recorder.get ()) name Counter args)
 
-let reset () =
-  let s = st () in
-  s.len <- 0;
-  s.dropped_events <- 0;
-  s.tick <- 0;
-  s.last_ts <- 0;
-  s.custom_clock <- None;
-  s.stack <- [];
-  s.depth <- 0
+let reset = Recorder.reset
 
 let events () =
-  let s = st () in
-  Array.to_list (Array.sub s.buf 0 s.len)
+  let r = Recorder.get () in
+  Array.to_list (Array.sub r.Recorder.buf 0 r.Recorder.len)
 
-let num_events () = (st ()).len
+let num_events () = (Recorder.get ()).Recorder.len
 
-let dropped () = (st ()).dropped_events
+let dropped () = (Recorder.get ()).Recorder.dropped
 
-let current_depth () = (st ()).depth
-
-(* {1 Task capture}
-
-   [mark] notes the calling domain's recorder position; [cut] takes the
-   events recorded since, and rewinds the buffer, the tick clock, the
-   largest stamp and the dropped count to the mark, as if the task had
-   never recorded there. [absorb] re-records a cut's events on the
-   calling domain with fresh stamps, preserving order. Recording a task
-   directly and absorbing its cut on the same domain therefore yield the
-   same buffer, whichever domain ran the task: the pool's span output
-   is the same for every job count. Tasks must leave the nesting stack
-   as they found it (spans opened in a task close in it). *)
-
-type mark = { m_len : int; m_tick : int; m_last_ts : int; m_dropped : int }
-
-let mark () =
-  let s = st () in
-  { m_len = s.len; m_tick = s.tick; m_last_ts = s.last_ts;
-    m_dropped = s.dropped_events }
-
-type slice = event list * int
-
-let cut m =
-  let s = st () in
-  let evs = Array.to_list (Array.sub s.buf m.m_len (s.len - m.m_len)) in
-  let dropped = s.dropped_events - m.m_dropped in
-  s.len <- m.m_len;
-  s.tick <- m.m_tick;
-  s.last_ts <- m.m_last_ts;
-  s.dropped_events <- m.m_dropped;
-  (evs, dropped)
-
-let absorb (evs, dropped) =
-  let s = st () in
-  List.iter (fun e -> record s e.name e.phase e.args) evs;
-  s.dropped_events <- s.dropped_events + dropped
+let current_depth () = (Recorder.get ()).Recorder.depth
 
 (* {1 Chrome trace-event serialization}
 
@@ -344,79 +186,43 @@ let add_event b e =
   Buffer.add_char b '}'
 
 let to_chrome_string () =
-  let s = st () in
-  let b = Buffer.create (256 + (96 * s.len)) in
+  let r = Recorder.get () in
+  let b = Buffer.create (256 + (96 * r.Recorder.len)) in
   Buffer.add_string b {|{"traceEvents":[|};
-  for i = 0 to s.len - 1 do
+  for i = 0 to r.Recorder.len - 1 do
     if i > 0 then Buffer.add_char b ',';
-    add_event b s.buf.(i)
+    add_event b r.Recorder.buf.(i)
   done;
   Buffer.add_string b
     (Printf.sprintf
        {|],"displayTimeUnit":"ms","otherData":{"clock":"deterministic-ticks","dropped_events":%d}}|}
-       s.dropped_events);
+       r.Recorder.dropped);
   Buffer.contents b
 
 (* {1 Flamegraph summary}
 
-   Inclusive tick totals aggregated by span-name stack path, rendered as
-   an indented tree sorted by total descending (name as tie-break, so
-   the rendering is deterministic). *)
-
-type node = {
-  mutable total : int;
-  mutable calls : int;
-  children : (string, node) Hashtbl.t;
-}
-
-let fresh_node () = { total = 0; calls = 0; children = Hashtbl.create 4 }
-
-let child_of n name =
-  match Hashtbl.find_opt n.children name with
-  | Some c -> c
-  | None ->
-    let c = fresh_node () in
-    Hashtbl.replace n.children name c;
-    c
+   The scope tree's inclusive tick totals, rendered as an indented tree
+   sorted by total descending (name as tie-break, so the rendering is
+   deterministic). *)
 
 let flamegraph ?(width = 80) () =
-  let s = st () in
-  let root = fresh_node () in
-  (* (node, begin ts) for every open span while walking the buffer. *)
-  let walk_stack = ref [ (root, 0) ] in
-  for i = 0 to s.len - 1 do
-    let e = s.buf.(i) in
-    match e.phase with
-    | Begin ->
-      let parent = fst (List.hd !walk_stack) in
-      walk_stack := (child_of parent e.name, e.ts) :: !walk_stack
-    | End ->
-      (match !walk_stack with
-       | (n, t0) :: (_ :: _ as rest) ->
-         n.total <- n.total + (e.ts - t0);
-         n.calls <- n.calls + 1;
-         walk_stack := rest
-       | _ -> () (* unbalanced End: ignore *))
-    | Instant | Counter -> ()
-  done;
+  let root = (Recorder.get ()).Recorder.root in
   let grand_total =
-    Hashtbl.fold (fun _ c acc -> acc + c.total) root.children 0
+    Hashtbl.fold (fun _ c acc -> acc + c.Recorder.ticks) root.Recorder.children 0
   in
   let b = Buffer.create 512 in
-  let rec render indent n =
-    let kids =
-      Hashtbl.fold (fun name c acc -> (name, c) :: acc) n.children []
-    in
+  let rec render indent (n : Recorder.node) =
+    let kids = Hashtbl.fold (fun name c acc -> (name, c) :: acc) n.children [] in
     let kids =
       List.sort
-        (fun (na, a) (nb, bb) ->
-           match compare bb.total a.total with
+        (fun (na, (a : Recorder.node)) (nb, (bb : Recorder.node)) ->
+           match compare bb.ticks a.ticks with
            | 0 -> compare na nb
            | c -> c)
         kids
     in
     List.iter
-      (fun (name, c) ->
+      (fun (name, (c : Recorder.node)) ->
          let label = String.make (2 * indent) ' ' ^ name in
          let label =
            if String.length label > width - 28 then
@@ -425,15 +231,15 @@ let flamegraph ?(width = 80) () =
          in
          let pct =
            if grand_total = 0 then 0.0
-           else 100.0 *. float_of_int c.total /. float_of_int grand_total
+           else 100.0 *. float_of_int c.ticks /. float_of_int grand_total
          in
          Buffer.add_string b
            (Printf.sprintf "%-*s %10d ticks %6dx %5.1f%%\n" (width - 28)
-              label c.total c.calls pct);
+              label c.ticks c.calls pct);
          render (indent + 1) c)
       kids
   in
-  if grand_total = 0 && Hashtbl.length root.children = 0 then
+  if grand_total = 0 && Hashtbl.length root.Recorder.children = 0 then
     Buffer.add_string b "(no spans recorded)\n"
   else render 0 root;
   Buffer.contents b

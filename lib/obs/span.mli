@@ -13,21 +13,25 @@
     {!enter}/{!exit}/{!instant} are a single flag test with no
     allocation, and {!with_} is a plain call of its thunk.
 
-    The buffer serializes to Chrome trace-event JSON
-    ({!to_chrome_string}) loadable in Perfetto ([ui.perfetto.dev]) or
-    [chrome://tracing], and to a compact text flamegraph
-    ({!flamegraph}). *)
+    Spans are the scopes of the calling domain's {!Recorder}: every
+    open span is a node of its scope tree, where {!Obs} counters and the
+    allocation view ({!Profile}) attach too. The event buffer serializes
+    to Chrome trace-event JSON ({!to_chrome_string}) loadable in
+    Perfetto ([ui.perfetto.dev]) or [chrome://tracing]; the tree's tick
+    totals render as a compact text flamegraph ({!flamegraph}). Both are
+    byte-identical for every job count: [Nue_parallel.Pool] captures
+    each task and absorbs it in task order ({!Recorder.mark}). *)
 
 (** Payload values attached to span begin/end and instant events. *)
-type arg =
+type arg = Recorder.arg =
   | Int of int
   | Float of float
   | Str of string
   | Bool of bool
 
-type phase = Begin | End | Instant | Counter
+type phase = Recorder.phase = Begin | End | Instant | Counter
 
-type event = {
+type event = Recorder.event = {
   name : string;
   phase : phase;
   ts : int;  (** deterministic stamp: tick or external counter value *)
@@ -43,9 +47,13 @@ val null_handle : handle
 (** {1 Enabling} *)
 
 val enabled : unit -> bool
-(** Capture state; [false] at startup. Independent of [Obs]'s flag. *)
+(** Whether scopes are recorded: the span view or the allocation view
+    ({!Profile.enable}) is on. [false] at startup. Call sites that build
+    payloads test it first. *)
 
 val enable : unit -> unit
+(** Switch the span view on: scopes are recorded and events fill the
+    calling domain's buffer. *)
 
 val disable : unit -> unit
 
@@ -66,7 +74,9 @@ val now : unit -> int
 (** {1 Recording} *)
 
 val enter : ?args:(string * arg) list -> string -> handle
-(** Open a span. Disabled: returns {!null_handle} without allocating. *)
+(** Open a span: a scope of the recorder's tree and, under the span
+    view, a [Begin] event. Disabled: returns {!null_handle} without
+    allocating. *)
 
 val exit : ?args:(string * arg) list -> handle -> unit
 (** Close the span opened by {!enter}. Unbalanced use (double exit, or
@@ -81,16 +91,19 @@ val with_ : ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
     plain call of [f]. *)
 
 val instant : ?args:(string * arg) list -> string -> unit
-(** A zero-duration annotation (escape fallback, backtrack, deadlock). *)
+(** A zero-duration annotation (escape fallback, backtrack, deadlock).
+    Recorded under the span view only. *)
 
 val counter : string -> (string * arg) list -> unit
-(** A counter sample: Perfetto renders one time series per key. *)
+(** A counter sample: Perfetto renders one time series per key.
+    Recorded under the span view only. *)
 
 (** {1 Buffer} *)
 
 val reset : unit -> unit
-(** Drop all events, zero the tick, restore the tick clock and empty the
-    nesting stack. Does not change the enabled flag. *)
+(** {!Recorder.reset}: drop all events, zero the tick, restore the tick
+    clock, close every scope and clear the scope tree with its counters.
+    Does not change the enabled flag. *)
 
 val events : unit -> event list
 (** Recorded events, oldest first. *)
@@ -108,54 +121,6 @@ val set_capacity : int -> unit
 val current_depth : unit -> int
 (** Number of currently open spans. *)
 
-(** {1 Scope hooks}
-
-    A single optional global pair of callbacks fired on every span open
-    and close while capture is enabled — the seam the resource
-    profiler ({!Profile}) plugs into. Hooks observe exactly the scopes
-    the buffer records, including the forced child closes of a
-    saturating {!exit}, so a hook maintaining its own stack stays in
-    lockstep. [None] (the default, restored by {!Profile.disable})
-    costs one atomic load per scope. *)
-
-type scope_hooks = {
-  on_scope_enter : string -> unit;
-  on_scope_exit : string -> unit;
-}
-
-val set_scope_hooks : scope_hooks option -> unit
-
-(** {1 Task capture}
-
-    Recording state (buffer, tick clock, nesting stack) is per-domain:
-    spans opened on a pool worker land in that worker's buffer.
-    [Nue_parallel.Pool] brackets every task with {!mark} and {!cut} on
-    whichever domain runs it, and the spawning domain {!absorb}s the
-    cuts in task-index order. Because a cut rewinds the clock, and
-    absorbing re-stamps with the caller's clock, the merged trace is
-    byte-identical to the one a single domain records: span traces,
-    like tables, counters and provenance trails, do not depend on the
-    job count. *)
-
-type mark
-(** A position in the calling domain's recorder. *)
-
-type slice
-(** The events (and dropped count) recorded between a {!mark} and its
-    {!cut}. *)
-
-val mark : unit -> mark
-
-val cut : mark -> slice
-(** Take the events recorded on the calling domain since the mark and
-    rewind the buffer, the tick, the largest stamp and the dropped
-    count to the mark. The mark must come from the same domain, with
-    the nesting stack back at the depth it had then. *)
-
-val absorb : slice -> unit
-(** Append a slice to the calling domain's buffer with fresh local
-    stamps, preserving order; its dropped count accumulates. *)
-
 (** {1 Export} *)
 
 val to_chrome_string : unit -> string
@@ -166,6 +131,7 @@ val to_chrome_string : unit -> string
     unit the format mandates). *)
 
 val flamegraph : ?width:int -> unit -> string
-(** Inclusive tick totals aggregated by span-name stack path, one line
-    per path, children indented under parents, sorted by total
-    descending (deterministic). *)
+(** The scope tree's inclusive tick totals and call counts, one line
+    per span-name path, children indented under parents, sorted by
+    total descending (deterministic). Spans past the buffer cap still
+    count. *)

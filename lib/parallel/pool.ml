@@ -1,5 +1,5 @@
 module Obs = Nue_obs.Obs
-module Span = Nue_obs.Span
+module Recorder = Nue_obs.Recorder
 module Profile = Nue_obs.Profile
 
 let clamp_jobs n = if n < 1 then 1 else n
@@ -53,16 +53,11 @@ let sample_of tk =
     ws_segments = Array.sub tk.tk_segs 0 tk.tk_nsegs;
     ws_dropped_segments = tk.tk_dropped }
 
-(* What a worker domain sends home at join: its observability shards,
-   and its outcome. Shards are drained on the worker (DLS is reachable
-   only from the owning domain) and absorbed on the caller, in
-   worker-index order, so merged totals do not depend on the schedule.
-   The profile shard and busy sample are [None] unless the profiler was
-   enabled when the region started. Span events travel per task instead
-   (see [run_with]). *)
+(* What a worker domain sends home at join: its busy sample ([None]
+   unless the profiler was enabled when the region started) and its
+   outcome. What its tasks recorded travels per task instead (see
+   [run_with]). *)
 type worker_result = {
-  w_obs : Obs.shard;
-  w_profile : Profile.shard option;
   w_sample : Profile.worker_sample option;
   w_exn : exn option;
 }
@@ -74,11 +69,11 @@ let run_with ?jobs ?(chunk = 1) ?(label = "pool") ~n ~init body =
     let nchunks = (n + chunk - 1) / chunk in
     let profiling = Profile.enabled () in
     if jobs = 1 || n = 1 then begin
+      let t0 = if profiling then Obs.now () else 0. in
+      let ctx = init () in
+      for i = 0 to n - 1 do body ctx i done;
       if profiling then begin
-        let t0 = Profile.now () in
-        let ctx = init () in
-        for i = 0 to n - 1 do body ctx i done;
-        let t1 = Profile.now () in
+        let t1 = Obs.now () in
         let tk = new_track () in
         track_chunk tk t0 t1;
         (* The inline path claims the whole range at once; count it as
@@ -93,47 +88,46 @@ let run_with ?jobs ?(chunk = 1) ?(label = "pool") ~n ~init body =
             pr_t1 = t1;
             pr_workers = [| sample_of tk |] }
       end
-      else begin
-        let ctx = init () in
-        for i = 0 to n - 1 do body ctx i done
-      end
     end
     else begin
-      let t_region0 = if profiling then Profile.now () else 0. in
+      let t_region0 = if profiling then Obs.now () else 0. in
       let next = Atomic.make 0 in
       let cancelled = Atomic.make false in
-      (* Each task's span events are cut out of the buffer of whichever
-         domain ran it into the task's slot; the caller absorbs the
-         slots in index order after the join, which reproduces the
-         single-domain trace exactly. *)
-      let spans = Span.enabled () in
-      let slots = if spans then Array.make n None else [||] in
-      let task ctx i =
-        if not spans then body ctx i
-        else begin
-          let m = Span.mark () in
-          match body ctx i with
-          | () -> slots.(i) <- Some (Span.cut m)
-          | exception e ->
-            slots.(i) <- Some (Span.cut m);
-            raise e
-        end
-      in
+      (* One observability capture per task: whatever the task recorded
+         on whichever domain ran it (events, scopes, counters,
+         allocation) is cut into the task's slot, and the caller absorbs
+         the slots in index order after the join, which reproduces the
+         single-domain recording exactly. *)
+      let capturing = Atomic.get Recorder.views <> 0 in
+      let slots = if capturing then Array.make n None else [||] in
       (* Claim chunks until the cursor runs past [n] or a failure
-         elsewhere cancels the remainder. *)
+         elsewhere cancels the remainder. [init] runs inside the
+         participant's first task, so what it records is captured too. *)
       let work tk () =
-        let ctx = init () in
+        let ctx = lazy (init ()) in
+        let run i = body (Lazy.force ctx) i in
+        let task i =
+          if not capturing then run i
+          else begin
+            let m = Recorder.mark () in
+            match run i with
+            | () -> slots.(i) <- Some (Recorder.cut m)
+            | exception e ->
+              slots.(i) <- Some (Recorder.cut m);
+              raise e
+          end
+        in
         let rec loop () =
           if not (Atomic.get cancelled) then begin
             let start = Atomic.fetch_and_add next chunk in
             if start < n then begin
               let stop = min n (start + chunk) in
               (match tk with
-               | None -> for i = start to stop - 1 do task ctx i done
+               | None -> for i = start to stop - 1 do task i done
                | Some tk ->
-                 let t0 = Profile.now () in
-                 for i = start to stop - 1 do task ctx i done;
-                 track_chunk tk t0 (Profile.now ()));
+                 let t0 = Obs.now () in
+                 for i = start to stop - 1 do task i done;
+                 track_chunk tk t0 (Obs.now ()));
               loop ()
             end
           end
@@ -152,10 +146,7 @@ let run_with ?jobs ?(chunk = 1) ?(label = "pool") ~n ~init body =
                 Atomic.set cancelled true;
                 Some e
             in
-            { w_obs = Obs.drain_shard ();
-              w_profile = (if profiling then Some (Profile.drain_shard ()) else None);
-              w_sample = Option.map sample_of tk;
-              w_exn = outcome }))
+            { w_sample = Option.map sample_of tk; w_exn = outcome }))
       in
       let caller_tk = if profiling then Some (new_track ()) else None in
       let caller_exn =
@@ -165,36 +156,24 @@ let run_with ?jobs ?(chunk = 1) ?(label = "pool") ~n ~init body =
           Atomic.set cancelled true;
           Some e
       in
-      let samples =
-        if profiling then Array.make (nworkers + 1) None else [||]
-      in
-      if profiling then samples.(0) <- Option.map sample_of caller_tk;
-      let worker_exn = ref None in
-      Array.iteri
-        (fun w d ->
-           let r = Domain.join d in
-           Obs.absorb_shard r.w_obs;
-           Option.iter Profile.absorb_shard r.w_profile;
-           if profiling then samples.(w + 1) <- r.w_sample;
-           match !worker_exn, r.w_exn with
-           | None, Some _ -> worker_exn := r.w_exn
-           | _ -> ())
-        doms;
-      Array.iter (Option.iter Span.absorb) slots;
+      let results = Array.map Domain.join doms in
+      Array.iter (Option.iter Recorder.absorb) slots;
+      (* Profiling gave every participant a track. *)
       if profiling then
         Profile.record_region
           { Profile.pr_label = label;
             pr_jobs = nworkers + 1;
             pr_tasks = n;
             pr_t0 = t_region0;
-            pr_t1 = Profile.now ();
+            pr_t1 = Obs.now ();
             pr_workers =
-              Array.map
-                (function Some s -> s | None -> sample_of (new_track ()))
-                samples };
-      match caller_exn, !worker_exn with
-      | Some e, _ -> raise e
-      | None, Some e -> raise e
+              Array.append
+                [| sample_of (Option.get caller_tk) |]
+                (Array.map (fun r -> Option.get r.w_sample) results) };
+      match
+        (caller_exn, Array.find_map (fun r -> r.w_exn) results)
+      with
+      | Some e, _ | None, Some e -> raise e
       | None, None -> ()
     end
   end

@@ -12,28 +12,27 @@
 
     Determinism discipline: [body] must write its result into a slot
     determined by the index (e.g. [results.(i) <- ...]), never append to
-    shared state. The per-domain [Obs] counter shards are drained on
-    each worker when its loop ends and absorbed on the calling domain in
-    worker-index order before [run] returns, so merged counter totals
-    are a function of the work performed, not of the schedule. [Span]
-    events are captured per task on whichever domain ran it
-    ({!Nue_obs.Span.cut}) and absorbed by the caller in index order, so
-    a span trace is byte-identical for every job count. Other
-    domain-local state (e.g. provenance trails) must travel through the
-    result slots and be committed by the caller in index order.
+    shared state. While any observability view is on, every task is one
+    capture ({!Nue_obs.Recorder.mark}/[cut]) on whichever domain ran it,
+    and the caller absorbs the captures in index order before [run]
+    returns: the task's span events are re-stamped into the caller's
+    buffer, and its scope subtree (span ticks, [Obs] counters and
+    timers, allocation) merges under the caller's open scope. Traces,
+    flamegraphs, counter totals and allocation trees are therefore the
+    same for every job count. Other domain-local state (e.g. provenance
+    trails) must travel through the result slots and be committed by
+    the caller in index order.
 
     Exceptions raised by [body] cancel the remaining chunks, are
     re-raised on the caller after all domains have joined (caller's own
     exception first, then the first failing worker by index), and do
-    not lose already-drained shards.
+    not lose what the finished tasks recorded.
 
     When [Nue_obs.Profile] is enabled, every run additionally records a
     profiling region named by [?label]: region wall clock, and per
     participant the busy segments and chunk-claim counts that feed the
-    measured Amdahl serial-fraction accounting. Worker profile shards
-    (per-span alloc trees) are absorbed at join in worker-index order,
-    exactly like the counter shards; none of this runs while the
-    profiler is disabled. *)
+    measured Amdahl serial-fraction accounting. None of this runs while
+    the profiler is disabled. *)
 
 val set_default_jobs : int -> unit
 (** Set the process-wide default job count (clamped to >= 1). Read at
@@ -59,8 +58,9 @@ val run_with :
   init:(unit -> 'ctx) ->
   ('ctx -> int -> unit) ->
   unit
-(** Like {!run}, but each participating domain calls [init] once before
-    its first chunk and threads the resulting context through its
+(** Like {!run}, but each participating domain calls [init] once, at
+    its first task, and threads the resulting context through its
     [body] calls — per-domain scratch (arrays, heaps, graph clones)
-    without locking. [init] runs on the worker domain itself, so it
-    should record no spans: on a worker they are not captured. *)
+    without locking. A domain that claims no task never calls it.
+    [init] runs inside the first task's capture, so what it records
+    (counters, say) reaches the caller with that task. *)

@@ -16,15 +16,16 @@ module Prng = Nue_structures.Prng
 module Obs = Nue_obs.Obs
 module Span = Nue_obs.Span
 module Profile = Nue_obs.Profile
+module Recorder = Nue_obs.Recorder
+module Provenance = Nue_core.Provenance
 
 (* Linking the pipeline must yield the complete registry: the baselines
    register from Nue_routing.Engine's own init, Nue from here. *)
 let () = Nue_core.Nue_engine.ensure_registered ()
 
 (* Nue_obs itself is dependency-free and defaults to [Sys.time]; the
-   pipeline has [unix], so give every linked driver real wall clocks. *)
+   pipeline has [unix], so give every linked driver a real wall clock. *)
 let () = Obs.set_clock Unix.gettimeofday
-let () = Profile.set_clock Unix.gettimeofday
 
 let c_runs = Obs.counter "pipeline.runs"
 let c_paths = Obs.counter "pipeline.paths_computed"
@@ -313,21 +314,6 @@ let trace_to_json (s : Obs.snapshot) =
            ("pk_reorder_rate", ratio (c "pk.add_reorder") (c "pk.add_calls"))
          ]) ]
 
-let with_trace f =
-  let was = Obs.enabled () in
-  Obs.enable ();
-  Obs.reset ();
-  let finish () =
-    let s = Obs.snapshot () in
-    if not was then Obs.disable ();
-    s
-  in
-  match f () with
-  | r -> (r, finish ())
-  | exception e ->
-    ignore (finish ());
-    raise e
-
 let sim_to_json (o : Sim.outcome) =
   Json.Obj
     [ ("delivered_packets", Json.Int o.Sim.delivered_packets);
@@ -583,10 +569,6 @@ let sweep_to_json s =
 
 (* {1 Provenance} *)
 
-module Provenance = Nue_core.Provenance
-
-let with_provenance f = Provenance.with_recording f
-
 let check_to_json net (c : Provenance.check) =
   let open Json in
   let base =
@@ -650,37 +632,36 @@ let explanation_to_json (table : Table.t) (e : Provenance.explanation) =
       ("impasses", Int e.Provenance.e_impasses);
       ("hops", List (List.map hop_to_json e.Provenance.e_hops)) ]
 
-let with_spans f =
-  let was = Span.enabled () in
-  Span.reset ();
-  Span.enable ();
-  let finish () =
-    let evs = Span.events () in
-    if not was then Span.disable ();
-    evs
-  in
-  match f () with
-  | r -> (r, finish ())
-  | exception e ->
-    ignore (finish ());
-    raise e
+(* {1 Observation} *)
 
-(* {1 Resource profiling} *)
+type view = Counters | Spans | Alloc | Provenance
 
-let with_profile f =
-  (* Alloc attribution rides on the span scope hooks, so the tracer
-     must be on for the profiled window; both flags are restored. *)
-  let span_was = Span.enabled () in
-  let prof_was = Profile.enabled () in
-  Span.reset ();
-  Span.enable ();
-  Profile.enable ();
+type observation = {
+  counters : Obs.snapshot;
+  profile : Profile.report;
+  provenance : Provenance.run option;
+}
+
+let observe views f =
+  let want v = List.mem v views in
+  let saved = Atomic.get Recorder.views and prov_was = Provenance.enabled () in
+  let bit v b = if want v then b else 0 in
+  Obs.reset ();
   Profile.reset ();
+  ignore (Provenance.capture ());
+  Atomic.set Recorder.views
+    (bit Counters Recorder.counters lor bit Spans Recorder.spans
+     lor bit Alloc Recorder.alloc);
+  if want Provenance then Provenance.enable () else Provenance.disable ();
   let finish () =
-    let report = Profile.report () in
-    if not prof_was then Profile.disable ();
-    if not span_was then Span.disable ();
-    report
+    let o =
+      { counters = Obs.snapshot ();
+        profile = Profile.report ();
+        provenance = (if want Provenance then Provenance.capture () else None) }
+    in
+    Atomic.set Recorder.views saved;
+    if prov_was then Provenance.enable () else Provenance.disable ();
+    o
   in
   match f () with
   | r -> (r, finish ())

@@ -241,13 +241,6 @@ val telemetry_to_json : Nue_sim.Sim.telemetry -> Json.t
 
 (** {1 Provenance (the [explain]/[inspect] layer)} *)
 
-val with_provenance :
-  (unit -> 'a) -> 'a * Nue_core.Provenance.run option
-(** Run a thunk with the routing-provenance recorder enabled and return
-    its result together with the recorded run ([None] if the thunk never
-    routed with Nue). Restores the recorder's previous state, also on
-    exception. *)
-
 val explanation_to_json :
   Nue_routing.Table.t -> Nue_core.Provenance.explanation -> Json.t
 (** The [nue_route explain --format json] rendering: pair metadata
@@ -256,33 +249,42 @@ val explanation_to_json :
     dependency check and the rejected alternatives (including which
     omega condition fired and the deduplicated retry count). *)
 
-(** {1 Tracing (the observability layer)}
+(** {1 Observation (the observability layer)}
 
-    Linking the pipeline installs [Unix.gettimeofday] as
-    {!Nue_obs.Obs}'s clock, so engine timers report wall time. *)
+    Linking the pipeline installs [Unix.gettimeofday] as the layer's
+    wall clock ({!Nue_obs.Obs.set_clock}), so engine timers and profiles
+    report wall time. *)
 
-val with_trace : (unit -> 'a) -> 'a * Nue_obs.Obs.snapshot
-(** Run a thunk with instrumentation enabled (resetting all counters
-    first) and return its result together with the final snapshot.
-    Restores the previous enabled/disabled state afterwards. *)
+type view =
+  | Counters  (** {!Nue_obs.Obs} counters and timers *)
+  | Spans
+      (** the {!Nue_obs.Span} event buffer; the tick tree of
+          {!Nue_obs.Span.flamegraph} comes with it *)
+  | Alloc
+      (** per-scope wall seconds and [Gc] words, pool regions and
+          speculation rounds ({!Nue_obs.Profile}) *)
+  | Provenance
+      (** Nue's per-destination decision trails
+          ({!Nue_core.Provenance}) *)
 
-val with_spans : (unit -> 'a) -> 'a * Nue_obs.Span.event list
-(** Run a thunk with the span tracer reset and enabled and return its
-    result together with the recorded events (render them with
+type observation = {
+  counters : Nue_obs.Obs.snapshot;  (** all zero without [Counters] *)
+  profile : Nue_obs.Profile.report;
+      (** no phases, regions or rounds without [Alloc] *)
+  provenance : Nue_core.Provenance.run option;
+      (** [None] without [Provenance], or when the thunk did not route
+          with Nue *)
+}
+
+val observe : view list -> (unit -> 'a) -> 'a * observation
+(** Run a thunk with exactly these views on, over a cleared recorder,
+    and return its result with what they observed. Span events stay in
+    the calling domain's buffer: render them with
     {!Nue_obs.Span.to_chrome_string} / {!Nue_obs.Span.flamegraph}
-    before the next reset). Restores the tracer's previous
-    enabled/disabled state; the event buffer is left intact so callers
-    can serialize it. On exception the tracer state is still restored. *)
-
-val with_profile : (unit -> 'a) -> 'a * Nue_obs.Profile.report
-(** Run a thunk with the resource profiler enabled over a fresh window
-    and return its result together with the {!Nue_obs.Profile.report}:
-    per-span GC/alloc attribution, pool utilization regions,
-    speculation outcomes, and the measured Amdahl serial fraction. The
-    span tracer is reset and enabled too (alloc attribution rides on
-    its scope hooks); both enabled flags are restored afterwards, also
-    on exception. Profiling never changes routing results — the
-    profiler only reads [Gc.quick_stat] and the clock. *)
+    before the next reset. The previous views are restored afterwards,
+    also on exception. Observing never changes routing results.
+    Observations do not nest: each one starts by clearing the
+    recorder. *)
 
 val profile_to_json : Nue_obs.Profile.report -> Json.t
 (** Render a profile report:

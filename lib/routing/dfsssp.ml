@@ -46,11 +46,6 @@ let route_structured ?dests ?sources ?(max_vls = 8) net =
            ~info:[ ("required_vls", float_of_int layers_used) ]
            ())
 
-let route ?dests ?sources ?max_vls net =
-  match route_structured ?dests ?sources ?max_vls net with
-  | Ok t -> Ok t
-  | Error e -> Error ("dfsssp: " ^ Engine_error.to_string e)
-
 let required_vcs ?dests ?sources net =
   let dests, sources = defaults ?dests ?sources net in
   let next_channel = compute_paths net ~dests ~sources in

@@ -20,15 +20,6 @@ val route_structured :
     [Engine_error.Vc_budget_exceeded] carrying the exact layer count the
     greedy assignment needed. *)
 
-val route :
-  ?dests:int array ->
-  ?sources:int array ->
-  ?max_vls:int ->
-  Nue_netgraph.Network.t ->
-  (Table.t, string) result
-(** Legacy wrapper over {!route_structured} with stringified errors;
-    prefer the engine registry in new code. *)
-
 val paths_only :
   ?dests:int array ->
   ?sources:int array ->

@@ -28,7 +28,8 @@ type t =
       (** A trapped exception — always a bug worth reporting. *)
 
 val to_string : t -> string
-(** Human-readable one-liner (what the legacy [route] wrappers return). *)
+(** Human-readable one-liner (what the CLI prints on a routing
+    failure). *)
 
 val kind : t -> string
 (** Stable machine-readable tag ("vc_budget_exceeded", ...) for JSON. *)

@@ -103,8 +103,3 @@ let route_structured ~k ~n ?dests ?sources net =
         (Table.make ~net ~algorithm:"fattree" ~dests ~next_channel
            ~vl:Table.All_zero ~num_vls:1 ())
   end
-
-let route ~k ~n ?dests ?sources net =
-  match route_structured ~k ~n ?dests ?sources net with
-  | Ok t -> Ok t
-  | Error e -> Error (Engine_error.to_string e)

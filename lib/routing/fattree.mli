@@ -15,12 +15,3 @@ val route_structured :
 (** Canonical entry point (what the {!Engine} registry calls). Networks
     not built by {!Nue_netgraph.Topology.kary_ntree} yield
     [Engine_error.Topology_mismatch]. *)
-
-val route :
-  k:int ->
-  n:int ->
-  ?dests:int array ->
-  ?sources:int array ->
-  Nue_netgraph.Network.t ->
-  (Table.t, string) result
-(** Legacy wrapper over {!route_structured} with stringified errors. *)

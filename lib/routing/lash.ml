@@ -166,11 +166,6 @@ let route_structured ?dests ?sources ?(max_vls = 8) net =
        Error (Engine_error.Vc_budget_exceeded { needed; available = max_vls })
      | None -> Error (Engine_error.Internal "lash: assignment failed"))
 
-let route ?dests ?sources ?max_vls net =
-  match route_structured ?dests ?sources ?max_vls net with
-  | Ok t -> Ok t
-  | Error e -> Error ("lash: " ^ Engine_error.to_string e)
-
 let required_vcs ?dests ?sources net =
   match run ?dests ?sources ~max_layers:None net with
   | Some (_, needed) -> needed

@@ -18,13 +18,5 @@ val route_structured :
     [max_vls] defaults to 8; failures are
     [Engine_error.Vc_budget_exceeded] with the exact requirement. *)
 
-val route :
-  ?dests:int array ->
-  ?sources:int array ->
-  ?max_vls:int ->
-  Nue_netgraph.Network.t ->
-  (Table.t, string) result
-(** Legacy wrapper over {!route_structured} with stringified errors. *)
-
 val required_vcs :
   ?dests:int array -> ?sources:int array -> Nue_netgraph.Network.t -> int

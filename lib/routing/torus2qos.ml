@@ -299,8 +299,3 @@ let route_structured ~torus ~remap ?dests ?sources () =
               dependencies close a cycle (beyond Torus-2QoS's envelope)")
       else Ok table
     end
-
-let route ~torus ~remap ?dests ?sources () =
-  match route_structured ~torus ~remap ?dests ?sources () with
-  | Ok t -> Ok t
-  | Error e -> Error (Engine_error.to_string e)

@@ -23,12 +23,3 @@ val route_structured :
     [Fault.identity torus.net] for the intact torus). Destinations and
     sources default to the faulty network's terminals. Fault patterns
     beyond the Torus-2QoS envelope yield [Engine_error.Unroutable]. *)
-
-val route :
-  torus:Nue_netgraph.Topology.torus ->
-  remap:Nue_netgraph.Fault.remap ->
-  ?dests:int array ->
-  ?sources:int array ->
-  unit ->
-  (Table.t, string) result
-(** Legacy wrapper over {!route_structured} with stringified errors. *)

@@ -189,3 +189,19 @@ let table_fingerprint (t : Nue_routing.Table.t) =
 let metrics_fingerprint table =
   Experiment.metrics_to_json (Experiment.measure table)
   |> Nue_pipeline.Json.to_string |> Digest.string |> Digest.to_hex
+
+(* [Experiment.observe] with one view, returning what that view read.
+   Span events stay in the recorder's buffer. *)
+let counted f =
+  let r, o = Experiment.observe [ Experiment.Counters ] f in
+  (r, o.Experiment.counters)
+
+let spanned f = fst (Experiment.observe [ Experiment.Spans ] f)
+
+let profiled f =
+  let r, o = Experiment.observe [ Experiment.Alloc ] f in
+  (r, o.Experiment.profile)
+
+let with_provenance f =
+  let r, o = Experiment.observe [ Experiment.Provenance ] f in
+  (r, o.Experiment.provenance)

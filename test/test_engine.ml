@@ -1,7 +1,7 @@
 (* Engine-registry and experiment-pipeline tests: the full
    engine x topology matrix (every registered engine against every
-   topology generator at small sizes), the structured error contract,
-   the legacy string-error wrappers and the JSON emitter. *)
+   topology generator at small sizes), the structured error contract
+   and the JSON emitter. *)
 
 module Network = Nue_netgraph.Network
 module Topology = Nue_netgraph.Topology
@@ -163,15 +163,14 @@ let torus2qos_mismatch_not_raise () =
   | Error e -> Alcotest.failf "wrong error: %s" (Engine_error.to_string e)
   | Ok _ -> Alcotest.fail "torus2qos routed without torus metadata"
 
-let legacy_wrappers_still_string () =
+let lash_structured_budget () =
   let built = Helpers.dense_random_built () in
-  let net = built.Experiment.net in
-  (match Nue_routing.Dfsssp.route ~max_vls:1 net with
-   | Error msg -> Alcotest.(check bool) "dfsssp msg" true (String.length msg > 0)
-   | Ok _ -> Alcotest.fail "dfsssp fit one layer");
-  match Nue_routing.Lash.route ~max_vls:1 net with
-  | Error msg -> Alcotest.(check bool) "lash msg" true (String.length msg > 0)
-  | Ok _ -> Alcotest.fail "lash fit one layer"
+  match (Experiment.run ~vcs:1 ~engine:"lash" built).Experiment.table with
+  | Error (Engine_error.Vc_budget_exceeded { needed; available }) ->
+    Alcotest.(check int) "available" 1 available;
+    Alcotest.(check bool) "needed > available" true (needed > available)
+  | Error e -> Alcotest.failf "wrong error: %s" (Engine_error.to_string e)
+  | Ok _ -> Alcotest.fail "lash fit a cyclic network into one layer"
 
 (* {1 Experiment pipeline} *)
 
@@ -262,7 +261,7 @@ let suite =
     ("engine:errors",
      [ test_case "dfsssp budget is structured" `Quick dfsssp_structured_budget;
        test_case "torus2qos mismatch, no raise" `Quick torus2qos_mismatch_not_raise;
-       test_case "legacy string wrappers" `Quick legacy_wrappers_still_string ]);
+       test_case "lash budget is structured" `Quick lash_structured_budget ]);
     ("engine:pipeline",
      [ test_case "run_all covers registry" `Quick run_all_covers_registry;
        test_case "fault stream deterministic" `Quick fault_stream_deterministic ]);

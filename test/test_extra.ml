@@ -136,8 +136,8 @@ let layers_vl_covers_all_nodes () =
 let torus2qos_intact_uses_two_vls () =
   let torus = Topology.torus3d ~dims:(4, 4, 3) ~terminals_per_switch:1 () in
   let remap = Fault.identity torus.Topology.net in
-  match Nue_routing.Torus2qos.route ~torus ~remap () with
-  | Error e -> Alcotest.fail e
+  match Nue_routing.Torus2qos.route_structured ~torus ~remap () with
+  | Error e -> Alcotest.fail (Nue_routing.Engine_error.to_string e)
   | Ok table ->
     (* No faults, no reordering: dateline scheme only. *)
     Alcotest.(check int) "2 VLs" 2 table.Table.num_vls;

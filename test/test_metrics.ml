@@ -75,8 +75,8 @@ let throughput_better_balance_wins () =
      separated pair: Up*/Down* (root bottleneck) vs DFSSSP (balanced). *)
   let net = (Helpers.small_torus ()).Nue_netgraph.Topology.net in
   let ud = Throughput_model.all_to_all (Nue_routing.Updown.route net) in
-  match Nue_routing.Dfsssp.route net with
-  | Error e -> Alcotest.fail e
+  match Nue_routing.Dfsssp.route_structured net with
+  | Error e -> Alcotest.fail (Nue_routing.Engine_error.to_string e)
   | Ok t ->
     let df = Throughput_model.all_to_all t in
     Alcotest.(check bool) "dfsssp >= updown" true

@@ -88,7 +88,7 @@ let same_results_with_and_without_tracing () =
     | Error _ -> Alcotest.fail "nue failed"
   in
   let plain = route () in
-  let traced, snap = Experiment.with_trace route in
+  let traced, snap = Helpers.counted route in
   Alcotest.(check bool) "tracing captured work" true
     (Obs.find snap "cdg.usable_calls" > 0);
   Alcotest.(check int) "same vls" plain.Table.num_vls traced.Table.num_vls;
@@ -177,7 +177,7 @@ let trace_json_shape () =
   scrub ();
   let built = Helpers.random_built ~seed:5 () in
   let _, snap =
-    Experiment.with_trace (fun () ->
+    Helpers.counted (fun () ->
         ignore (Experiment.run ~vcs:4 ~engine:"nue" built))
   in
   let s = Json.to_string (Experiment.trace_to_json snap) in
@@ -199,7 +199,7 @@ let derived_rates_are_ratios () =
   scrub ();
   let built = Helpers.random_built ~seed:9 () in
   let _, snap =
-    Experiment.with_trace (fun () ->
+    Helpers.counted (fun () ->
         ignore (Experiment.run ~vcs:2 ~engine:"nue" built))
   in
   let hits =

@@ -6,7 +6,7 @@
    - Every pinned engine x fixture digest from test_compact.ml is
      recomputed at --jobs 2 and --jobs 8 and checked against the same
      recordings the jobs=1 suite pins. Any schedule-dependence in the
-     batched rounds, the freeze-round baselines, or the shard merges
+     batched rounds, the freeze-round baselines, or the task-capture merges
      would show up here as a digest mismatch.
 
    - Merged observability must be deterministic too: Obs counter
@@ -19,8 +19,8 @@
      fingerprints, table shape (no torn/duplicate/missing
      destinations) and Verify verdicts against jobs=1.
 
-   Plus unit tests for the shard merge semantics themselves (counter
-   sums, timer totals). *)
+   Plus unit tests for the pool's per-task capture itself (counter
+   sums, timer totals, span events, counts made by [init]). *)
 
 module Network = Nue_netgraph.Network
 module Topology = Nue_netgraph.Topology
@@ -33,6 +33,7 @@ module Experiment = Nue_pipeline.Experiment
 module Pool = Nue_parallel.Pool
 module Obs = Nue_obs.Obs
 module Span = Nue_obs.Span
+module Profile = Nue_obs.Profile
 module Provenance = Nue_core.Provenance
 
 let () = Nue_core.Nue_engine.ensure_registered ()
@@ -75,7 +76,7 @@ let equivalence_case ?(speed = `Quick) jobs (name, build) =
 let counters_at jobs built =
   with_jobs jobs @@ fun () ->
   let _, snap =
-    Experiment.with_trace (fun () ->
+    Helpers.counted (fun () ->
         Experiment.run ~vcs:4 ~engine:"nue" built)
   in
   snap.Obs.counters
@@ -95,7 +96,7 @@ let test_obs_counters_equal () =
 
 let trails_at jobs built =
   with_jobs jobs @@ fun () ->
-  let outcome, run = Experiment.with_provenance (fun () ->
+  let outcome, run = Helpers.with_provenance (fun () ->
       Experiment.run ~vcs:4 ~engine:"nue" built)
   in
   (match outcome.Experiment.table with
@@ -157,7 +158,7 @@ let test_info_independent_of_jobs () =
             (Experiment.Torus3d { dims = (4, 4, 3); terminals = 2; redundancy = 1 })),
        4) ]
 
-(* {1 Shard merge semantics} *)
+(* {1 Task-capture merge semantics} *)
 
 let c_sum = Obs.counter "test.parallel.sum"
 let t_merge = Obs.timer "test.parallel.timer"
@@ -215,10 +216,9 @@ let test_span_events_absorbed () =
 
 let spans_at jobs built =
   with_jobs jobs @@ fun () ->
-  let _, evs =
-    Experiment.with_spans (fun () -> Experiment.run ~vcs:4 ~engine:"nue" built)
-  in
-  evs
+  ignore
+    (Helpers.spanned (fun () -> Experiment.run ~vcs:4 ~engine:"nue" built));
+  Span.events ()
 
 let name_multiset evs =
   let tbl = Hashtbl.create 64 in
@@ -279,6 +279,55 @@ let test_span_trace_identical () =
   let par_json, par_flame = trace 4 in
   Alcotest.(check string) "chrome trace at jobs=4" seq_json par_json;
   Alcotest.(check string) "flamegraph at jobs=4" seq_flame par_flame
+
+(* Every view reads the same at every job count: the counter totals and
+   the allocation tree's paths and call counts (its words and seconds
+   are measured, not counted). The trace and flamegraph are pinned
+   above. *)
+let views_at jobs built =
+  with_jobs jobs @@ fun () ->
+  let _, o =
+    Experiment.observe [ Experiment.Counters; Experiment.Alloc ] (fun () ->
+        Experiment.run ~vcs:4 ~engine:"nue" built)
+  in
+  let rec paths prefix acc (n : Profile.alloc_node) =
+    let path = prefix ^ "/" ^ n.Profile.an_name in
+    List.fold_left (paths path) ((path, n.Profile.an_calls) :: acc)
+      n.Profile.an_children
+  in
+  ( o.Experiment.counters.Obs.counters,
+    List.sort compare
+      (List.fold_left (paths "") [] o.Experiment.profile.Profile.p_alloc) )
+
+let test_views_independent_of_jobs () =
+  let built = Helpers.dense_random_built () in
+  let counters, alloc = views_at 1 built in
+  let counters4, alloc4 = views_at 4 built in
+  Alcotest.(check bool) "allocation tree recorded" true (alloc <> []);
+  Alcotest.(check (list (pair string int))) "counters at jobs=4" counters
+    counters4;
+  Alcotest.(check (list (pair string int)))
+    "allocation (path, calls) at jobs=4" alloc alloc4
+
+(* A participant's [init] runs inside its first task's capture, so what
+   it counts reaches the caller with that task. The tasks spin a little
+   so that workers, not only the caller, claim some. *)
+let c_init = Obs.counter "test.parallel.init"
+
+let test_merge_init_counters () =
+  with_obs @@ fun () ->
+  let inits = Atomic.make 0 in
+  Pool.run_with ~jobs:4 ~n:16
+    ~init:(fun () ->
+        Atomic.incr inits;
+        Obs.incr c_init)
+    (fun () _ ->
+       let t0 = Sys.time () in
+       while Sys.time () -. t0 < 0.001 do
+         Domain.cpu_relax ()
+       done);
+  Alcotest.(check int) "every init's count absorbed" (Atomic.get inits)
+    (Obs.peek c_init)
 
 (* {1 Exceptions propagate out of the pool} *)
 
@@ -390,4 +439,10 @@ let suite =
           Alcotest.test_case "stress: 50 seeded rounds" `Slow
             test_stress_slow;
           Alcotest.test_case "Table.info independent of jobs" `Quick
-            test_info_independent_of_jobs ] ) ]
+            test_info_independent_of_jobs;
+          (* Appended after the older cases so that their indices, which
+             tell the two stress cases apart, stay the same. *)
+          Alcotest.test_case "merge: every view identical at jobs 1 and 4"
+            `Quick test_views_independent_of_jobs;
+          Alcotest.test_case "merge: init counters reach the caller" `Quick
+            test_merge_init_counters ] ) ]

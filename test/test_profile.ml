@@ -1,7 +1,7 @@
 (* Resource-attribution profiling (lib/obs/profile.ml).
 
    The load-bearing property is transparency: profiling only *reads*
-   [Gc] statistics and the clock, so routing under [with_profile] must
+   [Gc] statistics and the clock, so routing under the allocation view must
    produce the very same tables as routing without it — pinned here
    against the recorded fingerprints of test_compact.ml at jobs 1 and
    4. The rest checks the report's arithmetic: serial fraction and
@@ -59,7 +59,7 @@ let test_profiling_transparent () =
                  let pinned = List.assoc engine expected in
                  let plain = route_fingerprint engine built in
                  let profiled, _prof =
-                   Experiment.with_profile (fun () ->
+                   Helpers.profiled (fun () ->
                        route_fingerprint engine built)
                  in
                  Alcotest.(check string)
@@ -100,7 +100,7 @@ let test_report_sanity () =
   with_jobs 4 @@ fun () ->
   let built = Helpers.dense_random_built () in
   let _fp, p =
-    Experiment.with_profile (fun () -> route_fingerprint "nue" built)
+    Helpers.profiled (fun () -> route_fingerprint "nue" built)
   in
   in_unit "serial_fraction" p.Profile.p_serial_fraction;
   in_unit "utilization" p.Profile.p_utilization;

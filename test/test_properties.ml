@@ -20,7 +20,7 @@ let qcheck_dfsssp_valid_when_applicable =
   QCheck2.Test.make ~name:"dfsssp valid whenever applicable" ~count:25
     Helpers.arbitrary_net
     (fun net ->
-       match Nue_routing.Dfsssp.route ~max_vls:8 net with
+       match Nue_routing.Dfsssp.route_structured ~max_vls:8 net with
        | Error _ -> true (* inapplicability is a legal outcome *)
        | Ok table ->
          let r = Verify.check table in
@@ -30,7 +30,7 @@ let qcheck_lash_valid_when_applicable =
   QCheck2.Test.make ~name:"lash valid whenever applicable" ~count:25
     Helpers.arbitrary_net
     (fun net ->
-       match Nue_routing.Lash.route ~max_vls:8 net with
+       match Nue_routing.Lash.route_structured ~max_vls:8 net with
        | Error _ -> true
        | Ok table ->
          let r = Verify.check table in

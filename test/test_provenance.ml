@@ -29,7 +29,7 @@ let recorded_run =
                { dims = (4, 4, 3); terminals = 2; redundancy = 1 }))
      in
      let o, run =
-       Experiment.with_provenance (fun () ->
+       Helpers.with_provenance (fun () ->
            Experiment.run ~vcs:2 ~engine:"nue" built)
      in
      match (o.Experiment.table, run) with
@@ -76,7 +76,7 @@ let trails_deterministic () =
             { dims = (4, 4, 3); terminals = 2; redundancy = 1 }))
   in
   let o, run2 =
-    Experiment.with_provenance (fun () ->
+    Helpers.with_provenance (fun () ->
         Experiment.run ~vcs:2 ~engine:"nue" built)
   in
   match (o.Experiment.table, run2) with
@@ -134,7 +134,7 @@ let acceptance_pair_blocked_and_fallback () =
             { dims = (6, 5, 5); terminals = 2; redundancy = 2 }))
   in
   let o, run =
-    Experiment.with_provenance (fun () ->
+    Helpers.with_provenance (fun () ->
         Experiment.run ~vcs:1 ~engine:"nue" built)
   in
   match (o.Experiment.table, run) with
@@ -230,7 +230,7 @@ let recording_does_not_change_routing () =
     | Error _ -> Alcotest.fail "nue failed"
   in
   let plain = route () in
-  let recorded, run = Experiment.with_provenance route in
+  let recorded, run = Helpers.with_provenance route in
   Alcotest.(check bool) "a run was recorded" true (run <> None);
   Array.iteri
     (fun pos per_node ->

@@ -14,6 +14,7 @@ module Dfsssp = Nue_routing.Dfsssp
 module Lash = Nue_routing.Lash
 module Torus2qos = Nue_routing.Torus2qos
 module Fattree = Nue_routing.Fattree
+module Engine_error = Nue_routing.Engine_error
 module Prng = Nue_structures.Prng
 module Forwarding_index = Nue_metrics.Forwarding_index
 module Pathstats = Nue_metrics.Pathstats
@@ -658,16 +659,16 @@ let updown_paths_legal () =
 
 let dfsssp_small_tree_one_vl () =
   let net = Helpers.line 4 in
-  match Dfsssp.route net with
-  | Error e -> Alcotest.fail e
+  match Dfsssp.route_structured net with
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
   | Ok table ->
     Alcotest.(check int) "1 VL on a tree" 1 table.Table.num_vls;
     Helpers.check_table_valid "dfsssp/line" table
 
 let dfsssp_torus_valid () =
   let t = Helpers.small_torus () in
-  match Dfsssp.route t.Topology.net with
-  | Error e -> Alcotest.fail e
+  match Dfsssp.route_structured t.Topology.net with
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
   | Ok table ->
     Helpers.check_table_valid "dfsssp/torus" table;
     Alcotest.(check bool) "torus needs >= 2 VLs" true (table.Table.num_vls >= 2)
@@ -676,7 +677,7 @@ let dfsssp_respects_vl_budget () =
   let t = Helpers.small_torus () in
   let needed = Dfsssp.required_vcs t.Topology.net in
   Alcotest.(check bool) "budget below requirement fails" true
-    (match Dfsssp.route ~max_vls:(needed - 1) t.Topology.net with
+    (match Dfsssp.route_structured ~max_vls:(needed - 1) t.Topology.net with
      | Error _ -> true
      | Ok _ -> false)
 
@@ -685,8 +686,8 @@ let dfsssp_paths_shortest () =
      paths are hop-minimal; later destinations may trade hops for
      balance (bounded stretch). *)
   let net = Helpers.random_net ~seed:8 () in
-  match Dfsssp.route net with
-  | Error e -> Alcotest.fail e
+  match Dfsssp.route_structured net with
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
   | Ok table ->
     let terms = Network.terminals net in
     let first = table.Table.dests.(0) in
@@ -711,20 +712,20 @@ let lash_valid_and_layered () =
      everything into one acyclic layer. (A 3x3x3 torus can: all ring
      distances are 1.) *)
   let net = Helpers.ring ~terminals:1 6 in
-  match Lash.route net with
-  | Error e -> Alcotest.fail e
+  match Lash.route_structured net with
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
   | Ok table ->
     Helpers.check_table_valid "lash/ring6" table;
     Alcotest.(check bool) "at least 2 layers" true (table.Table.num_vls >= 2);
     (* And the 3x3x3 torus stays valid whatever the layer count. *)
-    (match Lash.route (Helpers.small_torus ()).Topology.net with
-     | Error e -> Alcotest.fail e
+    (match Lash.route_structured (Helpers.small_torus ()).Topology.net with
+     | Error e -> Alcotest.fail (Engine_error.to_string e)
      | Ok t -> Helpers.check_table_valid "lash/torus333" t)
 
 let lash_tree_single_layer () =
   let net = Helpers.line 5 in
-  match Lash.route net with
-  | Error e -> Alcotest.fail e
+  match Lash.route_structured net with
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
   | Ok table ->
     Alcotest.(check int) "1 layer" 1 table.Table.num_vls;
     Helpers.check_table_valid "lash/line" table
@@ -733,10 +734,10 @@ let lash_budget_failure () =
   let net = Helpers.ring ~terminals:1 6 in
   let needed = Lash.required_vcs net in
   Alcotest.(check bool) "needs >= 2" true (needed >= 2);
-  match Lash.route ~max_vls:1 net with
-  | Error msg ->
+  match Lash.route_structured ~max_vls:1 net with
+  | Error e ->
     Alcotest.(check bool) "mentions requirement" true
-      (String.length msg > 0)
+      (String.length (Engine_error.to_string e) > 0)
   | Ok _ -> Alcotest.fail "expected failure with 1 VL"
 
 (* {1 Torus-2QoS} *)
@@ -744,8 +745,8 @@ let lash_budget_failure () =
 let torus2qos_intact () =
   let torus = Helpers.torus443 () in
   let remap = Fault.identity torus.Topology.net in
-  match Torus2qos.route ~torus ~remap () with
-  | Error e -> Alcotest.fail e
+  match Torus2qos.route_structured ~torus ~remap () with
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
   | Ok table ->
     Helpers.check_table_valid "torus2qos/intact" table;
     (* DOR on an intact torus is minimal in each dimension-ring. *)
@@ -760,15 +761,15 @@ let torus2qos_intact () =
 let torus2qos_single_failure () =
   let torus = Helpers.torus443 () in
   let remap = Fault.remove_switches torus.Topology.net [ 5 ] in
-  match Torus2qos.route ~torus ~remap () with
-  | Error e -> Alcotest.fail e
+  match Torus2qos.route_structured ~torus ~remap () with
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
   | Ok table -> Helpers.check_table_valid "torus2qos/1-switch-fault" table
 
 let torus2qos_link_failure () =
   let torus = Helpers.torus443 () in
   let remap = Fault.remove_links torus.Topology.net [ (0, 1) ] in
-  match Torus2qos.route ~torus ~remap () with
-  | Error e -> Alcotest.fail e
+  match Torus2qos.route_structured ~torus ~remap () with
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
   | Ok table -> Helpers.check_table_valid "torus2qos/1-link-fault" table
 
 let torus2qos_double_ring_failure_fails () =
@@ -780,7 +781,7 @@ let torus2qos_double_ring_failure_fails () =
   let remap =
     Fault.remove_links torus.Topology.net [ (s 0 0 0, s 1 0 0); (s 1 0 0, s 2 0 0) ]
   in
-  match Torus2qos.route ~torus ~remap () with
+  match Torus2qos.route_structured ~torus ~remap () with
   | Error _ -> ()
   | Ok table ->
     (* If the dimension-reordering fallback still routed it, the result
@@ -791,16 +792,16 @@ let torus2qos_double_ring_failure_fails () =
 
 let fattree_valid () =
   let net = Topology.kary_ntree ~k:4 ~n:3 ~terminals_per_leaf:3 () in
-  match Fattree.route ~k:4 ~n:3 net with
-  | Error e -> Alcotest.fail e
+  match Fattree.route_structured ~k:4 ~n:3 net with
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
   | Ok table ->
     Helpers.check_table_valid "fattree/4-ary-3-tree" table;
     Alcotest.(check int) "single VL" 1 table.Table.num_vls
 
 let fattree_shortest () =
   let net = Topology.kary_ntree ~k:3 ~n:2 ~terminals_per_leaf:2 () in
-  match Fattree.route ~k:3 ~n:2 net with
-  | Error e -> Alcotest.fail e
+  match Fattree.route_structured ~k:3 ~n:2 net with
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
   | Ok table ->
     let terms = Network.terminals net in
     Array.iter
@@ -818,7 +819,7 @@ let fattree_shortest () =
 let fattree_rejects_other_topologies () =
   let net = Helpers.ring5 () in
   Alcotest.(check bool) "rejected" true
-    (match Fattree.route ~k:4 ~n:3 net with Error _ -> true | Ok _ -> false)
+    (match Fattree.route_structured ~k:4 ~n:3 net with Error _ -> true | Ok _ -> false)
 
 let suite =
   [ ("table",

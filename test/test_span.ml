@@ -166,14 +166,11 @@ let parse_json (s : string) : json =
    intact for the caller to inspect. *)
 let traced_run ?(seed = 21) () =
   let built = Helpers.random_built ~seed () in
-  let (), _events =
-    Experiment.with_spans (fun () ->
-        match (Experiment.run ~vcs:4 ~engine:"nue" built).Experiment.table with
-        | Ok table ->
-          ignore (Experiment.simulate_with_telemetry ~message_bytes:128 table)
-        | Error _ -> Alcotest.fail "nue failed")
-  in
-  ()
+  Helpers.spanned (fun () ->
+      match (Experiment.run ~vcs:4 ~engine:"nue" built).Experiment.table with
+      | Ok table ->
+        ignore (Experiment.simulate_with_telemetry ~message_bytes:128 table)
+      | Error _ -> Alcotest.fail "nue failed")
 
 (* {1 Tests} *)
 
@@ -423,6 +420,35 @@ let flamegraph_aggregates_by_path () =
   Alcotest.(check string) "empty flamegraph placeholder"
     "(no spans recorded)\n" (Span.flamegraph ())
 
+(* The omega-recheck payload counts the channels the forward discovery
+   expanded itself, so a trace does not depend on whether the counter
+   view is on. *)
+let trace_independent_of_counters () =
+  scrub ();
+  let built =
+    Experiment.build
+      (Experiment.setup
+         (Experiment.Torus3d { dims = (3, 3, 3); terminals = 1; redundancy = 1 }))
+  in
+  let trace views =
+    ignore
+      (Experiment.observe views (fun () ->
+           Experiment.run ~vcs:2 ~engine:"nue" built));
+    Span.to_chrome_string ()
+  in
+  let counted = trace [ Experiment.Spans; Experiment.Counters ] in
+  let plain = trace [ Experiment.Spans ] in
+  Alcotest.(check string) "same trace with counters on and off" counted plain;
+  Alcotest.(check bool) "rechecks report visited channels" true
+    (List.exists
+       (fun (e : Span.event) ->
+          e.Span.name = "cdg.omega_recheck"
+          && (match List.assoc_opt "visited" e.Span.args with
+              | Some (Span.Int v) -> v > 0
+              | _ -> false))
+       (Span.events ()));
+  scrub ()
+
 let suite =
   [ ("span:export",
      [ test_case "chrome JSON well-formed" `Quick chrome_json_well_formed;
@@ -430,7 +456,9 @@ let suite =
        test_case "deterministic across identical runs" `Quick
          identical_runs_trace_identically;
        test_case "flamegraph aggregates by path" `Quick
-         flamegraph_aggregates_by_path ]);
+         flamegraph_aggregates_by_path;
+       test_case "trace independent of the counter view" `Quick
+         trace_independent_of_counters ]);
     ("span:guards",
      [ test_case "disabled path allocation-free" `Quick
          disabled_path_does_not_allocate;
