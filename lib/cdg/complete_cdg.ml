@@ -90,21 +90,27 @@ let edge_blocked = '\002'
 
 let create net =
   let nc = Network.num_channels net in
+  let dsts = Network.dsts net in
   let off = Array.make (nc + 1) 0 in
   let pos = Array.make nc 0 in
-  let dead = ref 0 in
   for c = 0 to nc - 1 do
-    let u = Network.src net c in
-    let out = Network.out_channels net (Network.dst net c) in
-    off.(c + 1) <- off.(c) + Array.length out;
-    for i = 0 to Array.length out - 1 do
-      if Network.dst net out.(i) = u then incr dead
-    done
+    off.(c + 1) <- off.(c) + Network.degree net dsts.(c)
   done;
+  (* Dead slots: each of an m-fold link's m channels u -> v has m
+     180-degree slots, so node u adds its out-neighbours' squared
+     multiplicities, counted from its out-channels. *)
+  let dead = ref 0 in
+  let mult = Array.make (Network.num_nodes net) 0 in
   for v = 0 to Network.num_nodes net - 1 do
     let out = Network.out_channels net v in
     for i = 0 to Array.length out - 1 do
-      pos.(out.(i)) <- i
+      let x = dsts.(out.(i)) in
+      pos.(out.(i)) <- i;
+      dead := !dead + (2 * mult.(x)) + 1;
+      mult.(x) <- mult.(x) + 1
+    done;
+    for i = 0 to Array.length out - 1 do
+      mult.(dsts.(out.(i))) <- 0
     done
   done;
   let nslots = off.(nc) in

@@ -259,7 +259,11 @@ let route_with_stats ?(options = default_options) ?dests ?sources ~vcs net =
       ~strategy:(Partition.strategy_name options.strategy)
       ~seed:options.seed ~vcs;
   let subsets =
-    Partition.partition ~strategy:options.strategy ~prng net ~dests ~k:vcs
+    Span.with_ "nue.partition"
+      ~args:[ ("k", Span.Int vcs); ("dests", Span.Int (Array.length dests)) ]
+      (fun () ->
+         Partition.partition ~strategy:options.strategy ~prng net ~dests
+           ~k:vcs)
   in
   (* Route each layer's destinations in random order: consecutive ids sit
      next to each other on regular topologies and build systematically
@@ -292,7 +296,12 @@ let route_with_stats ?(options = default_options) ?dests ?sources ~vcs net =
     (fun layer subset ->
        if Array.length subset > 0 then begin
          let root =
-           if options.central_root then Rootsel.choose net ~dests:subset
+           if options.central_root then
+             Span.with_ "nue.rootsel"
+               ~args:
+                 [ ("layer", Span.Int layer);
+                   ("members", Span.Int (Array.length subset)) ]
+               (fun () -> Rootsel.choose net ~dests:subset)
            else begin
              let d = subset.(0) in
              if Network.is_switch net d then d

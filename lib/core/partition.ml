@@ -21,56 +21,59 @@ let strategy_name = function
    boundary refinement at every level. *)
 
 type wgraph = {
-  vwgt : int array;                    (* vertex weights *)
-  adj : (int * int) list array;        (* (neighbor, edge weight) *)
-  coarse_of : int array;               (* fine vertex -> coarse vertex *)
+  vwgt : int array; (* vertex weights *)
+  (* Compressed rows: [v]'s neighbours at [row.(v) .. row.(v + 1) - 1],
+     ascending, with the summed weight of the edges to each. *)
+  row : int array;
+  nbr : int array;
+  ewgt : int array;
+  coarse_of : int array; (* fine vertex -> coarse vertex *)
 }
 
-(* Aggregate (i*n+j, w) pairs (i < j) into adjacency lists by sort-merge
-   instead of a hashtable: duplicate keys sum their weights, and the
-   resulting lists are in ascending neighbor order — deterministic, so
-   the downstream matching (and ultimately the Nue partition) no longer
-   depends on hash iteration order. *)
-let build_adj n pairs =
-  let arr = Array.of_list pairs in
-  Array.sort (fun (a, _) (b, _) -> compare (a : int) b) arr;
-  let adj = Array.make n [] in
-  let idx = ref (Array.length arr - 1) in
-  (* Descending key runs, consed to the front: ascending final lists. *)
-  while !idx >= 0 do
-    let k, _ = arr.(!idx) in
-    let w = ref 0 in
-    while !idx >= 0 && fst arr.(!idx) = k do
-      w := !w + snd arr.(!idx);
-      decr idx
-    done;
-    let i = k / n and j = k mod n in
-    adj.(i) <- (j, !w) :: adj.(i);
-    adj.(j) <- (i, !w) :: adj.(j)
+(* Compressed rows for [n] vertices. [iter emit] calls [emit r c w] for
+   each entry (neighbour [c] of [r], weight [w]), listing every row's
+   entries in ascending [c]; it runs twice, to count distinct neighbours
+   and then to place them. A row's repeated neighbours thus arrive
+   together and merge, summing their weights, and rows come out
+   ascending without a sort. *)
+let build n ~vwgt ~coarse_of iter =
+  let row = Array.make (n + 1) 0 and last = Array.make n (-1) in
+  iter (fun r c _ ->
+      if last.(r) <> c then row.(r + 1) <- row.(r + 1) + 1;
+      last.(r) <- c);
+  for v = 0 to n - 1 do
+    row.(v + 1) <- row.(v + 1) + row.(v)
   done;
-  adj
+  let nbr = Array.make row.(n) 0 and ewgt = Array.make row.(n) 0 in
+  let fill = Array.sub row 0 n in
+  iter (fun r c w ->
+      let i = fill.(r) in
+      if i > row.(r) && nbr.(i - 1) = c then ewgt.(i - 1) <- ewgt.(i - 1) + w
+      else begin
+        nbr.(i) <- c;
+        ewgt.(i) <- w;
+        fill.(r) <- i + 1
+      end);
+  { vwgt; row; nbr; ewgt; coarse_of }
 
 let switch_graph net ~dest_weight =
   let sw = Network.switches net in
+  let dsts = Network.dsts net in
   let index = Array.make (Network.num_nodes net) (-1) in
   Array.iteri (fun i s -> index.(s) <- i) sw;
   let n = Array.length sw in
-  let vwgt = Array.make n 0 in
-  Array.iteri (fun i s -> vwgt.(i) <- dest_weight s) sw;
-  let pairs = ref [] in
-  Array.iteri
-    (fun i s ->
-       let adj = Network.out_channels net s in
-       Array.iter
-         (fun c ->
-            let v = Network.dst net c in
-            if Network.is_switch net v then begin
-              let j = index.(v) in
-              if j > i then pairs := ((i * n) + j, 1) :: !pairs
-            end)
-         adj)
-    sw;
-  ({ vwgt; adj = build_adj n !pairs; coarse_of = [||] }, index)
+  let vwgt = Array.map dest_weight sw in
+  (* One entry per channel between switches: parallel links sum. *)
+  let iter emit =
+    for i = 0 to n - 1 do
+      let adj = Network.out_channels net sw.(i) in
+      for a = 0 to Array.length adj - 1 do
+        let j = index.(dsts.(adj.(a))) in
+        if j >= 0 then emit j i 1
+      done
+    done
+  in
+  (build n ~vwgt ~coarse_of:[||] iter, index)
 
 let num_vertices g = Array.length g.vwgt
 
@@ -85,17 +88,17 @@ let coarsen prng g =
     (fun v ->
        if mate.(v) < 0 then begin
          let best = ref (-1) and best_w = ref min_int in
-         List.iter
-           (fun (u, w) ->
-              (* Explicit lowest-id tie-break: the winner must not depend
-                 on adjacency-list construction order. *)
-              if mate.(u) < 0 && u <> v
-                 && (w > !best_w || (w = !best_w && u < !best))
-              then begin
-                best := u;
-                best_w := w
-              end)
-           g.adj.(v);
+         for i = g.row.(v) to g.row.(v + 1) - 1 do
+           let u = g.nbr.(i) and w = g.ewgt.(i) in
+           (* Explicit lowest-id tie-break: the winner must not depend
+              on adjacency construction order. *)
+           if mate.(u) < 0 && u <> v
+              && (w > !best_w || (w = !best_w && u < !best))
+           then begin
+             best := u;
+             best_w := w
+           end
+         done;
          if !best >= 0 then begin
            mate.(v) <- !best;
            mate.(!best) <- v
@@ -103,12 +106,15 @@ let coarsen prng g =
          else mate.(v) <- v
        end)
     order;
+  (* Coarse ids ascend with their lower fine vertex, [first]. *)
   let coarse_of = Array.make n (-1) in
+  let first = Array.make n 0 in
   let count = ref 0 in
   for v = 0 to n - 1 do
     if coarse_of.(v) < 0 then begin
       coarse_of.(v) <- !count;
-      if mate.(v) >= 0 && mate.(v) <> v then coarse_of.(mate.(v)) <- !count;
+      coarse_of.(mate.(v)) <- !count;
+      first.(!count) <- v;
       incr count
     end
   done;
@@ -117,16 +123,31 @@ let coarsen prng g =
   for v = 0 to n - 1 do
     vwgt.(coarse_of.(v)) <- vwgt.(coarse_of.(v)) + g.vwgt.(v)
   done;
-  let pairs = ref [] in
-  Array.iteri
-    (fun v neigh ->
-       List.iter
-         (fun (u, w) ->
-            let cv = coarse_of.(v) and cu = coarse_of.(u) in
-            if cv < cu then pairs := ((cv * cn) + cu, w) :: !pairs)
-         neigh)
-    g.adj;
-  { vwgt; adj = build_adj cn !pairs; coarse_of }
+  (* Coarse vertices in ascending id list their members' fine edges to
+     other coarse vertices. *)
+  let iter emit =
+    for c = 0 to cn - 1 do
+      let each v =
+        for i = g.row.(v) to g.row.(v + 1) - 1 do
+          let cu = coarse_of.(g.nbr.(i)) in
+          if cu <> c then emit cu c g.ewgt.(i)
+        done
+      in
+      let v = first.(c) in
+      each v;
+      if mate.(v) <> v then each mate.(v)
+    done
+  in
+  build cn ~vwgt ~coarse_of iter
+
+(* [conn.(p)] becomes the weight of [v]'s edges into part [p], over its
+   assigned neighbours. *)
+let connection g part conn v =
+  Array.fill conn 0 (Array.length conn) 0;
+  for i = g.row.(v) to g.row.(v + 1) - 1 do
+    let p = part.(g.nbr.(i)) in
+    if p >= 0 then conn.(p) <- conn.(p) + g.ewgt.(i)
+  done
 
 (* Greedy region growing on the coarsest graph: grow each part from a
    random seed by absorbing the frontier vertex with the strongest
@@ -139,16 +160,13 @@ let initial_partition prng g k =
   let order = Array.init n (fun i -> i) in
   Prng.shuffle prng order;
   let next_seed = ref 0 in
-  let find_seed () =
-    let rec go () =
-      if !next_seed >= n then -1
-      else begin
-        let v = order.(!next_seed) in
-        incr next_seed;
-        if part.(v) < 0 then v else go ()
-      end
-    in
-    go ()
+  let rec find_seed () =
+    if !next_seed >= n then -1
+    else begin
+      let v = order.(!next_seed) in
+      incr next_seed;
+      if part.(v) < 0 then v else find_seed ()
+    end
   in
   (* Frontier as a bitset over the coarsest graph plus a flat gain
      array; ascending iteration makes the lowest-id tie-break free. *)
@@ -179,27 +197,25 @@ let initial_partition prng g k =
           Bitset.remove frontier v;
           part.(v) <- p;
           weight := !weight + g.vwgt.(v);
-          List.iter
-            (fun (u, w) ->
-               if part.(u) < 0 then begin
-                 if not (Bitset.mem frontier u) then begin
-                   Bitset.add frontier u;
-                   gain.(u) <- 0
-                 end;
-                 gain.(u) <- gain.(u) + w
-               end)
-            g.adj.(v)
+          for i = g.row.(v) to g.row.(v + 1) - 1 do
+            let u = g.nbr.(i) in
+            if part.(u) < 0 then begin
+              if not (Bitset.mem frontier u) then begin
+                Bitset.add frontier u;
+                gain.(u) <- 0
+              end;
+              gain.(u) <- gain.(u) + g.ewgt.(i)
+            end
+          done
         end
       done
     end
   done;
   (* Any stragglers join their best-connected (or lightest) part. *)
+  let conn = Array.make k 0 in
   for v = 0 to n - 1 do
     if part.(v) < 0 then begin
-      let conn = Array.make k 0 in
-      List.iter
-        (fun (u, w) -> if part.(u) >= 0 then conn.(part.(u)) <- conn.(part.(u)) + w)
-        g.adj.(v);
+      connection g part conn v;
       let best = ref 0 in
       for p = 1 to k - 1 do
         if conn.(p) > conn.(!best) then best := p
@@ -221,11 +237,11 @@ let refine g k part =
     pweight.(part.(v)) <- pweight.(part.(v)) + g.vwgt.(v)
   done;
   let sweeps = 4 in
+  let conn = Array.make k 0 in
   for _ = 1 to sweeps do
     for v = 0 to n - 1 do
       let home = part.(v) in
-      let conn = Array.make k 0 in
-      List.iter (fun (u, w) -> conn.(part.(u)) <- conn.(part.(u)) + w) g.adj.(v);
+      connection g part conn v;
       let best = ref home in
       for p = 0 to k - 1 do
         if
@@ -261,27 +277,27 @@ let kway_switch_partition prng net ~dest_weight ~k =
   in
   let part = initial_partition prng coarsest k in
   refine coarsest k part;
-  let part = ref part in
-  let prev = ref coarsest in
-  List.iter
-    (fun g ->
-       (* Project: [!prev] was obtained from [g] by [!prev].coarse_of...
-          no: [g] is the finer graph and [!prev] its coarsening, whose
-          [coarse_of] maps g's vertices to !prev's. *)
-       let fine_part =
-         Array.init (num_vertices g) (fun v -> !part.((!prev).coarse_of.(v)))
-       in
-       refine g k fine_part;
-       part := fine_part;
-       prev := g)
-    finer;
-  (!part, index)
+  (* Project each level's parts onto the next finer graph [g], whose
+     vertices the coarser graph's [coarse_of] maps to its own, and
+     refine there. *)
+  let part, _ =
+    List.fold_left
+      (fun (part, coarser) g ->
+         let fine = Array.map (fun c -> part.(c)) coarser.coarse_of in
+         refine g k fine;
+         (fine, g))
+      (part, coarsest) finer
+  in
+  (part, index)
 
 let partition ?(strategy = Kway) ?prng net ~dests ~k =
   if k < 1 then invalid_arg "Partition.partition: k must be >= 1";
   let prng = match prng with Some p -> p | None -> Prng.create 1 in
   if k = 1 then [| Array.copy dests |]
   else begin
+    let switch_of d =
+      if Network.is_switch net d then d else Network.terminal_attachment net d
+    in
     let parts = Array.make k [] in
     let sizes = Array.make k 0 in
     let push p d =
@@ -299,12 +315,7 @@ let partition ?(strategy = Kway) ?prng net ~dests ~k =
           lightest part. *)
        let by_switch = Array.make (Network.num_nodes net) [] in
        Array.iter
-         (fun d ->
-            let s =
-              if Network.is_switch net d then d
-              else Network.terminal_attachment net d
-            in
-            by_switch.(s) <- d :: by_switch.(s))
+         (fun d -> by_switch.(switch_of d) <- d :: by_switch.(switch_of d))
          dests;
        Array.iter
          (fun ds ->
@@ -319,24 +330,12 @@ let partition ?(strategy = Kway) ?prng net ~dests ~k =
      | Kway ->
        let dest_count = Array.make (Network.num_nodes net) 0 in
        Array.iter
-         (fun d ->
-            let s =
-              if Network.is_switch net d then d
-              else Network.terminal_attachment net d
-            in
-            dest_count.(s) <- dest_count.(s) + 1)
+         (fun d -> dest_count.(switch_of d) <- dest_count.(switch_of d) + 1)
          dests;
        let part, index =
          kway_switch_partition prng net ~dest_weight:(fun s -> dest_count.(s))
            ~k
        in
-       Array.iter
-         (fun d ->
-            let s =
-              if Network.is_switch net d then d
-              else Network.terminal_attachment net d
-            in
-            push part.(index.(s)) d)
-         dests);
+       Array.iter (fun d -> push part.(index.(switch_of d)) d) dests);
     Array.map (fun l -> Array.of_list (List.rev l)) parts
   end

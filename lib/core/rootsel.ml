@@ -1,12 +1,7 @@
-module Network = Nue_netgraph.Network
-module Convex = Nue_netgraph.Convex
 module Brandes = Nue_netgraph.Brandes
 
 let choose net ~dests =
   if Array.length dests = 0 then
     invalid_arg "Rootsel.choose: empty destination set";
   if Array.length dests = 1 then dests.(0)
-  else begin
-    let mask = Convex.nodes net dests in
-    Brandes.most_central ~mask ~members:dests net
-  end
+  else Brandes.most_central ~members:dests net

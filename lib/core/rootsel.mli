@@ -2,9 +2,9 @@
 
     The root should be the node most central to the layer's destination
     subset so the escape paths impose as few initial channel
-    dependencies as possible: build the convex subgraph of the
-    destination set, run Brandes' betweenness centrality on it counting
-    only destination pairs, and take the maximizer. *)
+    dependencies as possible: the maximizer, over the convex subgraph of
+    the destination set, of Brandes' betweenness centrality counting
+    only destination pairs ({!Nue_netgraph.Brandes.most_central}). *)
 
 val choose : Nue_netgraph.Network.t -> dests:int array -> int
 (** Central root for the given destination subset. When the subset spans

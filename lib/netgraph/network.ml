@@ -130,6 +130,10 @@ let dst t c = t.cdst.(c)
 
 let rev t c = t.crev.(c)
 
+let srcs t = t.csrc
+
+let dsts t = t.cdst
+
 let out_channels t i = t.out_adj.(i)
 
 let in_channels t i = t.in_adj.(i)

@@ -81,6 +81,13 @@ val dst : t -> int -> int
 
 val rev : t -> int -> int
 
+val srcs : t -> int array
+(** [src] of every channel, indexed by channel id: the network's own
+    array, for loops that read many endpoints. Do not mutate. *)
+
+val dsts : t -> int array
+(** [dst] of every channel, indexed by channel id. Do not mutate. *)
+
 val out_channels : t -> int -> int array
 (** Channels leaving a node. Do not mutate. *)
 

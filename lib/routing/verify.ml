@@ -45,7 +45,8 @@ type walk = {
   ends : int array;
   hops : int array;
   cross : int array;
-  net : Network.t;
+  srcs : int array; (* the network's channel endpoints, not a copy *)
+  dsts : int array;
   mutable dest : int;
   mutable len : int;
   mutable segs : int;
@@ -57,7 +58,8 @@ let reaches = 1 and dead_end = 2 and loop = 3
 let walk net =
   let a () = Array.make (Network.num_nodes net) 0 in
   { stamp = a (); walked = a (); seg = a (); ends = a (); hops = a ();
-    cross = a (); net; dest = 0; len = 0; segs = 0; base = 0 }
+    cross = a (); srcs = Network.srcs net; dsts = Network.dsts net;
+    dest = 0; len = 0; segs = 0; base = 0 }
 
 let start w dest =
   w.base <- w.base + 4;
@@ -68,7 +70,7 @@ let start w dest =
   w.hops.(dest) <- 0;
   w.cross.(dest) <- 0
 
-let leaves w node c = c >= 0 && Network.src w.net c = node
+let leaves w node c = c >= 0 && w.srcs.(c) = node
 
 let settle w nexts src =
   let first = w.len and node = ref src and verdict = ref 0 in
@@ -80,7 +82,7 @@ let settle w nexts src =
       w.walked.(w.len) <- !node;
       w.len <- w.len + 1;
       let c = nexts.(!node) in
-      if leaves w !node c then node := Network.dst w.net c
+      if leaves w !node c then node := w.dsts.(c)
       else verdict := dead_end
     end
   done;
@@ -119,7 +121,7 @@ let iter_crossed w nexts f =
   done
 
 let iter_loads w net ~nexts ~dest ~sources f =
-  if w.net != net then
+  if w.srcs != Network.srcs net then
     invalid_arg "Verify.iter_loads: walk of another network";
   start w dest;
   for i = 0 to Array.length sources - 1 do
@@ -181,7 +183,7 @@ let walk_table ?sources ?lanes ?(deps = false) ?(count = false) (t : Table.t)
                 while !node <> dest do
                   let c = nexts.(!node) in
                   hop c (Table.vl_of t ~src ~dest ~hop:!i ~channel:c);
-                  node := Network.dst net c;
+                  node := w.dsts.(c);
                   incr i
                 done
               end
@@ -197,7 +199,7 @@ let walk_table ?sources ?lanes ?(deps = false) ?(count = false) (t : Table.t)
             let x = w.walked.(i) in
             let c1 = nexts.(x) in
             if leaves w x c1 then begin
-              let m = Network.dst net c1 in
+              let m = w.dsts.(c1) in
               let c2 = nexts.(m) in
               if m <> dest && leaves w m c2 then add (vid c1 vl) (vid c2 vl)
             end

@@ -14,6 +14,7 @@ module Rootsel = Nue_core.Rootsel
 module Escape = Nue_core.Escape
 module Nue = Nue_core.Nue
 module Nue_dijkstra = Nue_core.Nue_dijkstra
+module Brandes = Nue_netgraph.Brandes
 module Prng = Nue_structures.Prng
 
 let test_case = Alcotest.test_case
@@ -90,6 +91,54 @@ let partition_deterministic () =
   in
   Alcotest.(check bool) "same seed, same partition" true (p1 = p2)
 
+(* The k-way subsets pinned by digest, one per fabric, over k = 2/3/4/8
+   with the terminals and then the switches as destinations. Every fabric
+   coarsens over several levels before the initial partition. *)
+let partition_fabrics () =
+  let faulty net seed fraction =
+    (Fault.random_link_failures (Prng.create seed) net ~fraction).Fault.net
+  in
+  [ ( "random-faulty",
+      faulty
+        (Topology.random (Prng.create 11) ~switches:100
+           ~inter_switch_links:300 ~terminals_per_switch:3 ())
+        12 0.1,
+      "949167e965f5a6c85383f01c654dbf90" );
+    ( "torus-r2",
+      (Topology.torus3d ~dims:(6, 6, 4) ~terminals_per_switch:2 ~redundancy:2
+         ())
+        .Topology.net,
+      "4e949d1794ee701812c4e6421c20e740" );
+    ( "tree-faulty",
+      faulty (Topology.kary_ntree ~k:6 ~n:3 ~terminals_per_leaf:4 ()) 13 0.05,
+      "9cb971f8b86f68a2d42718aa7de079ae" ) ]
+
+let partition_digests () =
+  List.iter
+    (fun (name, net, expected) ->
+       let buf = Buffer.create 4096 in
+       List.iter
+         (fun dests ->
+            List.iter
+              (fun k ->
+                 let parts =
+                   Partition.partition ~strategy:Partition.Kway net ~dests ~k
+                 in
+                 Buffer.add_string buf (Printf.sprintf "k%d" k);
+                 Array.iter
+                   (fun p ->
+                      Buffer.add_char buf '|';
+                      Array.iter
+                        (fun d -> Buffer.add_string buf (Printf.sprintf "%d," d))
+                        p)
+                   parts;
+                 Buffer.add_char buf '\n')
+              [ 2; 3; 4; 8 ])
+         [ Network.terminals net; Network.switches net ];
+       Alcotest.(check string) name expected
+         (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    (partition_fabrics ())
+
 (* {1 Rootsel} *)
 
 let rootsel_paper_example () =
@@ -106,6 +155,104 @@ let rootsel_full_set_center () =
 let rootsel_single_dest () =
   let net = Helpers.ring5 () in
   Alcotest.(check int) "singleton" 2 (Rootsel.choose net ~dests:[| 2 |])
+
+(* Fabrics for the property below, 1-8 terminals per switch: random with
+   10% link failures, a redundancy-2 torus, a faulty k-ary n-tree, and a
+   random multigraph whose terminals are attached round-robin, so that
+   the terminals of two switches interleave in id order. *)
+let rootsel_fabric seed =
+  let prng = Prng.create seed in
+  let terminals = 1 + Prng.int prng 8 in
+  let faulty net =
+    (Fault.random_link_failures prng net ~fraction:0.1).Fault.net
+  in
+  match seed mod 4 with
+  | 0 ->
+    let switches = 4 + Prng.int prng 20 in
+    let links =
+      min (switches * (switches - 1) / 2) (switches + Prng.int prng (2 * switches))
+    in
+    faulty
+      (Topology.random prng ~switches ~inter_switch_links:links
+         ~terminals_per_switch:terminals ~max_switch_ports:64 ())
+  | 1 ->
+    let d () = 2 + Prng.int prng 3 in
+    (Topology.torus3d ~dims:(d (), d (), d ()) ~terminals_per_switch:terminals
+       ~redundancy:2 ())
+      .Topology.net
+  | 2 ->
+    faulty
+      (Topology.kary_ntree ~k:(2 + Prng.int prng 3) ~n:(2 + Prng.int prng 2)
+         ~terminals_per_leaf:terminals ())
+  | _ ->
+    let b = Network.Builder.create () in
+    let ns = 3 + Prng.int prng 10 in
+    let sw = Array.init ns (fun _ -> Network.Builder.add_switch b) in
+    for i = 1 to ns - 1 do
+      Network.Builder.connect b sw.(Prng.int prng i) sw.(i)
+    done;
+    (* Repeated pairs become parallel links. *)
+    for _ = 1 to Prng.int prng (2 * ns) do
+      let u = Prng.int prng ns and v = Prng.int prng ns in
+      if u <> v then Network.Builder.connect b sw.(u) sw.(v)
+    done;
+    for _ = 1 to terminals do
+      Array.iter
+        (fun s -> Network.Builder.connect b (Network.Builder.add_terminal b) s)
+        sw
+    done;
+    Network.Builder.build b
+
+(* Nue's k-way subsets of the terminals for k = 1..8, every node, all
+   switches, a random mix of switches and terminals, and the terminals
+   of two switches. *)
+let rootsel_member_sets net seed =
+  let prng = Prng.create (seed + 1) in
+  let nn = Network.num_nodes net in
+  let terms = Network.terminals net and sws = Network.switches net in
+  let kway =
+    List.concat_map
+      (fun k -> Array.to_list (Partition.partition net ~dests:terms ~k))
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  let mixed =
+    Array.of_list
+      (List.filter (fun _ -> Prng.bool prng) (List.init nn Fun.id))
+  in
+  let two =
+    match
+      List.filter
+        (fun s -> Array.length (Network.attached_terminals net s) > 0)
+        (Array.to_list sws)
+    with
+    | a :: b :: _ ->
+      Array.append (Network.attached_terminals net a)
+        (Network.attached_terminals net b)
+    | _ -> [||]
+  in
+  List.filter
+    (fun m -> Array.length m > 0)
+    (kway @ [ Array.init nn Fun.id; sws; mixed; two ])
+
+let qcheck_rootsel_matches_reference =
+  QCheck2.Test.make
+    ~name:"rootsel: one pass per attachment switch matches the per-member \
+           reference"
+    ~count:60 (QCheck2.Gen.int_range 0 100000)
+    (fun seed ->
+       let net = rootsel_fabric seed in
+       List.for_all
+         (fun members ->
+            let cb, hull = Brandes.centrality ~members net in
+            let mask = Rootsel_reference.convex net members in
+            let expected = Rootsel_reference.centrality ~mask ~members net in
+            hull = mask
+            && Array.for_all2
+                 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+                 cb expected
+            && Rootsel.choose net ~dests:members
+               = Rootsel_reference.choose net ~dests:members)
+         (rootsel_member_sets net seed))
 
 (* {1 Escape} *)
 
@@ -480,11 +627,13 @@ let suite =
        test_case "balance" `Quick partition_balance;
        test_case "clustered keeps switch groups" `Quick
          partition_clustered_keeps_switch_groups;
-       test_case "deterministic" `Quick partition_deterministic ]);
+       test_case "deterministic" `Quick partition_deterministic;
+       test_case "kway digests" `Quick partition_digests ]);
     ("rootsel",
      [ test_case "paper example (Fig. 5)" `Quick rootsel_paper_example;
        test_case "line center" `Quick rootsel_full_set_center;
-       test_case "single destination" `Quick rootsel_single_dest ]);
+       test_case "single destination" `Quick rootsel_single_dest;
+       QCheck_alcotest.to_alcotest qcheck_rootsel_matches_reference ]);
     ("escape",
      [ test_case "acyclic dependencies" `Quick escape_marks_acyclic_dependencies;
        test_case "root choice matters (Fig. 5)" `Quick escape_root_choice_matters;

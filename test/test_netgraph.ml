@@ -1,10 +1,9 @@
-(* Tests for lib/netgraph: network representation, traversals, Brandes,
-   convex subgraphs, topology generators and fault injection. *)
+(* Tests for lib/netgraph: network representation, traversals, Brandes
+   and its convex subgraphs, topology generators and fault injection. *)
 
 module Network = Nue_netgraph.Network
 module Graph_algo = Nue_netgraph.Graph_algo
 module Brandes = Nue_netgraph.Brandes
-module Convex = Nue_netgraph.Convex
 module Topology = Nue_netgraph.Topology
 module Fault = Nue_netgraph.Fault
 module Prng = Nue_structures.Prng
@@ -241,13 +240,12 @@ let path_of_next_detects_loop () =
 let brandes_line_graph () =
   (* Line of 5 switches: centrality of the middle is highest. *)
   let net = Helpers.line 5 in
-  let sw_only = Array.make (Network.num_nodes net) false in
-  Array.iter (fun s -> sw_only.(s) <- true) (Network.switches net);
-  let cb = Brandes.centrality ~mask:sw_only net in
+  let members = Network.switches net in
+  let cb, _ = Brandes.centrality ~members net in
   Alcotest.(check bool) "middle beats edge" true (cb.(2) > cb.(0));
   Alcotest.(check bool) "middle beats off-middle" true (cb.(2) > cb.(1));
   Alcotest.(check int) "most central is middle" 2
-    (Brandes.most_central ~mask:sw_only net)
+    (Brandes.most_central ~members net)
 
 let brandes_star_center () =
   let b = Network.Builder.create () in
@@ -263,9 +261,7 @@ let brandes_members_restriction () =
   (* Line 0-1-2-3-4 with members {0, 4}: only the one path counts, so
      every interior node has centrality 2 (both directions). *)
   let net = Helpers.line 5 in
-  let mask = Array.make (Network.num_nodes net) false in
-  Array.iter (fun s -> mask.(s) <- true) (Network.switches net);
-  let cb = Brandes.centrality ~mask ~members:[| 0; 4 |] net in
+  let cb, _ = Brandes.centrality ~members:[| 0; 4 |] net in
   Alcotest.(check (float 1e-9)) "interior" 2.0 cb.(2);
   Alcotest.(check (float 1e-9)) "endpoint" 0.0 cb.(0)
 
@@ -275,18 +271,20 @@ let brandes_known_value () =
      (ordered: x2). C_B = 2 * (1/2) * 2 / 2 ... check by symmetry all
      equal instead. *)
   let net = Helpers.ring ~terminals:0 4 in
-  let cb = Brandes.centrality net in
+  let cb, _ = Brandes.centrality net in
   Alcotest.(check (float 1e-9)) "symmetric" cb.(0) cb.(1);
   Alcotest.(check (float 1e-9)) "symmetric2" cb.(1) cb.(2);
   Alcotest.(check bool) "positive" true (cb.(0) > 0.0)
 
-(* {1 Convex} *)
+(* {1 Convex subgraph} *)
+
+let hull net members = snd (Brandes.centrality ~members net)
 
 let convex_line_interval () =
   let net = Helpers.line 6 in
   let sw = Network.switches net in
   (* Members 1 and 4: convex hull on a line is the interval [1,4]. *)
-  let mask = Convex.nodes net [| sw.(1); sw.(4) |] in
+  let mask = hull net [| sw.(1); sw.(4) |] in
   Alcotest.(check bool) "1 in" true mask.(sw.(1));
   Alcotest.(check bool) "2 in" true mask.(sw.(2));
   Alcotest.(check bool) "3 in" true mask.(sw.(3));
@@ -298,7 +296,7 @@ let convex_ring_both_sides () =
   (* On an even ring, opposite members include the whole ring (two
      equal-length shortest paths). *)
   let net = Helpers.ring ~terminals:0 6 in
-  let mask = Convex.nodes net [| 0; 3 |] in
+  let mask = hull net [| 0; 3 |] in
   for i = 0 to 5 do
     Alcotest.(check bool) (Printf.sprintf "node %d" i) true mask.(i)
   done
@@ -307,7 +305,7 @@ let convex_contains_members () =
   let net = Helpers.random_net () in
   let terms = Network.terminals net in
   let members = Array.sub terms 0 5 in
-  let mask = Convex.nodes net members in
+  let mask = hull net members in
   Array.iter
     (fun m -> Alcotest.(check bool) "member inside" true mask.(m))
     members
