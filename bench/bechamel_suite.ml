@@ -29,7 +29,7 @@ let tests () =
         (Staged.stage (fun () -> Nue.route ~vcs:4 tnet));
       Test.make ~name:"fig1b:required-vcs"
         (Staged.stage (fun () ->
-             Nue_routing.Layers.required_vcs tnet
+             Nue_routing.Layers.assign tnet
                ~dests:minhop.Nue_routing.Table.dests
                ~next_channel:minhop.Nue_routing.Table.next_channel
                ~sources:(Network.terminals tnet)));

@@ -78,10 +78,14 @@ let run ~full ~sim () =
   (* Fig. 1b: the VC requirement of each routing's own deadlock-removal
      mechanism, independent of the 4-VC budget. *)
   Printf.printf "FIG1B - required VCs for deadlock-freedom:\n";
+  let required name vcs =
+    Printf.printf "  %-10s %d  (%s)\n" name vcs
+      (if vcs > 4 then "exceeds the 4-VC limit -> inapplicable"
+       else "within the 4-VC limit")
+  in
   Printf.printf "  updown     1\n";
-  Printf.printf "  lash       %d\n" (Nue_routing.Lash.required_vcs net);
-  Printf.printf "  dfsssp     %d  (exceeds the 4-VC limit -> inapplicable)\n"
-    (Nue_routing.Dfsssp.required_vcs net);
+  required "lash" (Nue_routing.Lash.required_vcs net);
+  required "dfsssp" (Nue_routing.Dfsssp.required_vcs net);
   (match Nue_routing.Torus2qos.route_structured ~torus ~remap () with
    | Ok t -> Printf.printf "  torus2qos  %d\n" (Verify.vls_used t)
    | Error _ -> Printf.printf "  torus2qos  FAIL\n");

@@ -5,24 +5,21 @@ let defaults ?dests ?sources net =
   ((match dests with Some d -> d | None -> Network.terminals net),
    match sources with Some s -> s | None -> Network.terminals net)
 
+(* One destination at a time on the live weights: each Dijkstra sees the
+   loads of every destination routed before it. The loads act as
+   tie-breakers between equal-hop paths, so the paths stay (near-)minimal
+   while spreading over parallel shortest routes, as OpenSM's SSSP
+   engine does. *)
 let compute_paths net ~dests ~sources =
   let weights = Array.make (Network.num_channels net) 1.0 in
-  (* Loads act as tie-breakers between equal-hop paths: the paths stay
-     (near-)minimal while spreading over parallel shortest routes, as
-     OpenSM's SSSP engine does. *)
   let scale = Balance.tie_break_scale ~sources ~dests in
   let walk = Verify.walk net in
-  (* Rounds capped at 8: within a round every destination sees the same
-     frozen weights, so large rounds make equal-hop tie-breaking pile
-     onto the same parallel paths instead of spreading. 8 keeps the
-     balance quality ordering (dfsssp above up*/down* on the quality
-     fixtures) while still exposing 8-way parallelism. *)
-  Dest_batch.map ~max_round:8 ~label:"sssp.round" dests
-    ~freeze:(fun () -> Array.copy weights)
-    ~compute:(fun frozen dest ->
-      fst (Graph_algo.dijkstra_to_dest net ~weights:frozen ~dest))
-    ~commit:(fun dest nexts ->
-      Balance.update_weights ~scale ~walk net ~weights ~nexts ~dest ~sources)
+  (* [Array.init] applies its function in index order. *)
+  Array.init (Array.length dests) (fun i ->
+      let dest = dests.(i) in
+      let nexts, _ = Graph_algo.dijkstra_to_dest net ~weights ~dest in
+      Balance.update_weights ~scale ~walk net ~weights ~nexts ~dest ~sources;
+      nexts)
 
 let paths_only ?dests ?sources net =
   let dests, sources = defaults ?dests ?sources net in
@@ -33,20 +30,21 @@ let paths_only ?dests ?sources net =
 let route_structured ?dests ?sources ?(max_vls = 8) net =
   let dests, sources = defaults ?dests ?sources net in
   let next_channel = compute_paths net ~dests ~sources in
-  match
-    Layers.assign net ~dests ~next_channel ~sources ~max_layers:max_vls ()
-  with
-  | None ->
-    let needed = Layers.required_vcs net ~dests ~next_channel ~sources in
-    Error (Engine_error.Vc_budget_exceeded { needed; available = max_vls })
-  | Some { Layers.vl; layers_used } ->
-      Ok
-        (Table.make ~net ~algorithm:"dfsssp" ~dests ~next_channel
-           ~vl:(Table.Per_pair vl) ~num_vls:layers_used
-           ~info:[ ("required_vls", float_of_int layers_used) ]
-           ())
+  let { Layers.vl; layers_used } =
+    Layers.assign net ~dests ~next_channel ~sources
+  in
+  if layers_used > max_vls then
+    Error
+      (Engine_error.Vc_budget_exceeded
+         { needed = layers_used; available = max_vls })
+  else
+    Ok
+      (Table.make ~net ~algorithm:"dfsssp" ~dests ~next_channel
+         ~vl:(Table.Per_pair vl) ~num_vls:layers_used
+         ~info:[ ("required_vls", float_of_int layers_used) ]
+         ())
 
 let required_vcs ?dests ?sources net =
-  let dests, sources = defaults ?dests ?sources net in
-  let next_channel = compute_paths net ~dests ~sources in
-  Layers.required_vcs net ~dests ~next_channel ~sources
+  match route_structured ?dests ?sources ~max_vls:max_int net with
+  | Ok t -> t.Table.num_vls
+  | Error _ -> assert false (* no budget is below max_int *)

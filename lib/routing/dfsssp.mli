@@ -2,12 +2,14 @@
     (Domke, Hoefler, Nagel 2011).
 
     Phase 1 computes globally balanced shortest paths: one weighted
-    Dijkstra per destination with positive weight updates on the used
-    channels. Phase 2 removes deadlocks by assigning whole
-    source-destination paths to virtual layers ({!Layers.assign}); the
-    required number of layers can exceed the hardware VC limit, in which
-    case DFSSSP is inapplicable (the failure mode Figs. 1, 10, 11
-    exhibit and Nue was built to avoid). *)
+    Dijkstra per destination, in destination order, each followed by
+    positive weight updates on the channels its paths use, so every
+    Dijkstra sees the loads of the destinations before it. Phase 2
+    removes deadlocks by assigning whole source-destination paths to
+    virtual layers ({!Layers.assign}); the required number of layers can
+    exceed the hardware VC limit, in which case DFSSSP is inapplicable
+    (the failure mode Figs. 1, 10, 11 exhibit and Nue was built to
+    avoid). *)
 
 val route_structured :
   ?dests:int array ->

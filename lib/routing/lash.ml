@@ -26,64 +26,48 @@ let min_hop_tree net dest =
 (* [trees] is indexed by destination-switch position; [src_pos] maps a
    source switch id to its position in [src_switches]. The resulting
    layer table is flat: entry [dpos * |src_switches| + spos], 0 where no
-   assignment happened (sw = dw pairs). *)
-let assign_layers net ~trees ~dest_switches ~src_switches ~src_pos ~max_layers =
+   assignment happened (sw = dw pairs). Layers open as paths need them,
+   so the count returned is the requirement. *)
+let assign_layers net ~trees ~dest_switches ~src_switches ~src_pos =
   let nc = Network.num_channels net in
   let nsrc = Array.length src_switches in
   let layers = ref [| Acyclic_digraph.create nc |] in
-  let layer_count = ref 1 in
   let layer_of = Array.make (Array.length dest_switches * nsrc) 0 in
-  let ok = ref true in
   Array.iteri
     (fun dpos dw ->
-       if !ok then begin
-         let nexts = trees.(dpos) in
-         Array.iter
-           (fun sw ->
-              if !ok && sw <> dw then begin
-                let edges =
-                  Layers.path_edges net ~nexts ~dest:dw ~src:sw
+       let nexts = trees.(dpos) in
+       Array.iter
+         (fun sw ->
+            if sw <> dw then begin
+              let edges = Layers.path_edges net ~nexts ~dest:dw ~src:sw in
+              (* First layer that accepts all dependencies; rollback on
+                 partial failure (removal keeps the order valid). *)
+              let rec try_layer l =
+                if l >= Array.length !layers then
+                  layers :=
+                    Array.append !layers [| Acyclic_digraph.create nc |];
+                let g = !layers.(l) in
+                let rec add added = function
+                  | [] -> true
+                  | (a, b) :: rest ->
+                    if Acyclic_digraph.try_add_edge g a b then
+                      add ((a, b) :: added) rest
+                    else begin
+                      List.iter
+                        (fun (x, y) -> Acyclic_digraph.remove_edge g x y)
+                        added;
+                      false
+                    end
                 in
-                (* First layer that accepts all dependencies; rollback on
-                   partial failure (removal keeps the order valid). *)
-                let rec try_layer l =
-                  if l >= !layer_count then begin
-                    match max_layers with
-                    | Some k when !layer_count >= k -> None
-                    | _ ->
-                      layers :=
-                        Array.append !layers
-                          [| Acyclic_digraph.create nc |];
-                      incr layer_count;
-                      try_layer l
-                  end
-                  else begin
-                    let g = !layers.(l) in
-                    let rec add added = function
-                      | [] -> true
-                      | (a, b) :: rest ->
-                        if Acyclic_digraph.try_add_edge g a b then
-                          add ((a, b) :: added) rest
-                        else begin
-                          List.iter
-                            (fun (x, y) -> Acyclic_digraph.remove_edge g x y)
-                            added;
-                          false
-                        end
-                    in
-                    if add [] edges then Some l else try_layer (l + 1)
-                  end
-                in
-                match try_layer 0 with
-                | Some l -> layer_of.((dpos * nsrc) + src_pos.(sw)) <- l
-                | None -> ok := false
-              end)
-           src_switches
-       end)
+                if add [] edges then l else try_layer (l + 1)
+              in
+              layer_of.((dpos * nsrc) + src_pos.(sw)) <- try_layer 0
+            end)
+         src_switches)
     dest_switches;
-  if !ok then Some (layer_of, !layer_count) else None
+  (layer_of, Array.length !layers)
 
-let run ?dests ?sources ~max_layers net =
+let route_structured ?dests ?sources ?(max_vls = 8) net =
   let dests = match dests with Some d -> d | None -> Network.terminals net in
   let sources =
     match sources with Some s -> s | None -> Network.terminals net
@@ -109,11 +93,14 @@ let run ?dests ?sources ~max_layers net =
   let trees = Array.make (Array.length dest_switches) [||] in
   Nue_parallel.Pool.run ~label:"lash.trees" ~n:(Array.length dest_switches)
     (fun i -> trees.(i) <- min_hop_tree net dest_switches.(i));
-  match
-    assign_layers net ~trees ~dest_switches ~src_switches ~src_pos ~max_layers
-  with
-  | None -> None
-  | Some (layer_of, layer_count) ->
+  let layer_of, layer_count =
+    assign_layers net ~trees ~dest_switches ~src_switches ~src_pos
+  in
+  if layer_count > max_vls then
+    Error
+      (Engine_error.Vc_budget_exceeded
+         { needed = layer_count; available = max_vls })
+  else begin
     let next_channel = Array.map (fun _ -> [||]) dests in
     Nue_parallel.Pool.run ~label:"lash.tables" ~n:(Array.length dests) (fun di ->
       let dest = dests.(di) in
@@ -149,24 +136,14 @@ let run ?dests ?sources ~max_layers net =
                  | spos -> layer_of.((dpos * nsrc) + spos)))
         dests
     in
-    Some
+    Ok
       (Table.make ~net ~algorithm:"lash" ~dests ~next_channel
          ~vl:(Table.Per_pair vl) ~num_vls:layer_count
          ~info:[ ("required_vls", float_of_int layer_count) ]
-         (),
-       layer_count)
-
-let route_structured ?dests ?sources ?(max_vls = 8) net =
-  match run ?dests ?sources ~max_layers:(Some max_vls) net with
-  | Some (t, _) -> Ok t
-  | None ->
-    (* Re-run unbounded to report the requirement. *)
-    (match run ?dests ?sources ~max_layers:None net with
-     | Some (_, needed) ->
-       Error (Engine_error.Vc_budget_exceeded { needed; available = max_vls })
-     | None -> Error (Engine_error.Internal "lash: assignment failed"))
+         ())
+  end
 
 let required_vcs ?dests ?sources net =
-  match run ?dests ?sources ~max_layers:None net with
-  | Some (_, needed) -> needed
-  | None -> assert false
+  match route_structured ?dests ?sources ~max_vls:max_int net with
+  | Ok t -> t.Table.num_vls
+  | Error _ -> assert false (* no budget is below max_int *)

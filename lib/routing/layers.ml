@@ -32,7 +32,7 @@ let switch_of net n =
    never lie on a cycle (terminals have a single link, and U-turns are
    not dependencies), so grouping loses nothing while dividing memory
    and time by the terminals-per-switch factor. *)
-let assign net ~dests ~next_channel ~sources ?max_layers () =
+let assign net ~dests ~next_channel ~sources =
   let nc = Network.num_channels net in
   let nn = Network.num_nodes net in
   let key (a, b) = (a * nc) + b in
@@ -63,95 +63,85 @@ let assign net ~dests ~next_channel ~sources ?max_layers () =
       dests;
     !acc
   in
-  let rec solve layer groups layers_used =
+  (* Returns the layers used: this one and those above it. *)
+  let rec solve layer groups =
     match groups with
-    | [] -> Some { vl = [||]; layers_used }
+    | [] -> layer + 1
     | _ ->
-      (match max_layers with
-       | Some k when layer >= k -> None
-       | _ ->
-         let g = Digraph.create nc in
-         let incidence = Hashtbl.create 4096 in
-         List.iter
-           (fun ((pos, sw) as group) ->
-              let edges =
-                path_edges net ~nexts:next_channel.(pos) ~dest:dests.(pos)
-                  ~src:sw
-              in
-              List.iter
-                (fun (a, b) ->
-                   Digraph.add_edge g a b;
-                   let k = key (a, b) in
-                   let prev =
-                     Option.value ~default:[] (Hashtbl.find_opt incidence k)
-                   in
-                   Hashtbl.replace incidence k (group :: prev))
-                edges)
-           groups;
-         let moved = ref [] in
-         let rec break () =
-           match Digraph.find_cycle g with
-           | None -> ()
-           | Some cycle ->
-             (* Edges along the cycle, closing back to the head. *)
-             let edges =
-               match cycle with
-               | [] -> []
-               | first :: _ ->
-                 let rec pair_up = function
-                   | [ last ] -> [ (last, first) ]
-                   | a :: (b :: _ as rest) -> (a, b) :: pair_up rest
-                   | [] -> []
-                 in
-                 pair_up cycle
-             in
-             (* Move the groups inducing the weakest cycle edge. *)
-             let weakest =
-               List.fold_left
-                 (fun best (a, b) ->
-                    let m = Digraph.multiplicity g a b in
-                    match best with
-                    | Some (_, bm) when bm <= m -> best
-                    | _ -> Some ((a, b), m))
-                 None edges
-             in
-             (match weakest with
-              | None -> ()
-              | Some ((a, b), _) ->
-                let victims =
-                  Option.value ~default:[]
-                    (Hashtbl.find_opt incidence (key (a, b)))
+      let g = Digraph.create nc in
+      let incidence = Hashtbl.create 4096 in
+      List.iter
+        (fun ((pos, sw) as group) ->
+           let edges =
+             path_edges net ~nexts:next_channel.(pos) ~dest:dests.(pos)
+               ~src:sw
+           in
+           List.iter
+             (fun (a, b) ->
+                Digraph.add_edge g a b;
+                let k = key (a, b) in
+                let prev =
+                  Option.value ~default:[] (Hashtbl.find_opt incidence k)
                 in
-                List.iter
-                  (fun (pos, sw) ->
-                     if layer_of pos sw = layer then begin
-                       set_layer pos sw (layer + 1);
-                       moved := (pos, sw) :: !moved;
-                       List.iter
-                         (fun (x, y) -> Digraph.remove_edge g x y)
-                         (path_edges net ~nexts:next_channel.(pos)
-                            ~dest:dests.(pos) ~src:sw)
-                     end)
-                  victims);
-             break ()
-         in
-         break ();
-         if !moved = [] then Some { vl = [||]; layers_used }
-         else solve (layer + 1) !moved (layers_used + 1))
+                Hashtbl.replace incidence k (group :: prev))
+             edges)
+        groups;
+      let moved = ref [] in
+      let rec break () =
+        match Digraph.find_cycle g with
+        | None -> ()
+        | Some cycle ->
+          (* Edges along the cycle, closing back to the head. *)
+          let edges =
+            match cycle with
+            | [] -> []
+            | first :: _ ->
+              let rec pair_up = function
+                | [ last ] -> [ (last, first) ]
+                | a :: (b :: _ as rest) -> (a, b) :: pair_up rest
+                | [] -> []
+              in
+              pair_up cycle
+          in
+          (* Move the groups inducing the weakest cycle edge. *)
+          let weakest =
+            List.fold_left
+              (fun best (a, b) ->
+                 let m = Digraph.multiplicity g a b in
+                 match best with
+                 | Some (_, bm) when bm <= m -> best
+                 | _ -> Some ((a, b), m))
+              None edges
+          in
+          (match weakest with
+           | None -> ()
+           | Some ((a, b), _) ->
+             let victims =
+               Option.value ~default:[]
+                 (Hashtbl.find_opt incidence (key (a, b)))
+             in
+             List.iter
+               (fun (pos, sw) ->
+                  if layer_of pos sw = layer then begin
+                    set_layer pos sw (layer + 1);
+                    moved := (pos, sw) :: !moved;
+                    List.iter
+                      (fun (x, y) -> Digraph.remove_edge g x y)
+                      (path_edges net ~nexts:next_channel.(pos)
+                         ~dest:dests.(pos) ~src:sw)
+                  end)
+               victims);
+          break ()
+      in
+      break ();
+      if !moved = [] then layer + 1 else solve (layer + 1) !moved
   in
-  match solve 0 all_groups 1 with
-  | None -> None
-  | Some { layers_used; _ } ->
-    (* Materialize per-node VLs from the group layers. *)
-    let vl =
-      Array.mapi
-        (fun pos _dest ->
-           Array.init nn (fun node -> layer_of pos (switch_of net node)))
-        dests
-    in
-    Some { vl; layers_used }
-
-let required_vcs net ~dests ~next_channel ~sources =
-  match assign net ~dests ~next_channel ~sources () with
-  | Some r -> r.layers_used
-  | None -> assert false
+  let layers_used = solve 0 all_groups in
+  (* Materialize per-node VLs from the group layers. *)
+  let vl =
+    Array.mapi
+      (fun pos _dest ->
+         Array.init nn (fun node -> layer_of pos (switch_of net node)))
+      dests
+  in
+  { vl; layers_used }

@@ -28,16 +28,8 @@ val assign :
   dests:int array ->
   next_channel:int array array ->
   sources:int array ->
-  ?max_layers:int ->
-  unit ->
-  result option
-(** [None] if more than [max_layers] layers would be needed (default:
-    unbounded). *)
-
-val required_vcs :
-  Nue_netgraph.Network.t ->
-  dests:int array ->
-  next_channel:int array array ->
-  sources:int array ->
-  int
-(** Layers needed by the greedy assignment (>= 1). *)
+  result
+(** [layers_used] is the requirement Fig. 1b reports; an engine with a
+    smaller VC budget is inapplicable. The assignment is deterministic
+    and adds layers one at a time, so a capped run would be a prefix of
+    this one and fail exactly when [layers_used] exceeds the cap. *)

@@ -13,33 +13,31 @@
    per destination tree; they move only with a table or with a
    deliberate change to what a statistic counts.
 
-   The recordings were last refreshed when route computation moved to
-   batched rounds over the domain pool (see DESIGN.md "Parallel
-   execution model"). Two engine families changed tables then, for one
-   documented reason:
+   Two engine families differ from the CSR recording, or did:
 
-   - sssp/dfsssp on ring8/torus333/torus443/random12/dense16/random20/
-     tree442: the per-destination Dijkstra loop now runs in freeze
-     rounds — every destination of a round is computed against the
-     weights frozen at the round boundary, with the balancing updates
-     committed sequentially in destination order afterwards. Equal-hop
-     tie-breaking therefore sees slightly staler loads than the
-     one-destination-at-a-time loop did. The tables remain minimal-path
-     and (for dfsssp) deadlock-free; only the spread across equal-cost
-     parallel paths shifts.
+   - nue on torus333/torus443/random12/dense16/random20 was re-recorded
+     when Nue's per-layer destination loop moved to speculative batched
+     rounds over the domain pool (see DESIGN.md "Parallel execution
+     model"): destinations of a round tie-break on the weights frozen
+     at the round boundary (CDG admissions are replayed in order at
+     commit, so deadlock-freedom is unaffected).
 
-   - nue on torus333/torus443/random12/dense16/random20: Nue's
-     per-layer destination loop runs in speculative batched rounds with
-     the same frozen-weight tie-breaking at round boundaries (CDG
-     admissions are replayed in order at commit, so deadlock-freedom is
-     unaffected).
+   - sssp/dfsssp are back at the CSR recording. For a while they
+     computed destinations in freeze rounds of up to 8 against frozen
+     weights, and equal-hop tie-breaking piled onto the same parallel
+     paths: reduced FIG9's DFSSSP G_max rose from 786 to 1124, and
+     DFSSSP fit the 4-VC budget of FIG1 that it exceeds. They now route
+     one destination at a time on the live weights, as DFSSSP is
+     published, and every sssp/dfsssp table digest equals the CSR
+     recording again. The statistics digests of the 14 tables that
+     moved back were re-recorded with them.
 
-   The round schedule is a pure function of the seeded destination
+   The nue round schedule is a pure function of the seeded destination
    order — never of the job count — so these digests are stable for
    any --jobs value (test_parallel.ml proves it). minhop, updown,
    lash, static-cdg, torus2qos and fattree are byte-identical to the
    pre-batching recordings: their parallelization only shards pure
-   per-destination computation. *)
+   per-destination computation, and sssp/dfsssp do not use the pool. *)
 
 module Network = Nue_netgraph.Network
 module Topology = Nue_netgraph.Topology
@@ -87,9 +85,9 @@ let recorded =
        ("nue", "5c5a353f0e441caff535ccb6800cccd7") ]);
     ("ring8",
      [ ("minhop", "2a529b838c93656370f62760f2521adf");
-       ("sssp", "03e6900901340ae699e30ef210dbc40d");
+       ("sssp", "3e223a7bc65384e3dbbc856cfc8f4633");
        ("updown", "2e889d1203c08959931da1eab222812b");
-       ("dfsssp", "d5142e0f38984e93a63ffc9fe1de6ff1");
+       ("dfsssp", "7d6042ff0d388ca9ae33411e7aa8bd1f");
        ("lash", "6fc81a344e11c269e1169e0c45141860");
        ("static-cdg", "4f1d2440aa38870b59c03ca9144d48aa");
        ("nue", "42579f93e6655733163901fb5605f553") ]);
@@ -103,51 +101,51 @@ let recorded =
        ("nue", "959a6fc4d765bd3795d8c71f6476ec00") ]);
     ("torus333",
      [ ("minhop", "00d7c30aaa5dbf87559d8cdf14e4852a");
-       ("sssp", "7442ea382a6ff8cfd18c7e76e14b055b");
+       ("sssp", "7c3c15beb315ab680b21ef17fe5b000b");
        ("updown", "beb6212c4de4322fae7679bfcbc64cc1");
-       ("dfsssp", "44c2c9d94fddde57898d66428d69c50c");
+       ("dfsssp", "0be4d181f2553d338dc09ee9328b8e77");
        ("lash", "102a6997190d5c53e50e198e39c62991");
        ("static-cdg", "b756f309ed2247879994583a0c4d3c3a");
        ("nue", "6d984992f149f43eb98441caf7aa62e9");
        ("torus2qos", "f20d8dd5e1d7acaa87f27e03f3ffc803") ]);
     ("torus443",
      [ ("minhop", "352e4808fbda0eb64a6ba41b811db4b1");
-       ("sssp", "e4ac2c04d61d916d80b6088d5e8d9410");
+       ("sssp", "06bb0d1a5b3ff2ee77df1a2919c3812f");
        ("updown", "8a31c12fd189c594f137f9592c5b76a5");
-       ("dfsssp", "c65bcf48bd7070ab1a012ef7dc4156f9");
+       ("dfsssp", "e0146722c21689b200c892ec84631056");
        ("lash", "a1bb9863e315e5f33241cd4dc26ea770");
        ("static-cdg", "c1f891e61a7deeef2f4e034cd65abbfd");
        ("nue", "7cf0df2e984b370dcd3fb6119a4e9069");
        ("torus2qos", "4c9281c2764a32e104d16bcbf287a4ba") ]);
     ("random12",
      [ ("minhop", "5d5aac3e1603c58a4d6e0c202bc010f6");
-       ("sssp", "23e5ae860f3cb5119f620203f12f866c");
+       ("sssp", "e64e5cff63ca50fbe5c87f2ad19948ec");
        ("updown", "1b76d53235b47cf79aff77ed79489653");
-       ("dfsssp", "31f2a05bfac92354061dc2c31492668a");
+       ("dfsssp", "a348ec6c3b2b51f7eebd3a161ed9b97f");
        ("lash", "91d773b3d926a5d32768fb56059372e7");
        ("static-cdg", "75d16c60140738dfdf2eb83b4065001e");
        ("nue", "d7981f5844ad9e84caff22fcc6930cd0") ]);
     ("dense16",
      [ ("minhop", "64e9ec43ca902df8278d9fd39e308aeb");
-       ("sssp", "fb2ce673f9f1005200bd147e2067b6f9");
+       ("sssp", "dc3d09aeb3bb8381c9a03cd386d81740");
        ("updown", "3e8fa818410f642a3fede44a6576d035");
-       ("dfsssp", "3adaca961b0b6492492ef305aaa30d0e");
+       ("dfsssp", "1961a42ef4e22b3673cd3ffa5ccd90bd");
        ("lash", "dbab98d9f204fb2a24c171f923e1cba4");
        ("static-cdg", "6f044e0889576e89d7bde44cdbbbe8ea");
        ("nue", "f1090e30fde85ea2846b9d0c6764da9f") ]);
     ("random20",
      [ ("minhop", "00bc3825ac6e89b3b913107ca70aa4ee");
-       ("sssp", "1fa882c09cf0b387581fdfe28b859834");
+       ("sssp", "d4eff65c2905dad412f16ddf7f1bf759");
        ("updown", "3c11a0176a739929cff1eab41a12ce63");
-       ("dfsssp", "091c0c0ceb4e804408d2a8d1f4fad4f9");
+       ("dfsssp", "b29b57a14b00f480360d11d0210e43b0");
        ("lash", "c216630cf56f47cb863916fe8805986d");
        ("static-cdg", "78f152ca80b12db1d91fc37d76eab7a0");
        ("nue", "df454ab5f7488267a775cc03f17520ce") ]);
     ("tree442",
      [ ("minhop", "62463767c834da5ccafa87a1f985d4f0");
-       ("sssp", "5681611904e3b3139d9b0cc0478d8ad3");
+       ("sssp", "8268a80c3ad236f676c3964225f39d69");
        ("updown", "779b592e5e99c408525f4de06c076869");
-       ("dfsssp", "f4f4c5feed1369da468ddff73e9f807f");
+       ("dfsssp", "35c3da3d4c85a09cf0960f3070bdd962");
        ("lash", "3a4e524493d9923a8e84d9b21ee622f6");
        ("static-cdg", "e8f98084bceead520dbb17611afa1f91");
        ("nue", "26a43e51a4820da1f9a846c613fbc54a");
@@ -165,9 +163,9 @@ let recorded_metrics =
        ("nue", "593848f486224345fb47008bc99bb461") ]);
     ("ring8",
      [ ("minhop", "dad36840de78a886d553e5c12a27fe8e");
-       ("sssp", "00fc6ba684231bb4ff8e077afc4d570a");
+       ("sssp", "dad36840de78a886d553e5c12a27fe8e");
        ("updown", "cf8740ab79b2c6eae6a2eb7092a5f69e");
-       ("dfsssp", "7bb5258e0e2eb2ce57d9b30b65dadfab");
+       ("dfsssp", "20e9458bb60a7aa8ba0dca65a6c555dc");
        ("lash", "9351ab8331dff8bda0c43950cd8354aa");
        ("static-cdg", "60fb512a5ada6b25a15c15f8429a6de0");
        ("nue", "6b13db7736984b0eab12492f30b259a1") ]);
@@ -181,51 +179,51 @@ let recorded_metrics =
        ("nue", "36f42ce93f41fe8830c5cd4f6bf093e5") ]);
     ("torus333",
      [ ("minhop", "91b28e86459fd1ee51d546b952511f49");
-       ("sssp", "a89e1870bce3cf1618ce9ba3eca444ca");
+       ("sssp", "576216ce52419dc240f30bf7776ed895");
        ("updown", "106e167cacab52e1591b13f40d65e055");
-       ("dfsssp", "da2df675c70d99caabd0a9589a2dd14f");
+       ("dfsssp", "90ae7c5b4770f4333c6f034a86283c76");
        ("lash", "af0bc56ce785ac4d2bef231c18138864");
        ("static-cdg", "f6a68b50a59593f41364b203e373fe63");
        ("nue", "aefebef6c0b24f0b1c78ec05890f2dbd");
        ("torus2qos", "8d9cc8a4b148210994a4ff43c3fc3fa1") ]);
     ("torus443",
      [ ("minhop", "fe8f2d232da40cca9f0f5e0a2363dddf");
-       ("sssp", "6e9ac1bc5572b5c0448bbcf6f1f2b0bb");
+       ("sssp", "f95d1ed94de4cde2b4b6475004c19177");
        ("updown", "224f5ec6a592f73001fda507bcfee9b9");
-       ("dfsssp", "71b529a767ef1e3f2ca0e15c334277cb");
+       ("dfsssp", "ed57e1f0f990104ac5b376d942400e53");
        ("lash", "b4da45aa1d1e9a1b3804da8e333188cc");
        ("static-cdg", "fee12478b7705936f6137d1b3464f65f");
        ("nue", "06f9f6c0635b73784832a1a9f208a16e");
        ("torus2qos", "64723b60e23f40a89a79da6f088b48c8") ]);
     ("random12",
      [ ("minhop", "cb2bd0d8f91039d9e3cae3d49c90b49f");
-       ("sssp", "4d55ac93a061c033ced3c468dc6d83c4");
+       ("sssp", "2d6256bb2fe1e3a1b4482efec7fd6863");
        ("updown", "9879e9206ca1e8d81d3bacaf55f4af89");
-       ("dfsssp", "2e0349d13f4e435798c81d1935ff0dc4");
+       ("dfsssp", "77e73b7f4115fd2324cef0dc04b32211");
        ("lash", "c6f2d00747a2ffd5a6ccf7a93836499f");
        ("static-cdg", "927be9a4a5361c0ede7d30e0648dae88");
        ("nue", "6751cfbdc61cca6484a76201412090f5") ]);
     ("dense16",
      [ ("minhop", "8fb2b587fb83e4cc4bc52e0c757aba04");
-       ("sssp", "2fc29884074e5cc3a0808eb25a4c8345");
+       ("sssp", "32b52f37c26e8524e2160b90c56ef197");
        ("updown", "ca90ac5adc1700acef102ae4446979cc");
-       ("dfsssp", "ec2838c5c2ee3253068e2ee124fa4cae");
+       ("dfsssp", "995b082a63d6089ea7ae2f02b4000221");
        ("lash", "4aa77717521d291af46691799dda5f9b");
        ("static-cdg", "3d219ce2e44f3e1e80d261f41546fb95");
        ("nue", "a4acf8c125556026f3aca6fdcf1a964d") ]);
     ("random20",
      [ ("minhop", "6ad076658da1d0e8d7646fa0e7adf6d7");
-       ("sssp", "b41fcdf32b16540f99f710bb3579757f");
+       ("sssp", "ff0d114e7fab6056b13488a47113291b");
        ("updown", "acfc04c3c36957eb3c3d20c50f598d64");
-       ("dfsssp", "9b11dbf1fb38bbd0a758a14d53a52b93");
+       ("dfsssp", "10038120ece1671b2198776ce04ce01f");
        ("lash", "860c634bfbdb7e54d75202e089f9d49d");
        ("static-cdg", "282935f1836f962fd2af210cd80589d1");
        ("nue", "60013dd22d82d7a36a81931783de30cc") ]);
     ("tree442",
      [ ("minhop", "9d361559e416f87aff199c3f9d143ea3");
-       ("sssp", "09bf2a5f02ee5d32e8badb625e637b5e");
+       ("sssp", "9d361559e416f87aff199c3f9d143ea3");
        ("updown", "86bfe13fbcda8148cc9db32af5a938e9");
-       ("dfsssp", "09bf2a5f02ee5d32e8badb625e637b5e");
+       ("dfsssp", "9d361559e416f87aff199c3f9d143ea3");
        ("lash", "86bfe13fbcda8148cc9db32af5a938e9");
        ("static-cdg", "51ca78d0463652b0add1e4d9bccd7a2e");
        ("nue", "7aff430f508ca6660fc6b839c9cb9435");

@@ -172,6 +172,54 @@ let lash_structured_budget () =
   | Error e -> Alcotest.failf "wrong error: %s" (Engine_error.to_string e)
   | Ok _ -> Alcotest.fail "lash fit a cyclic network into one layer"
 
+(* One layer assignment per route: below the requirement the engine
+   reports the same [needed] for every budget, and at or above it the
+   table is the one an ample budget gives. *)
+let budget_sweep engine fixture () =
+  let built = (List.assoc fixture Test_compact.fixtures) () in
+  let route vcs = Engine.route engine (Experiment.spec ~vcs built) in
+  let ample =
+    match route 64 with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "budget 64: %s" (Engine_error.to_string e)
+  in
+  let needed = ample.Nue_routing.Table.num_vls in
+  let expected = Helpers.table_fingerprint ample in
+  for b = 1 to needed + 1 do
+    match route b with
+    | Error (Engine_error.Vc_budget_exceeded r) when b < needed ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "budget %d: (needed, available)" b)
+        (needed, b) (r.needed, r.available)
+    | Ok t when b >= needed ->
+      Alcotest.(check string)
+        (Printf.sprintf "budget %d: table of budget 64" b)
+        expected (Helpers.table_fingerprint t)
+    | Ok _ -> Alcotest.failf "budget %d routed below need %d" b needed
+    | Error e ->
+      Alcotest.failf "budget %d (need %d): %s" b needed
+        (Engine_error.to_string e)
+  done
+
+(* Fig. 1b's verdict on FIG1's reduced fabric (bench/fig1.ml): DFSSSP
+   needs more than the 4-VC budget, so it is inapplicable there. *)
+let dfsssp_exceeds_fig1_budget () =
+  let built =
+    Experiment.build
+      (Experiment.setup ~seed:1 ~faults:(Experiment.Kill_switches [ 5 ])
+         (Experiment.Torus3d
+            { dims = (4, 4, 3); terminals = 2; redundancy = 1 }))
+  in
+  match (Experiment.run ~vcs:4 ~engine:"dfsssp" built).Experiment.table with
+  | Error (Engine_error.Vc_budget_exceeded { needed; available }) ->
+    Alcotest.(check int) "available" 4 available;
+    Alcotest.(check bool)
+      (Printf.sprintf "needed %d > 4" needed) true (needed > 4)
+  | Error e -> Alcotest.failf "wrong error: %s" (Engine_error.to_string e)
+  | Ok t ->
+    Alcotest.failf "dfsssp routed FIG1's fabric in %d VLs"
+      t.Nue_routing.Table.num_vls
+
 (* {1 Experiment pipeline} *)
 
 let run_all_covers_registry () =
@@ -261,7 +309,18 @@ let suite =
     ("engine:errors",
      [ test_case "dfsssp budget is structured" `Quick dfsssp_structured_budget;
        test_case "torus2qos mismatch, no raise" `Quick torus2qos_mismatch_not_raise;
-       test_case "lash budget is structured" `Quick lash_structured_budget ]);
+       test_case "lash budget is structured" `Quick lash_structured_budget;
+       test_case "dfsssp exceeds FIG1's 4-VC budget" `Quick
+         dfsssp_exceeds_fig1_budget ]
+     @ List.concat_map
+         (fun engine ->
+            List.map
+              (fun fixture ->
+                 test_case
+                   (Printf.sprintf "%s budget sweep on %s" engine fixture)
+                   `Quick (budget_sweep engine fixture))
+              [ "dense16"; "torus333" ])
+         [ "dfsssp"; "lash" ]);
     ("engine:pipeline",
      [ test_case "run_all covers registry" `Quick run_all_covers_registry;
        test_case "fault stream deterministic" `Quick fault_stream_deterministic ]);

@@ -112,24 +112,22 @@ let nue_handles_multigraph_redundancy () =
 let layers_vl_covers_all_nodes () =
   let net = (Helpers.small_torus ()).Topology.net in
   let table = Minhop.route net in
-  match
+  let { Layers.vl; layers_used } =
     Layers.assign net ~dests:table.Table.dests
       ~next_channel:table.Table.next_channel
-      ~sources:(Network.terminals net) ()
-  with
-  | None -> Alcotest.fail "assign failed"
-  | Some { Layers.vl; layers_used } ->
-    Alcotest.(check int) "vl rows per dest" (Array.length table.Table.dests)
-      (Array.length vl);
-    Array.iter
-      (fun per_node ->
-         Alcotest.(check int) "vl per node" (Network.num_nodes net)
-           (Array.length per_node);
-         Array.iter
-           (fun l ->
-              if l < 0 || l >= layers_used then Alcotest.fail "layer range")
-           per_node)
-      vl
+      ~sources:(Network.terminals net)
+  in
+  Alcotest.(check int) "vl rows per dest" (Array.length table.Table.dests)
+    (Array.length vl);
+  Array.iter
+    (fun per_node ->
+       Alcotest.(check int) "vl per node" (Network.num_nodes net)
+         (Array.length per_node);
+       Array.iter
+         (fun l ->
+            if l < 0 || l >= layers_used then Alcotest.fail "layer range")
+         per_node)
+    vl
 
 (* {1 Torus-2QoS VL economy} *)
 

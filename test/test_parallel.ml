@@ -6,8 +6,8 @@
    - Every pinned engine x fixture digest from test_compact.ml is
      recomputed at --jobs 2 and --jobs 8 and checked against the same
      recordings the jobs=1 suite pins. Any schedule-dependence in the
-     batched rounds, the freeze-round baselines, or the task-capture merges
-     would show up here as a digest mismatch.
+     batched rounds or the task-capture merges would show up here as a
+     digest mismatch.
 
    - Merged observability must be deterministic too: Obs counter
      snapshots and provenance trails from a parallel run are compared

@@ -547,47 +547,48 @@ let layers_ring_needs_two () =
          nexts)
       terms
   in
-  let vcs = Layers.required_vcs net ~dests:terms ~next_channel ~sources:terms in
+  let { Layers.vl; layers_used } =
+    Layers.assign net ~dests:terms ~next_channel ~sources:terms
+  in
   (* Two layers are necessary; the greedy heuristic may use a couple
      more because whole paths move together (real DFSSSP behaves the
      same way). *)
-  Alcotest.(check bool) "between 2 and 4 layers" true (vcs >= 2 && vcs <= 4);
-  Alcotest.(check bool) "enough layers ok" true
-    (Layers.assign net ~dests:terms ~next_channel ~sources:terms
-       ~max_layers:vcs () <> None);
-  Alcotest.(check bool) "1 insufficient" true
-    (Layers.assign net ~dests:terms ~next_channel ~sources:terms
-       ~max_layers:1 () = None)
+  Alcotest.(check bool) "between 2 and 4 layers" true
+    (layers_used >= 2 && layers_used <= 4);
+  let layered =
+    Table.make ~net ~algorithm:"ring-layered" ~dests:terms ~next_channel
+      ~vl:(Table.Per_pair vl) ~num_vls:layers_used ()
+  in
+  Alcotest.(check bool) "layers break the ring's cycle" true
+    (Verify.deadlock_free layered)
 
 let layers_tree_needs_one () =
   let net = Helpers.line 5 in
   let table = Minhop.route net in
-  let vcs =
-    Layers.required_vcs net ~dests:table.Table.dests
+  let { Layers.layers_used; _ } =
+    Layers.assign net ~dests:table.Table.dests
       ~next_channel:table.Table.next_channel
       ~sources:(Network.terminals net)
   in
-  Alcotest.(check int) "trees are deadlock-free" 1 vcs
+  Alcotest.(check int) "trees are deadlock-free" 1 layers_used
 
 let layers_assignment_is_deadlock_free () =
   let t = Helpers.small_torus () in
   let net = t.Topology.net in
   let table = Minhop.route net in
   let terms = Network.terminals net in
-  match
+  let { Layers.vl; layers_used } =
     Layers.assign net ~dests:table.Table.dests
-      ~next_channel:table.Table.next_channel ~sources:terms ()
-  with
-  | None -> Alcotest.fail "unbounded assignment cannot fail"
-  | Some { Layers.vl; layers_used } ->
-    Alcotest.(check bool) "uses >= 2 layers on a torus" true (layers_used >= 2);
-    let layered =
-      Table.make ~net ~algorithm:"minhop-layered" ~dests:table.Table.dests
-        ~next_channel:table.Table.next_channel ~vl:(Table.Per_pair vl)
-        ~num_vls:layers_used ()
-    in
-    Alcotest.(check bool) "layered table deadlock-free" true
-      (Verify.deadlock_free layered)
+      ~next_channel:table.Table.next_channel ~sources:terms
+  in
+  Alcotest.(check bool) "uses >= 2 layers on a torus" true (layers_used >= 2);
+  let layered =
+    Table.make ~net ~algorithm:"minhop-layered" ~dests:table.Table.dests
+      ~next_channel:table.Table.next_channel ~vl:(Table.Per_pair vl)
+      ~num_vls:layers_used ()
+  in
+  Alcotest.(check bool) "layered table deadlock-free" true
+    (Verify.deadlock_free layered)
 
 (* {1 MinHop} *)
 
@@ -704,6 +705,44 @@ let dfsssp_paths_shortest () =
     in
     Alcotest.(check bool) "bounded stretch" true
       (stats.Nue_metrics.Pathstats.max_hops <= 12)
+
+(* Two switches joined by two parallel duplex links, [t] terminals on
+   each. Every cross-switch path is two hops whichever link it takes, so
+   only the loads of the destinations routed before decide. *)
+let twin_link_net t =
+  let b = Network.Builder.create ~name:"twin-link" () in
+  let a = Network.Builder.add_switch b and z = Network.Builder.add_switch b in
+  Network.Builder.connect b a z;
+  Network.Builder.connect b a z;
+  List.iter
+    (fun sw ->
+       for _ = 1 to t do
+         Network.Builder.connect b sw (Network.Builder.add_terminal b)
+       done)
+    [ a; z ];
+  Network.Builder.build b
+
+let sssp_splits_parallel_links () =
+  List.iter
+    (fun t ->
+       let net = twin_link_net t in
+       let loads = Forwarding_index.per_channel (Dfsssp.paths_only net) in
+       let between =
+         List.filter
+           (fun c -> Network.is_switch net (Network.dst net c))
+           (Array.to_list (Network.out_channels net 0)
+            @ Array.to_list (Network.out_channels net 1))
+       in
+       Alcotest.(check int) "four switch-to-switch channels" 4
+         (List.length between);
+       (* t * t pairs cross in each direction, half on each link. *)
+       List.iter
+         (fun c ->
+            Alcotest.(check int)
+              (Printf.sprintf "t=%d: load of channel %d" t c)
+              (t * t / 2) loads.(c))
+         between)
+    [ 4; 8 ]
 
 (* {1 LASH} *)
 
@@ -860,7 +899,9 @@ let suite =
      [ test_case "tree needs one VL" `Quick dfsssp_small_tree_one_vl;
        test_case "valid on torus" `Quick dfsssp_torus_valid;
        test_case "respects VL budget" `Quick dfsssp_respects_vl_budget;
-       test_case "shortest paths" `Quick dfsssp_paths_shortest ]);
+       test_case "shortest paths" `Quick dfsssp_paths_shortest;
+       test_case "sssp splits equal-hop paths over parallel links" `Quick
+         sssp_splits_parallel_links ]);
     ("lash",
      [ test_case "valid and layered" `Quick lash_valid_and_layered;
        test_case "tree single layer" `Quick lash_tree_single_layer;
