@@ -6,58 +6,21 @@
      dune exec bench/main.exe -- fig1a fig11   # a subset
      dune exec bench/main.exe -- --full fig9   # paper-scale parameters
      dune exec bench/main.exe -- --topos 50 fig9
-     dune exec bench/main.exe -- --sim fig10   # add flit-level simulation
-     dune exec bench/main.exe -- --bechamel    # Bechamel kernel timings *)
+     dune exec bench/main.exe -- --sim fig10   # add flit-level simulation *)
 
 let usage () =
   print_endline
-    "experiments: tab1 topo-stats trace telemetry workloads fig1a fig1b fig9\n\
-    \             sec51 fig10 fig11 churn scale profile abl-partition abl-root\n\
-    \             abl-opt abl-weights abl-impasse bechamel\n\
-    \             (scale and profile route 3k-10k-switch topologies — minutes\n\
-    \              of CPU — and are not part of the no-argument default set)\n\
+    "experiments: tab1 topo-stats telemetry workloads fig1a fig1b fig9\n\
+    \             sec51 fig10 fig11 churn scale abl-partition abl-root\n\
+    \             abl-opt abl-weights abl-impasse\n\
+    \             (scale routes 3k-10k-switch topologies — minutes of CPU —\n\
+    \              and is not part of the no-argument default set)\n\
      flags: --full (paper-scale), --sim (flit-level simulation),\n\
     \        --no-sim, --topos N (fig9 topology count)\n\
-     every run writes machine-readable results to BENCH_nue.json and\n\
-     appends a compact row to BENCH_history.jsonl\n\
-     diff mode: main.exe -- diff BASELINE.json [CURRENT.json]\n\
-    \            (per-experiment deltas; CURRENT defaults to BENCH_nue.json)\n\
-    \            main.exe -- diff --against N [HISTORY.jsonl]\n\
-    \            (latest history row vs the Nth-previous one)"
-
-let diff_errors f =
-  try f () with
-  | Sys_error msg ->
-    Printf.eprintf "bench diff: %s\n" msg;
-    exit 1
-  | Nue_pipeline.Json.Parse_error msg ->
-    Printf.eprintf "bench diff: malformed report: %s\n" msg;
-    exit 1
-
-let run_diff = function
-  | "--against" :: n :: rest ->
-    let history =
-      match rest with path :: _ -> path | [] -> Report.history_path
-    in
-    (match int_of_string_opt n with
-     | Some n -> diff_errors (fun () -> Diff.run_against ~history ~n)
-     | None ->
-       Printf.eprintf "bench diff --against: bad count %S\n" n;
-       exit 1)
-  | baseline :: rest ->
-    let current =
-      match rest with path :: _ -> path | [] -> Report.path
-    in
-    diff_errors (fun () -> Diff.run ~baseline ~current)
-  | [] ->
-    Printf.eprintf "bench diff: missing BASELINE argument\n";
-    exit 1
+     every run writes machine-readable results to BENCH_nue.json"
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  match args with
-  | "diff" :: rest -> run_diff rest
-  | _ ->
   let full = List.mem "--full" args in
   let sim_flag = List.mem "--sim" args in
   let no_sim = List.mem "--no-sim" args in
@@ -77,7 +40,7 @@ let () =
       args
   in
   let wanted = if wanted = [] then
-      [ "tab1"; "trace"; "telemetry"; "workloads"; "fig1a"; "fig9"; "fig10";
+      [ "tab1"; "telemetry"; "workloads"; "fig1a"; "fig9"; "fig10";
         "fig11"; "churn"; "abl-partition"; "abl-root"; "abl-opt";
         "abl-weights"; "abl-impasse" ]
     else wanted
@@ -88,7 +51,6 @@ let () =
     Printf.printf "Nue reproduction harness (%s scale)\n"
       (if full then "paper" else "reduced");
     if has "tab1" then Tab1.run ();
-    if has "trace" then Trace_bench.run ~full ();
     if has "telemetry" then Telemetry_bench.run ~full ();
     if has "workloads" then Workloads_bench.run ~full ();
     if has "topo-stats" then Topostats.run ();
@@ -100,14 +62,12 @@ let () =
     if has "fig11" then Fig11.run ~full ();
     if has "churn" then Churn_bench.run ~full ();
     if has "scale" then Scale_bench.run ~full ();
-    if has "profile" then Profile_bench.run ~full ();
     if has "abl-partition" then Ablations.partitioning ~full ();
     if has "abl-root" then Ablations.root_selection ~full ();
     if has "abl-opt" then Ablations.optimizations ~full ();
     if has "abl-weights" then Ablations.weights ~full ();
     if has "abl-impasse" then Ablations.impasse ~full ();
-    if has "bechamel" || List.mem "--bechamel" args then Bechamel_suite.run ();
     (* Always emit the machine-readable report, even for a subset run:
-       the perf trajectory and the CI artifact step read this file. *)
+       the CI check and artifact steps read this file. *)
     Report.write ()
   end

@@ -1,48 +1,17 @@
-(* Machine-readable bench output: every experiment that wants its
-   numbers on the perf trajectory adds a JSON section here, and main.ml
-   writes the accumulated report to BENCH_nue.json at the end of the
-   run. CI uploads the file as an artifact and fails if it is missing
-   or unparseable. *)
+(* Machine-readable bench output: every experiment that records its
+   numbers adds a JSON section here, and main.ml writes the accumulated
+   report to BENCH_nue.json at the end of the run. CI uploads the file
+   as an artifact and fails if it is missing or unparseable. *)
 
 module Json = Nue_pipeline.Json
 
 let path = "BENCH_nue.json"
-let history_path = "BENCH_history.jsonl"
 
 let entries : (string * Json.t) list ref = ref []
 
 (* Last write wins so a re-run experiment replaces its section. *)
 let add name v =
   entries := (name, v) :: List.remove_assoc name !entries
-
-(* One compact line per run: the numeric leaves of every experiment
-   section, appended so the perf trajectory accumulates across runs
-   (`main.exe -- diff` compares two full reports; the history file is
-   for plotting trends without keeping every report around). *)
-let append_history () =
-  if !entries <> [] then begin
-    let row =
-      Json.Obj
-        [ ("time", Json.Float (Unix.gettimeofday ()));
-          ("schema", Json.Str "nue-bench/2");
-          ("experiments",
-           Json.Obj
-             (List.rev_map
-                (fun (name, v) ->
-                   (name,
-                    Json.Obj
-                      (List.map (fun (k, f) -> (k, Json.Float f))
-                         (Diff.flatten v))))
-                !entries)) ]
-    in
-    let oc =
-      open_out_gen [ Open_append; Open_creat ] 0o644 history_path
-    in
-    output_string oc (Json.to_string row);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "appended to %s\n" history_path
-  end
 
 let write () =
   let report =
@@ -56,5 +25,4 @@ let write () =
   output_char oc '\n';
   close_out oc;
   Printf.printf "\nwrote %s (%d experiment section(s))\n" path
-    (List.length !entries);
-  append_history ()
+    (List.length !entries)

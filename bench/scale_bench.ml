@@ -7,7 +7,7 @@
    actually unlocks 3k-10k+ switches. Destinations are *sampled* — a
    full all-destination sweep at 5k switches is hours of CPU, and the
    route-time-per-destination signal is the same — with the sample size
-   recorded in every row so diffs compare like with like.
+   recorded in every row so two runs compare like with like.
 
    Memory is reported from [Gc.quick_stat]: [top_heap_words] is the
    process-lifetime peak of the major heap, i.e. monotone across rows —

@@ -1,41 +1,30 @@
 (* Directed multigraph on the shared CSR adjacency pool. Traversals are
    iterative with explicit stacks — induced CDGs at 10k+ switches have
-   millions of channels, far past the OS stack. The reachability scratch
-   (visit stamps + stack) is cached on the graph so repeated
-   [would_close_cycle] probes (static-CDG's hot path) allocate nothing. *)
+   millions of channels, far past the OS stack. *)
 
 module Adjacency = Nue_structures.Adjacency
 
-type t = {
-  adj : Adjacency.t;
-  stamp : int array; (* scratch: vertex visited iff stamp.(v) = clock *)
-  mutable clock : int;
-  stack : int array; (* scratch DFS stack; each vertex pushed at most once *)
-}
+type t = Adjacency.t
 
-let create n =
-  { adj = Adjacency.create n;
-    stamp = Array.make n 0;
-    clock = 0;
-    stack = Array.make (max n 1) 0 }
+let create = Adjacency.create
 
-let num_vertices t = Adjacency.num_vertices t.adj
+let num_vertices = Adjacency.num_vertices
 
-let add_edge t u v = ignore (Adjacency.add t.adj u v)
+let add_edge t u v = ignore (Adjacency.add t u v)
 
 let remove_edge t u v =
-  match Adjacency.remove t.adj u v with
+  match Adjacency.remove t u v with
   | (_ : bool) -> ()
   | exception Invalid_argument _ ->
     invalid_arg "Digraph.remove_edge: absent edge"
 
-let multiplicity t u v = Adjacency.multiplicity t.adj u v
+let multiplicity = Adjacency.multiplicity
 
-let mem_edge t u v = Adjacency.mem t.adj u v
+let mem_edge = Adjacency.mem
 
-let num_edges t = Adjacency.distinct_edges t.adj
+let num_edges = Adjacency.distinct_edges
 
-let iter_succ t u f = Adjacency.iter t.adj u f
+let iter_succ = Adjacency.iter
 
 (* Iterative 3-color DFS in ascending successor order: a back edge to a
    grey vertex identifies a cycle, reconstructed from the parent map.
@@ -59,9 +48,9 @@ let find_cycle t =
       while !found = None && !sp >= 0 do
         let u = stack_v.(!sp) in
         let i = stack_i.(!sp) in
-        if i < Adjacency.degree t.adj u then begin
+        if i < Adjacency.degree t u then begin
           stack_i.(!sp) <- i + 1;
-          let v = Adjacency.succ_ix t.adj u i in
+          let v = Adjacency.succ_ix t u i in
           if color.(v) = grey then begin
             (* Cycle: v -> ... -> u -> v; walk parents from u to v. *)
             let acc = ref [] in
@@ -92,29 +81,3 @@ let find_cycle t =
   !found
 
 let is_acyclic t = find_cycle t = None
-
-let would_close_cycle t u v =
-  if u = v then true
-  else begin
-    (* Iterative DFS from v looking for u; stamp on push so each vertex
-       enters the fixed-size stack at most once. *)
-    t.clock <- t.clock + 1;
-    let c = t.clock in
-    let sp = ref 1 in
-    t.stack.(0) <- v;
-    t.stamp.(v) <- c;
-    let found = ref false in
-    while (not !found) && !sp > 0 do
-      decr sp;
-      let x = t.stack.(!sp) in
-      if x = u then found := true
-      else
-        Adjacency.iter t.adj x (fun y ->
-            if t.stamp.(y) <> c then begin
-              t.stamp.(y) <- c;
-              t.stack.(!sp) <- y;
-              incr sp
-            end)
-    done;
-    !found
-  end

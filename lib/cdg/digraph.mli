@@ -33,7 +33,3 @@ val find_cycle : t -> int list option
     vk -> v1 closing it), or [None] if the graph is acyclic. *)
 
 val is_acyclic : t -> bool
-
-val would_close_cycle : t -> int -> int -> bool
-(** [would_close_cycle g u v] is true iff adding edge [u -> v] would
-    create a cycle (i.e. [v] currently reaches [u]). *)

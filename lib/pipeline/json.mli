@@ -27,8 +27,9 @@ exception Parse_error of string
 val of_string : string -> t
 (** Recursive-descent parser for the subset this library emits (RFC 8259
     minus astral \u escapes, which are kept verbatim). Round-trips
-    [to_string]/[to_string_pretty] output. Used by [bench diff] to read
-    historical reports back.
+    [to_string]/[to_string_pretty] output. bench/perf reads
+    BENCHMARK.json, its child processes' result lines and its span
+    files with it.
     @raise Parse_error on malformed input, with a byte offset. *)
 
 val member : string -> t -> t option

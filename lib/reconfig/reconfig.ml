@@ -30,6 +30,30 @@ type state = {
 
 (* {1 Lifting} *)
 
+(* Degraded-channel -> base-channel id map (and its inverse), pairing
+   the surviving parallel copies of each (src, dst) in ascending
+   channel-id order on both sides. *)
+let channel_maps ~base dnet =
+  let by_pair = Hashtbl.create 97 in
+  for c = Network.num_channels base - 1 downto 0 do
+    let key = (Network.src base c, Network.dst base c) in
+    let prev = Option.value (Hashtbl.find_opt by_pair key) ~default:[] in
+    Hashtbl.replace by_pair key (c :: prev)
+  done;
+  let d2b = Array.make (Network.num_channels dnet) (-1) in
+  for c = 0 to Network.num_channels dnet - 1 do
+    let key = (Network.src dnet c, Network.dst dnet c) in
+    match Hashtbl.find_opt by_pair key with
+    | Some (b :: rest) ->
+      d2b.(c) <- b;
+      Hashtbl.replace by_pair key rest
+    | Some [] | None ->
+      invalid_arg "Reconfig: degraded channel has no base counterpart"
+  done;
+  let b2d = Array.make (Network.num_channels base) (-1) in
+  Array.iteri (fun dch bch -> b2d.(bch) <- dch) d2b;
+  (d2b, b2d)
+
 let lift ~base (remap : Fault.remap) (table : Table.t) =
   let dnet = remap.net in
   if table.net != dnet then
@@ -45,25 +69,7 @@ let lift ~base (remap : Fault.remap) (table : Table.t) =
            "Reconfig.lift: remap renumbers nodes (only link faults are \
             liftable)")
     remap.to_old;
-  (* Map each degraded channel to a base channel with the same endpoints,
-     pairing the surviving parallel copies of each (src, dst) in
-     ascending channel-id order on both sides. *)
-  let by_pair = Hashtbl.create 97 in
-  for c = Network.num_channels base - 1 downto 0 do
-    let key = (Network.src base c, Network.dst base c) in
-    let prev = Option.value (Hashtbl.find_opt by_pair key) ~default:[] in
-    Hashtbl.replace by_pair key (c :: prev)
-  done;
-  let chan_map = Array.make (Network.num_channels dnet) (-1) in
-  for c = 0 to Network.num_channels dnet - 1 do
-    let key = (Network.src dnet c, Network.dst dnet c) in
-    match Hashtbl.find_opt by_pair key with
-    | Some (b :: rest) ->
-      chan_map.(c) <- b;
-      Hashtbl.replace by_pair key rest
-    | Some [] | None ->
-      invalid_arg "Reconfig.lift: degraded channel has no base counterpart"
-  done;
+  let chan_map, _ = channel_maps ~base dnet in
   let next_channel =
     Array.map
       (Array.map (fun c -> if c < 0 then -1 else chan_map.(c)))
@@ -187,30 +193,6 @@ let mark_incremental alg =
   let suffix = "+incremental" in
   let n = String.length alg and k = String.length suffix in
   if n >= k && String.sub alg (n - k) k = suffix then alg else alg ^ suffix
-
-(* Degraded-channel -> base-channel id map (and its inverse), pairing
-   the surviving parallel copies of each (src, dst) in ascending
-   channel-id order on both sides — the same convention [lift] uses. *)
-let channel_maps ~base dnet =
-  let by_pair = Hashtbl.create 97 in
-  for c = Network.num_channels base - 1 downto 0 do
-    let key = (Network.src base c, Network.dst base c) in
-    let prev = Option.value (Hashtbl.find_opt by_pair key) ~default:[] in
-    Hashtbl.replace by_pair key (c :: prev)
-  done;
-  let d2b = Array.make (Network.num_channels dnet) (-1) in
-  for c = 0 to Network.num_channels dnet - 1 do
-    let key = (Network.src dnet c, Network.dst dnet c) in
-    match Hashtbl.find_opt by_pair key with
-    | Some (b :: rest) ->
-      d2b.(c) <- b;
-      Hashtbl.replace by_pair key rest
-    | Some [] | None ->
-      invalid_arg "Reconfig: degraded channel has no base counterpart"
-  done;
-  let b2d = Array.make (Network.num_channels base) (-1) in
-  Array.iteri (fun dch bch -> b2d.(bch) <- dch) d2b;
-  (d2b, b2d)
 
 (* Channel-dependency edges induced by one destination's routing tree:
    for every node s routing to d via channel c, the packet continues on
@@ -453,12 +435,6 @@ let merge_tables ~(old_t : Table.t) ~(fresh : Table.t) =
       dests
   in
   (* Normalize both VL assignments to a comparable concrete form. *)
-  let per_dest_of (t : Table.t) pos =
-    match t.vl with
-    | Table.All_zero -> Some 0
-    | Table.Per_dest a -> Some a.(pos)
-    | Table.Per_pair _ | Table.Per_hop _ -> None
-  in
   let per_pair_of (t : Table.t) pos =
     match t.vl with
     | Table.All_zero -> Array.make n 0
@@ -483,8 +459,8 @@ let merge_tables ~(old_t : Table.t) ~(fresh : Table.t) =
         (Array.mapi
            (fun pos d ->
               match vl_for pos d with
-              | `Old p -> Option.get (per_dest_of old_t p)
-              | `Fresh p -> Option.get (per_dest_of fresh p))
+              | `Old p -> Option.get (simple_vl_of old_t p)
+              | `Fresh p -> Option.get (simple_vl_of fresh p))
            dests)
     else
       Table.Per_pair

@@ -266,33 +266,28 @@ let route_structured ~torus ~remap ?dests ?sources () =
       let nc = Network.num_channels net in
       let g = Nue_cdg.Digraph.create (4 * nc) in
       let sources = Network.terminals net in
-      let cyclic = ref false in
+      let broken = ref false in
       Array.iteri
         (fun pos dest ->
-           if dest_reordered.(pos) && not !cyclic then
+           if dest_reordered.(pos) && not !broken then
              Array.iter
                (fun src ->
-                  if src <> dest && not !cyclic then
+                  if src <> dest && not !broken then
                     match Table.path_with_vls table ~src ~dest with
-                    | None -> cyclic := true (* defensive: broken path *)
+                    | None -> broken := true (* defensive: broken path *)
                     | Some hops ->
                       let rec deps = function
                         | (c1, v1) :: ((c2, v2) :: _ as rest) ->
-                          if v1 >= 2 || v2 >= 2 then begin
-                            let a = (v1 * nc) + c1 and b = (v2 * nc) + c2 in
-                            if not (Nue_cdg.Digraph.mem_edge g a b) then begin
-                              if Nue_cdg.Digraph.would_close_cycle g a b then
-                                cyclic := true
-                              else Nue_cdg.Digraph.add_edge g a b
-                            end
-                          end;
+                          if v1 >= 2 || v2 >= 2 then
+                            Nue_cdg.Digraph.add_edge g
+                              ((v1 * nc) + c1) ((v2 * nc) + c2);
                           deps rest
                         | _ -> ()
                       in
                       deps hops)
                sources)
         dests;
-      if !cyclic then
+      if !broken || not (Nue_cdg.Digraph.is_acyclic g) then
         Error
           (Engine_error.Unroutable
              "torus2qos: fault pattern requires dimension reordering whose \

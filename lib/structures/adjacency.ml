@@ -60,8 +60,6 @@ let mem t u v = multiplicity t u v > 0
 
 let succ_ix t u i = t.heads.(t.start.(u) + i)
 
-let mult_ix t u i = t.mults.(t.start.(u) + i)
-
 let iter t u f =
   let s = t.start.(u) in
   for i = 0 to t.len.(u) - 1 do
@@ -169,5 +167,3 @@ let remove t u v =
     t.edges <- t.edges - 1;
     true
   end
-
-let pool_words t = (2 * Array.length t.heads) + (3 * t.n)

@@ -37,9 +37,6 @@ val succ_ix : t -> int -> int -> int
 (** [succ_ix t u i] is the [i]-th distinct successor of [u] (ascending),
     [0 <= i < degree t u]. Unchecked. *)
 
-val mult_ix : t -> int -> int -> int
-(** Multiplicity aligned with {!succ_ix}. Unchecked. *)
-
 val iter : t -> int -> (int -> unit) -> unit
 (** Iterate the distinct successors of a vertex in ascending order. *)
 
@@ -47,7 +44,3 @@ val iter_mult : t -> int -> (int -> int -> unit) -> unit
 (** [iter_mult t u f] calls [f v mult] per distinct successor, ascending. *)
 
 val fold : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-
-val pool_words : t -> int
-(** Approximate heap words held by the pool and per-vertex tables (the
-    memory-model number reported by the scale bench). *)

@@ -827,6 +827,30 @@ let torus2qos_double_ring_failure_fails () =
        must at least be valid. *)
     Helpers.check_table_valid "torus2qos/2-faults" table
 
+(* Both outcomes of the reordered-class check. On a 4x4x3 torus,
+   killing switches 0 and 1 forces dimension reordering whose
+   dependencies stay acyclic (4 VLs); killing 0 and 16 forces a
+   reordering whose dependencies close a cycle. *)
+let torus2qos_reordered_class () =
+  let torus = Topology.torus3d ~dims:(4, 4, 3) ~terminals_per_switch:1 () in
+  let route dead =
+    Torus2qos.route_structured ~torus
+      ~remap:(Fault.remove_switches torus.Topology.net dead) ()
+  in
+  (match route [ 0; 1 ] with
+   | Error e -> Alcotest.fail (Engine_error.to_string e)
+   | Ok table ->
+     Alcotest.(check int) "reordered class on 4 VLs" 4 table.Table.num_vls;
+     Helpers.check_table_valid "torus2qos/reordered" table);
+  match route [ 0; 16 ] with
+  | Error (Engine_error.Unroutable msg) ->
+    Alcotest.(check string) "cycle verdict"
+      "torus2qos: fault pattern requires dimension reordering whose \
+       dependencies close a cycle (beyond Torus-2QoS's envelope)"
+      msg
+  | Error e -> Alcotest.fail (Engine_error.to_string e)
+  | Ok _ -> Alcotest.fail "cyclic reordered class routed"
+
 (* {1 Fat-tree} *)
 
 let fattree_valid () =
@@ -910,7 +934,8 @@ let suite =
      [ test_case "intact torus" `Quick torus2qos_intact;
        test_case "single switch failure" `Quick torus2qos_single_failure;
        test_case "single link failure" `Quick torus2qos_link_failure;
-       test_case "double ring failure" `Quick torus2qos_double_ring_failure_fails ]);
+       test_case "double ring failure" `Quick torus2qos_double_ring_failure_fails;
+       test_case "reordered class: acyclic and cyclic" `Quick torus2qos_reordered_class ]);
     ("fattree",
      [ test_case "valid" `Quick fattree_valid;
        test_case "shortest" `Quick fattree_shortest;
