@@ -8,8 +8,13 @@
      dune exec bench/main.exe -- --topos 50 fig9
      dune exec bench/main.exe -- --sim fig10   # add flit-level simulation *)
 
-let usage () =
-  print_endline
+let experiments =
+  [ "tab1"; "topo-stats"; "telemetry"; "workloads"; "fig1"; "fig1a"; "fig1b";
+    "fig9"; "sec51"; "fig10"; "fig11"; "churn"; "scale"; "abl-partition";
+    "abl-root"; "abl-opt"; "abl-weights"; "abl-impasse" ]
+
+let usage oc =
+  output_string oc
     "experiments: tab1 topo-stats telemetry workloads fig1a fig1b fig9\n\
     \             sec51 fig10 fig11 churn scale abl-partition abl-root\n\
     \             abl-opt abl-weights abl-impasse\n\
@@ -17,36 +22,45 @@ let usage () =
     \              and is not part of the no-argument default set)\n\
      flags: --full (paper-scale), --sim (flit-level simulation),\n\
     \        --no-sim, --topos N (fig9 topology count)\n\
-     every run writes machine-readable results to BENCH_nue.json"
+     every run writes machine-readable results to BENCH_nue.json\n"
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let full = List.mem "--full" args in
-  let sim_flag = List.mem "--sim" args in
-  let no_sim = List.mem "--no-sim" args in
-  let topos = ref None in
+  let full = ref false and sim_flag = ref false and no_sim = ref false in
+  let topos = ref None and help = ref false in
+  let wanted = ref [] and unknown = ref [] in
   let rec scan = function
-    | "--topos" :: n :: rest ->
-      topos := Some (int_of_string n);
-      scan rest
-    | _ :: rest -> scan rest
     | [] -> ()
+    | "--" :: rest -> scan rest
+    | "--full" :: rest -> full := true; scan rest
+    | "--sim" :: rest -> sim_flag := true; scan rest
+    | "--no-sim" :: rest -> no_sim := true; scan rest
+    | ("--help" | "-h") :: rest -> help := true; scan rest
+    | "--topos" :: n :: rest when int_of_string_opt n <> None ->
+      topos := int_of_string_opt n;
+      scan rest
+    | a :: rest ->
+      if List.mem a experiments then wanted := a :: !wanted
+      else unknown := a :: !unknown;
+      scan rest
   in
-  scan args;
-  let wanted =
-    List.filter
-      (fun a -> (not (String.length a >= 2 && String.sub a 0 2 = "--"))
-                && (match int_of_string_opt a with Some _ -> false | None -> true))
-      args
-  in
-  let wanted = if wanted = [] then
+  scan (List.tl (Array.to_list Sys.argv));
+  (* Reject what is not understood before anything runs, so a typo
+     cannot overwrite BENCH_nue.json with an empty report. *)
+  if !unknown <> [] then begin
+    Printf.eprintf "bench: unknown argument(s): %s\n"
+      (String.concat " " (List.rev !unknown));
+    usage stderr;
+    exit 2
+  end;
+  let wanted = if !wanted = [] then
       [ "tab1"; "telemetry"; "workloads"; "fig1a"; "fig9"; "fig10";
         "fig11"; "churn"; "abl-partition"; "abl-root"; "abl-opt";
         "abl-weights"; "abl-impasse" ]
-    else wanted
+    else !wanted
   in
   let has x = List.mem x wanted in
-  if List.mem "--help" args || List.mem "-h" args then usage ()
+  let full = !full in
+  if !help then usage stdout
   else begin
     Printf.printf "Nue reproduction harness (%s scale)\n"
       (if full then "paper" else "reduced");
@@ -56,9 +70,9 @@ let () =
     if has "topo-stats" then Topostats.run ();
     if has "fig1a" || has "fig1b" || has "fig1" then
       (* fig1a and fig1b come from the same runs. *)
-      Fig1.run ~full ~sim:(not no_sim) ();
+      Fig1.run ~full ~sim:(not !no_sim) ();
     if has "fig9" || has "sec51" then Fig9.run ~full ~topos:!topos ();
-    if has "fig10" then Fig10.run ~full ~sim:sim_flag ();
+    if has "fig10" then Fig10.run ~full ~sim:!sim_flag ();
     if has "fig11" then Fig11.run ~full ();
     if has "churn" then Churn_bench.run ~full ();
     if has "scale" then Scale_bench.run ~full ();

@@ -678,7 +678,7 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Explain one pair's path: the hop-by-hop decision trail Nue \
-             recorded while routing (admitted CDG edges with the omega \
+             recorded while routing (admitted CDG edges with the \
              condition that admitted them, rejected alternatives, \
              backtracks and escape fallbacks)")
     Term.(const run $ build_t $ vcs_t $ src_t $ dst_t $ format_t)

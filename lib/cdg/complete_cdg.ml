@@ -2,30 +2,25 @@ module Network = Nue_netgraph.Network
 module Obs = Nue_obs.Obs
 module Span = Nue_obs.Span
 
-(* Section 4.6.1 effectiveness counters: the omega labels memoize the
+(* Section 4.6.1 effectiveness counters: the edge states memoize the
    acyclicity question, so "hits" are calls answered from stored state
-   — (a) blocked, (b) already used — and "misses" are the calls that
-   needed real work: the subgraph-id comparison of (c) or the order
-   test and discovery of (d). *)
+   — (a) blocked, (b) already used — and "misses" are the calls the
+   order had to decide, by a comparison or a bounded discovery. *)
 let c_usable = Obs.counter "cdg.usable_calls"
 let c_hit_blocked = Obs.counter "cdg.memo.hit_blocked"
 let c_hit_used = Obs.counter "cdg.memo.hit_used"
-let c_distinct = Obs.counter "cdg.memo.miss_distinct"
 let c_search = Obs.counter "cdg.memo.miss_search"
 let c_visited = Obs.counter "cdg.search_visited"
 let c_accept = Obs.counter "cdg.edges_accepted"
 let c_reject = Obs.counter "cdg.edges_rejected"
-let c_merge = Obs.counter "cdg.subgraph_merges"
-let c_relabel = Obs.counter "cdg.subgraph_relabels"
 let c_settled = Obs.counter "cdg.order_settled"
 let c_reorder = Obs.counter "cdg.reorders"
 
 (* Speculative-execution journal: the state-changing operations of one
    destination's search, recorded under a checkpoint and replayed onto
    the authoritative CDG at commit time (see [replay] below for the
-   soundness argument). Ops are packed three ints at a time: tag (0
-   fresh channel use / 1 edge admission / 2 edge block), then the
-   channel or the edge's two channels. *)
+   soundness argument). Ops are packed three ints at a time: tag
+   ([op_admit] or [op_block]), then the edge's two channels. *)
 type journal = {
   mutable ops : int array;
   mutable jlen : int; (* op count; 3 * jlen ints are live in [ops] *)
@@ -42,27 +37,16 @@ type t = {
   off : int array;
   pos : int array;
   (* One byte per edge slot: [edge_unused], [edge_used] or
-     [edge_blocked]. No subgraph id is stored with an edge: a used
-     edge's id is its tail channel's, since both commit paths of
-     Algorithm 3 ((c) and (d)) count the edge into the group that
-     already holds the tail, and groups only merge. *)
+     [edge_blocked]. *)
   edges : Bytes.t;
-  (* The rest of the routing state is one int array. Regions, in order:
-     channel omegas, union-find parents, group sizes, and the
-     topological order. Subgraph ids form a union-find forest over
-     [1 .. nc] (at most one fresh id per channel); stored omegas may be
-     stale after merges and [find] canonicalizes on read. The order is a
+  (* The rest of the routing state is the topological order: a
      permutation of [0, nc) with ord(c) < ord(q) for every used edge
      c -> q (Pearce & Kelly, JEA 2006). Undo-trail entries name a write
      in one index space: an index below [nslots] is an edge slot, any
-     other is [state.(index - nslots)]. *)
-  state : int array;
+     other is [ord.(index - nslots)]. *)
+  ord : int array;
   nslots : int;
   nedges : int; (* live slots: |E| of Definition 6 *)
-  parent_base : int;
-  size_base : int; (* group size: member count (channels + edges) per root *)
-  ord_base : int;
-  mutable next_id : int;
   mutable searches : int;
   (* Discovery scratch: visit stamps bumped by a clock (one value per
      discovery), the channels each direction discovered, and the old
@@ -78,7 +62,6 @@ type t = {
   mutable trail : int array;
   mutable tlen : int; (* ints live in [trail] *)
   mutable recording : bool;
-  mutable cp_next_id : int;
   mutable cp_searches : int;
   mutable journal : journal option;
 }
@@ -114,19 +97,8 @@ let create net =
     done
   done;
   let nslots = off.(nc) in
-  let parent_base = nc in
-  let size_base = parent_base + nc + 1 in
-  let ord_base = size_base + nc + 1 in
-  let state = Array.make (ord_base + nc) 0 in
-  for i = 0 to nc do
-    state.(parent_base + i) <- i
-  done;
-  for c = 0 to nc - 1 do
-    state.(ord_base + c) <- c
-  done;
-  { net; off; pos; edges = Bytes.make nslots edge_unused; state; nslots;
-    nedges = nslots - !dead; parent_base; size_base; ord_base;
-    next_id = 1;
+  { net; off; pos; edges = Bytes.make nslots edge_unused;
+    ord = Array.init nc Fun.id; nslots; nedges = nslots - !dead;
     searches = 0;
     stamp = Array.make nc 0;
     clock = 0;
@@ -136,7 +108,6 @@ let create net =
     trail = Array.make 1024 0;
     tlen = 0;
     recording = false;
-    cp_next_id = 1;
     cp_searches = 0;
     journal = None }
 
@@ -147,7 +118,7 @@ let clone t =
   let nc = Array.length t.pos in
   { t with
     edges = Bytes.copy t.edges;
-    state = Array.copy t.state;
+    ord = Array.copy t.ord;
     stamp = Array.make nc 0;
     clock = 0;
     fwd = Array.make nc 0;
@@ -163,16 +134,15 @@ let clone t =
 let copy_state_into ~src ~dst =
   if src.net != dst.net
      || Bytes.length src.edges <> Bytes.length dst.edges
-     || Array.length src.state <> Array.length dst.state
+     || Array.length src.ord <> Array.length dst.ord
   then invalid_arg "Complete_cdg.copy_state_into: graphs of different networks";
   if dst.recording then
     invalid_arg "Complete_cdg.copy_state_into: checkpoint open on dst";
   Bytes.blit src.edges 0 dst.edges 0 (Bytes.length src.edges);
-  Array.blit src.state 0 dst.state 0 (Array.length src.state);
-  dst.next_id <- src.next_id;
+  Array.blit src.ord 0 dst.ord 0 (Array.length src.ord);
   dst.searches <- src.searches
 
-(* Every state write goes through [set] or [set_edge]; while a
+(* Every state write goes through [set_ord] or [set_edge]; while a
    checkpoint is open it first saves the old value on the trail. *)
 let save t i old =
   let n = t.tlen in
@@ -185,9 +155,9 @@ let save t i old =
   t.trail.(n + 1) <- old;
   t.tlen <- n + 2
 
-let[@inline] set t i v =
-  if t.recording then save t (t.nslots + i) t.state.(i);
-  t.state.(i) <- v
+let[@inline] set_ord t c v =
+  if t.recording then save t (t.nslots + c) t.ord.(c);
+  t.ord.(c) <- v
 
 let set_edge t e v =
   if t.recording then save t e (Char.code (Bytes.get t.edges e));
@@ -198,22 +168,20 @@ let checkpoint t =
     invalid_arg "Complete_cdg.checkpoint: a checkpoint is already open";
   t.recording <- true;
   t.tlen <- 0;
-  t.cp_next_id <- t.next_id;
   t.cp_searches <- t.searches
 
 let rollback t =
   if not t.recording then
     invalid_arg "Complete_cdg.rollback: no checkpoint is open";
-  let tr = t.trail and st = t.state and ns = t.nslots in
+  let tr = t.trail and ord = t.ord and ns = t.nslots in
   let i = ref t.tlen in
   while !i > 0 do
     i := !i - 2;
     let k = tr.(!i) and v = tr.(!i + 1) in
-    if k < ns then Bytes.set t.edges k (Char.chr v) else st.(k - ns) <- v
+    if k < ns then Bytes.set t.edges k (Char.chr v) else ord.(k - ns) <- v
   done;
   t.tlen <- 0;
   t.recording <- false;
-  t.next_id <- t.cp_next_id;
   t.searches <- t.cp_searches
 
 let journal_create () = { ops = Array.make 96 0; jlen = 0 }
@@ -222,17 +190,24 @@ let journal_clear j = j.jlen <- 0
 
 let set_journal t j = t.journal <- j
 
-let jpush j tag a b =
-  let base = 3 * j.jlen in
-  if base + 3 > Array.length j.ops then begin
-    let nops = Array.make (2 * Array.length j.ops) 0 in
-    Array.blit j.ops 0 nops 0 base;
-    j.ops <- nops
-  end;
-  j.ops.(base) <- tag;
-  j.ops.(base + 1) <- a;
-  j.ops.(base + 2) <- b;
-  j.jlen <- j.jlen + 1
+let op_admit = 0
+let op_block = 1
+
+(* Append an op to the attached journal, if any. *)
+let record t tag ~from ~q =
+  match t.journal with
+  | None -> ()
+  | Some j ->
+    let base = 3 * j.jlen in
+    if base + 3 > Array.length j.ops then begin
+      let nops = Array.make (2 * Array.length j.ops) 0 in
+      Array.blit j.ops 0 nops 0 base;
+      j.ops <- nops
+    end;
+    j.ops.(base) <- tag;
+    j.ops.(base + 1) <- from;
+    j.ops.(base + 2) <- q;
+    j.jlen <- j.jlen + 1
 
 let network t = t.net
 
@@ -266,70 +241,11 @@ let iter_pred t c f =
     (fun a -> if Network.src net a <> w then f a)
     (Network.in_channels net (Network.src net c))
 
-(* Canonical subgraph id, with path halving. The surviving root under
-   union-by-size (first argument wins ties) is exactly the id the old
-   eager smaller-into-larger relabeling kept, so observable omegas —
-   and hence provenance output — are unchanged by the representation. *)
-let find t x =
-  let st = t.state and pb = t.parent_base in
-  let x = ref x in
-  while st.(pb + !x) <> !x do
-    let p = st.(pb + !x) in
-    let gp = st.(pb + p) in
-    if gp <> p then set t (pb + !x) gp;
-    x := gp
-  done;
-  !x
-
-let channel_omega t c =
-  let s = t.state.(c) in
-  if s <= 0 then s else find t s
-
 let edge_omega t ~from ~to_ =
   let s = Bytes.get t.edges (edge t ~from ~to_) in
-  if s = edge_used then channel_omega t from
-  else if s = edge_blocked then -1
-  else 0
+  if s = edge_used then 1 else if s = edge_blocked then -1 else 0
 
-let add_size t id n = set t (t.size_base + id) (t.state.(t.size_base + id) + n)
-
-let use_channel t c =
-  let s = t.state.(c) in
-  if s > 0 then find t s
-  else begin
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    set t c id;
-    set t (t.size_base + id) 1;
-    (match t.journal with Some j -> jpush j 0 c 0 | None -> ());
-    id
-  end
-
-(* Union by size, smaller under larger; returns the surviving root. *)
-let merge t a b =
-  let ra = find t a and rb = find t b in
-  if ra = rb then ra
-  else begin
-    let sa = t.state.(t.size_base + ra) and sb = t.state.(t.size_base + rb) in
-    let keep, drop, dropped = if sa >= sb then ra, rb, sb else rb, ra, sa in
-    Obs.incr c_merge;
-    (* Counter semantics shift with the representation: this still
-       tallies the members absorbed from the smaller group, but no
-       per-member relabeling work happens anymore — reads canonicalize
-       lazily through [find]. *)
-    Obs.add c_relabel dropped;
-    set t (t.parent_base + drop) keep;
-    add_size t keep dropped;
-    keep
-  end
-
-(* [e] is an edge's slot; [id] is its tail's canonical subgraph id
-   (callers pass a [merge] result or a [channel_omega] read). *)
-let mark_edge_used t e id =
-  set_edge t e edge_used;
-  add_size t id 1
-
-let order t c = t.state.(t.ord_base + c)
+let order t c = t.ord.(c)
 
 (* The bounded discoveries of Pearce–Kelly. Both list the channels they
    reach in [fwd]/[bwd] (breadth-first, each expanded once) and return
@@ -343,10 +259,9 @@ let order t c = t.state.(t.ord_base + c)
 let discover_forward t ~from ~q =
   t.clock <- t.clock + 1;
   let mark = t.clock in
-  let st = t.state and ed = t.edges and stamp = t.stamp and fwd = t.fwd
-  and ob = t.ord_base in
+  let ord = t.ord and ed = t.edges and stamp = t.stamp and fwd = t.fwd in
   let net = t.net in
-  let bound = st.(ob + from) in
+  let bound = ord.(from) in
   stamp.(q) <- mark;
   fwd.(0) <- q;
   let n = ref 1 and i = ref 0 and cycle = ref false in
@@ -361,7 +276,7 @@ let discover_forward t ~from ~q =
       if Bytes.unsafe_get ed (base + k) = edge_used then begin
         let y = s.(k) in
         if y = from then cycle := true
-        else if st.(ob + y) < bound && stamp.(y) <> mark then begin
+        else if ord.(y) < bound && stamp.(y) <> mark then begin
           stamp.(y) <- mark;
           fwd.(!n) <- y;
           incr n
@@ -376,10 +291,9 @@ let discover_forward t ~from ~q =
 let discover_backward t ~from ~q =
   t.clock <- t.clock + 1;
   let mark = t.clock in
-  let st = t.state and ed = t.edges and stamp = t.stamp and bwd = t.bwd
-  and ob = t.ord_base in
+  let ord = t.ord and ed = t.edges and stamp = t.stamp and bwd = t.bwd in
   let net = t.net and off = t.off in
-  let bound = st.(ob + q) in
+  let bound = ord.(q) in
   stamp.(from) <- mark;
   bwd.(0) <- from;
   let n = ref 1 and i = ref 0 in
@@ -391,7 +305,7 @@ let discover_backward t ~from ~q =
     let p = Network.in_channels net (Network.src net c) and pc = t.pos.(c) in
     for k = 0 to Array.length p - 1 do
       let a = p.(k) in
-      if Bytes.unsafe_get ed (off.(a) + pc) = edge_used && st.(ob + a) > bound
+      if Bytes.unsafe_get ed (off.(a) + pc) = edge_used && ord.(a) > bound
          && stamp.(a) <> mark
       then begin
         stamp.(a) <- mark;
@@ -405,18 +319,18 @@ let discover_backward t ~from ~q =
 (* Heapsort of [a.(0 .. n-1)] by order, in place. Insertion sort would
    be quadratic, and on the random bench fabric a discovered set
    reaches two thousand channels. *)
-let sift_down st ob a i n =
+let sift_down ord a i n =
   let x = a.(i) in
-  let kx = st.(ob + x) in
+  let kx = ord.(x) in
   let i = ref i and go = ref true in
   while !go do
     let l = (2 * !i) + 1 in
     if l >= n then go := false
     else begin
       let c =
-        if l + 1 < n && st.(ob + a.(l + 1)) > st.(ob + a.(l)) then l + 1 else l
+        if l + 1 < n && ord.(a.(l + 1)) > ord.(a.(l)) then l + 1 else l
       in
-      if st.(ob + a.(c)) > kx then begin
+      if ord.(a.(c)) > kx then begin
         a.(!i) <- a.(c);
         i := c
       end
@@ -426,15 +340,15 @@ let sift_down st ob a i n =
   a.(!i) <- x
 
 let sort_by_order t a n =
-  let st = t.state and ob = t.ord_base in
+  let ord = t.ord in
   for i = (n / 2) - 1 downto 0 do
-    sift_down st ob a i n
+    sift_down ord a i n
   done;
   for last = n - 1 downto 1 do
     let x = a.(last) in
     a.(last) <- a.(0);
     a.(0) <- x;
-    sift_down st ob a 0 last
+    sift_down ord a 0 last
   done
 
 (* Restore the order after a used edge [from -> q] with
@@ -444,154 +358,119 @@ let sort_by_order t a n =
    slots. Every write is trailed. *)
 let reorder t ~from ~q ~nf =
   let nb = discover_backward t ~from ~q in
-  let st = t.state and ob = t.ord_base and fwd = t.fwd and bwd = t.bwd in
+  let ord = t.ord and fwd = t.fwd and bwd = t.bwd in
   sort_by_order t fwd nf;
   sort_by_order t bwd nb;
   (* Both lists are sorted, so the pool is their merge. *)
   let pool = t.pool in
   let i = ref 0 and j = ref 0 in
   for k = 0 to nb + nf - 1 do
-    if !j >= nf || (!i < nb && st.(ob + bwd.(!i)) < st.(ob + fwd.(!j)))
+    if !j >= nf || (!i < nb && ord.(bwd.(!i)) < ord.(fwd.(!j)))
     then begin
-      pool.(k) <- st.(ob + bwd.(!i));
+      pool.(k) <- ord.(bwd.(!i));
       incr i
     end
     else begin
-      pool.(k) <- st.(ob + fwd.(!j));
+      pool.(k) <- ord.(fwd.(!j));
       incr j
     end
   done;
   for k = 0 to nb - 1 do
-    set t (ob + bwd.(k)) pool.(k)
+    set_ord t bwd.(k) pool.(k)
   done;
   for k = 0 to nf - 1 do
-    set t (ob + fwd.(k)) pool.(nb + k)
+    set_ord t fwd.(k) pool.(nb + k)
   done;
   Obs.incr c_reorder
 
 type verdict =
   | Blocked_memo
   | Used_memo
-  | Distinct_merge
   | Search_acyclic
   | Search_cycle
 
 let verdict_ok = function
-  | Used_memo | Distinct_merge | Search_acyclic -> true
+  | Used_memo | Search_acyclic -> true
   | Blocked_memo | Search_cycle -> false
 
 let verdict_condition = function
   | Blocked_memo -> 'a'
   | Used_memo -> 'b'
-  | Distinct_merge -> 'c'
   | Search_acyclic | Search_cycle -> 'd'
 
 let verdict_to_string = function
   | Blocked_memo -> "blocked-memo"
   | Used_memo -> "used-memo"
-  | Distinct_merge -> "distinct-merge"
   | Search_acyclic -> "search-acyclic"
   | Search_cycle -> "search-cycle"
 
-let usable t ~from ~to_:q ~commit =
+(* [discover_forward] in a span, one per discovery; the channels it
+   expanded are the payload. *)
+let discover_traced t ~from ~q =
+  if not (Span.enabled ()) then discover_forward t ~from ~q
+  else begin
+    let span =
+      Span.enter "cdg.forward_discovery"
+        ~args:[ ("from", Span.Int from); ("to", Span.Int q) ]
+    in
+    let nf = discover_forward t ~from ~q in
+    Span.exit span
+      ~args:
+        [ ("cycle_found", Span.Bool (nf < 0)); ("visited", Span.Int (abs nf)) ];
+    nf
+  end
+
+(* Algorithm 3. An unused edge is decided from the order: it closes a
+   cycle exactly when a used path leads from [q] back to [from], and
+   every used path climbs in the order. Condition (c), an edge between
+   two distinct used subgraphs, is one case of this: no used path joins
+   them, so the edge either already goes forward or the discovery finds
+   no way back. *)
+let try_use_edge_v t ~from ~to_:q =
   let e = edge t ~from ~to_:q in
   Obs.incr c_usable;
   let state = Bytes.unsafe_get t.edges e in
   if state = edge_blocked then begin
     (* (a) known to close a cycle *)
     Obs.incr c_hit_blocked;
-    if commit then Obs.incr c_reject;
+    Obs.incr c_reject;
     Blocked_memo
   end
   else if state = edge_used then begin
     (* (b) already used, already acyclic *)
     Obs.incr c_hit_used;
-    if commit then Obs.incr c_accept;
+    Obs.incr c_accept;
     Used_memo
   end
   else begin
-    let ascending = order t from < order t q in
-    (* Canonical omegas: stored ids may be stale after merges. *)
-    let om_p = channel_omega t from and om_q = channel_omega t q in
-    if om_p = 0 || om_q = 0 || om_p <> om_q then begin
-      (* (c) connecting distinct (or fresh) acyclic subgraphs cannot
-         close a cycle. *)
-      Obs.incr c_distinct;
-      if commit then begin
-        Obs.incr c_accept;
-        (* One admission op covers the whole (c) commit: the inner
-           [use_channel] calls replay implicitly through the real
-           graph's own [try_use_edge], so suspend journaling around
-           them. *)
-        let j = t.journal in
-        t.journal <- None;
-        let id_p = use_channel t from in
-        let id_q = use_channel t q in
-        let id = merge t id_p id_q in
-        mark_edge_used t e id;
-        (* No used path joins the two subgraphs, so the discovery from
-           [q] cannot meet [from]; it only collects the forward set. *)
-        if not ascending then
-          reorder t ~from ~q ~nf:(discover_forward t ~from ~q);
-        t.journal <- j;
-        (match j with Some j -> jpush j 1 from q | None -> ())
-      end;
-      Distinct_merge
+    (* (d): an edge that already goes forward is settled by the order,
+       any other by the forward discovery. *)
+    Obs.incr c_search;
+    t.searches <- t.searches + 1;
+    let ascending = t.ord.(from) < t.ord.(q) in
+    let nf =
+      if ascending then begin
+        Obs.incr c_settled;
+        0
+      end
+      else discover_traced t ~from ~q
+    in
+    if nf >= 0 then begin
+      Obs.incr c_accept;
+      set_edge t e edge_used;
+      if not ascending then reorder t ~from ~q ~nf;
+      record t op_admit ~from ~q;
+      Search_acyclic
     end
     else begin
-      Obs.incr c_search;
-      t.searches <- t.searches + 1;
-      (* The omega recheck: both endpoints carry the same subgraph id,
-         so condition (d) must decide acyclicity. When [from] precedes
-         [q] in the order, no used path leads back and the order alone
-         settles it; otherwise the forward discovery does. One span per
-         recheck; the channels the discovery expanded are its payload. *)
-      let traced = Span.enabled () in
-      let span =
-        if traced then
-          Span.enter "cdg.omega_recheck"
-            ~args:[ ("from", Span.Int from); ("to", Span.Int q) ]
-        else Span.null_handle
-      in
-      let nf =
-        if ascending then begin
-          Obs.incr c_settled;
-          0
-        end
-        else discover_forward t ~from ~q
-      in
-      if traced then
-        Span.exit span
-          ~args:
-            [ ("cycle_found", Span.Bool (nf < 0));
-              ("visited", Span.Int (abs nf)) ];
-      if nf >= 0 then begin
-        (* (d) same subgraph but no used path back: still acyclic. *)
-        if commit then begin
-          Obs.incr c_accept;
-          mark_edge_used t e om_p;
-          if not ascending then reorder t ~from ~q ~nf;
-          (match t.journal with Some j -> jpush j 1 from q | None -> ())
-        end;
-        Search_acyclic
-      end
-      else begin
-        if commit then begin
-          Obs.incr c_reject;
-          set_edge t e edge_blocked;
-          (match t.journal with Some j -> jpush j 2 from q | None -> ())
-        end;
-        Search_cycle
-      end
+      Obs.incr c_reject;
+      set_edge t e edge_blocked;
+      record t op_block ~from ~q;
+      Search_cycle
     end
   end
 
-let try_use_edge t ~from ~to_ = verdict_ok (usable t ~from ~to_ ~commit:true)
-
-let try_use_edge_v t ~from ~to_ = usable t ~from ~to_ ~commit:true
-
-let would_use_edge t ~from ~to_ =
-  verdict_ok (usable t ~from ~to_ ~commit:false)
+let try_use_edge t ~from ~to_ = verdict_ok (try_use_edge_v t ~from ~to_)
 
 (* Replay a speculation's journal onto the authoritative graph. The
    speculation ran against snapshot + its own ops (on a replica, or on
@@ -600,13 +479,13 @@ let would_use_edge t ~from ~to_ =
    ops + this journal's already-replayed prefix — a superset of what
    each op saw, where used state only ever grows.
 
-   - Channel uses and edge admissions go through the regular
-     [use_channel]/[try_use_edge]: an edge the speculation admitted may
-     close a cycle against another destination's commits, in which case
-     replay reports failure and the caller re-routes that destination
-     sequentially. (A failed replay leaves its admitted prefix used,
-     which is conservative but sound — the same stance as a failed
-     [try_switch] in the search itself.)
+   - Edge admissions go through the regular [try_use_edge]: an edge the
+     speculation admitted may close a cycle against another
+     destination's commits, in which case replay reports failure and
+     the caller re-routes that destination sequentially. (A failed
+     replay leaves its admitted prefix used, which is conservative but
+     sound — the same stance as a failed [try_switch] in the search
+     itself.)
    - Blocks are sound to replay directly: the speculative cycle's used
      edges were each either in the snapshot (still used — used state
      never reverts) or admitted earlier in this same journal (already
@@ -619,16 +498,16 @@ let replay t j =
   let i = ref 0 in
   while !ok && !i < j.jlen do
     let base = 3 * !i in
-    let tag = j.ops.(base) in
     let a = j.ops.(base + 1) and b = j.ops.(base + 2) in
-    (match tag with
-     | 0 -> ignore (use_channel t a)
-     | 1 -> if not (try_use_edge t ~from:a ~to_:b) then ok := false
-     | _ ->
-       let e = edge t ~from:a ~to_:b in
-       let s = Bytes.get t.edges e in
-       if s = edge_used then ok := false
-       else if s = edge_unused then set_edge t e edge_blocked);
+    if j.ops.(base) = op_admit then begin
+      if not (try_use_edge t ~from:a ~to_:b) then ok := false
+    end
+    else begin
+      let e = edge t ~from:a ~to_:b in
+      let s = Bytes.get t.edges e in
+      if s = edge_used then ok := false
+      else if s = edge_unused then set_edge t e edge_blocked
+    end;
     Stdlib.incr i
   done;
   !ok
@@ -668,9 +547,9 @@ let used_digraph t =
   g
 
 (* Graphviz rendering of the complete CDG with its routing state.
-   Vertices are channels (labelled with their endpoints), edges are
-   dependencies colored by omega: gray dotted while unused, blue while
-   used (labelled with the subgraph id), red dashed once blocked.
+   Vertices are channels (labelled with their endpoints and their
+   position in the order), edges are dependencies colored by state:
+   gray dotted while unused, blue while used, red dashed once blocked.
    [escape] flags channels to draw double-bordered (the escape-path
    tree); [highlight_path] overlays one pair's channel sequence in
    orange, including the dependency edges between consecutive hops. *)
@@ -689,25 +568,26 @@ let to_dot ?(highlight_path = []) ?(escape = [||]) t =
   in
   ignore (mark_path highlight_path);
   let is_escape c = c < Array.length escape && escape.(c) in
+  let used = Array.make nc false in
+  iter_used t (fun c q ->
+      used.(c) <- true;
+      used.(q) <- true);
   let buf = Buffer.create (256 * (nc + 1)) in
   Buffer.add_string buf "digraph \"complete-cdg\" {\n";
   Buffer.add_string buf "  rankdir=LR;\n  node [fontsize=9];\n";
   for c = 0 to nc - 1 do
     let u = Network.src t.net c and v = Network.dst t.net c in
-    let om = channel_omega t c in
     let fill, fontcolor =
       if on_path.(c) then ("orange", "black")
-      else if om >= 1 then ("lightblue", "black")
+      else if used.(c) then ("lightblue", "black")
       else ("white", "gray40")
     in
     let peripheries = if is_escape c then 2 else 1 in
     Buffer.add_string buf
       (Printf.sprintf
-         "  c%d [label=\"c%d: %d-%d%s\", shape=box, style=filled, \
+         "  c%d [label=\"c%d: %d-%d\\nord=%d\", shape=box, style=filled, \
           fillcolor=\"%s\", fontcolor=\"%s\", peripheries=%d];\n"
-         c c u v
-         (if om >= 1 then Printf.sprintf "\\nomega=%d" om else "")
-         fill fontcolor peripheries)
+         c c u v t.ord.(c) fill fontcolor peripheries)
   done;
   for c = 0 to nc - 1 do
     iter_succ t c (fun q ->
@@ -718,7 +598,7 @@ let to_dot ?(highlight_path = []) ?(escape = [||]) t =
             match edge_omega t ~from:c ~to_:q with
             | -1 -> "color=red, style=dashed"
             | 0 -> "color=gray70, style=dotted"
-            | om -> Printf.sprintf "color=blue, label=\"%d\", fontsize=8" om
+            | _ -> "color=blue"
         in
         Buffer.add_string buf
           (Printf.sprintf "  c%d -> c%d [%s];\n" c q attrs))

@@ -1,5 +1,5 @@
 (** Complete channel dependency graph with routing state
-    (paper Definition 6 and the omega bookkeeping of Section 4.6.1).
+    (paper Definition 6 and the edge states of Section 4.6.1).
 
     Vertices are the channels of the network; there is an edge
     (c_p, c_q) whenever c_q continues where c_p ends without returning
@@ -7,36 +7,30 @@
     read through the network's adjacency and named by their two
     channels. Each channel has a row of edge states with a slot per
     out-channel of its head node, so an edge's state is found in O(1);
-    the slots of 180-degree turns are dead and never written. Each
-    vertex and edge carries the state of the incrementally built
-    induced CDG, read as an omega:
+    the slots of 180-degree turns are dead and never written. Each edge
+    carries the state of the incrementally built induced CDG, one byte
+    per slot, read as the paper's omega of an edge:
 
-    - omega = -1: the edge is {e blocked} — using it would close a cycle
-      (vertices are never blocked);
-    - omega = 0: {e unused};
-    - omega >= 1: {e used}, and the value identifies the vertex-disjoint
-      acyclic used subgraph the element belongs to.
+    - -1: {e blocked} — using it would close a cycle;
+    - 0: {e unused};
+    - 1: {e used}.
 
-    A channel stores its subgraph id; an edge stores only its state, one
-    byte per slot. A used edge's omega is its tail channel's: both ways
-    Algorithm 3 admits an edge, (c) and (d), put it in the subgraph that
-    already holds its tail, and subgraphs only ever merge. On the 24-ary
-    3-tree of the [fattree-route] benchmark (56,448 channels, 2,019,456
-    slots) a layer's routing state is 2.0 MB of edge states and 1.8 MB
-    of per-channel words; a word per slot took 18.0 MB.
+    The rest of the state is a topological order of the channels under
+    which every used edge goes forward (Pearce & Kelly, JEA 2006, see
+    {!order}). On the 24-ary 3-tree of the [fattree-route] benchmark
+    (56,448 channels, 2,019,456 slots) a layer's routing state is 2.0 MB
+    of edge states and 0.45 MB of order; a word per slot took 18.0 MB.
 
-    [try_use_edge] implements Algorithm 3: the four conditions (a)-(d).
-    Subgraph ids live in a union-find forest (union by size, so the
-    surviving id matches the historical smaller-into-larger
-    relabeling); stored omegas may be stale aliases, and every read
-    canonicalizes through [channel_omega]/[edge_omega]. Condition (d)
-    is decided from a topological order of the channels under which
-    every used edge goes forward (Pearce & Kelly, JEA 2006, see
-    {!order}): an edge that already goes forward cannot close a cycle,
-    and otherwise a discovery bounded by the order decides. Admissions
-    against the order reassign it locally. All mutations keep the used
-    subgraph acyclic — this is the invariant Nue's deadlock-freedom
-    proof (Lemma 2) rests on. *)
+    [try_use_edge] implements Algorithm 3. Conditions (a) and (b) are
+    the memoized blocked and used states. Every other edge is decided
+    from the order: an edge that already goes forward cannot close a
+    cycle, and otherwise a forward discovery bounded by the order
+    decides. This subsumes the paper's condition (c) (an edge between
+    two distinct acyclic subgraphs): no used path joins two such
+    subgraphs, so the order admits the edge without needing the
+    subgraph ids. Admissions against the order reassign it locally.
+    All mutations keep the used subgraph acyclic — this is the
+    invariant Nue's deadlock-freedom proof (Lemma 2) rests on. *)
 
 type t
 
@@ -52,9 +46,8 @@ val clone : t -> t
     unset and no checkpoint is open on it. *)
 
 val copy_state_into : src:t -> dst:t -> unit
-(** Overwrite [dst]'s routing state (edge states, channel omegas,
-    subgraph forest, topological order, next fresh id, search count)
-    with [src]'s: two blits that refresh a replica without
+(** Overwrite [dst]'s routing state (edge states, topological order,
+    search count) with [src]'s: two blits that refresh a replica without
     re-allocating. [dst] keeps its own visit stamps.
     @raise Invalid_argument if [dst] is not a complete CDG of the same
     network (physically equal, with states of the same sizes), or if a
@@ -87,21 +80,13 @@ val iter_pred : t -> int -> (int -> unit) -> unit
     [Invalid_argument], leaving the state untouched, if they are not an
     edge ({!is_edge}). *)
 
-val channel_omega : t -> int -> int
-(** 0 if the channel is unused, otherwise its subgraph id (>= 1). *)
-
 val edge_omega : t -> from:int -> to_:int -> int
-(** -1 blocked, 0 unused, >= 1 used (the subgraph id, which is always
-    [channel_omega t from]). *)
-
-val use_channel : t -> int -> int
-(** Mark a channel used; returns its subgraph id (a fresh one if it was
-    unused). *)
+(** The edge's state: -1 blocked, 0 unused, 1 used. *)
 
 val try_use_edge : t -> from:int -> to_:int -> bool
 (** Algorithm 3 on edge [from -> to_]. Returns [true] and marks the edge
-    (and both endpoint channels) used if this keeps the used subgraph
-    acyclic; returns [false] and marks the edge blocked otherwise.
+    used if this keeps the used subgraph acyclic; returns [false] and
+    marks the edge blocked otherwise.
     Blocked edges stay blocked: the used subgraph only grows, so a
     once-detected cycle never disappears. *)
 
@@ -113,18 +98,17 @@ type verdict =
   | Blocked_memo    (** (a): memoized blocked — a past search proved the
                         edge closes a cycle *)
   | Used_memo       (** (b): already used, hence already known acyclic *)
-  | Distinct_merge  (** (c): endpoints in distinct (or fresh) acyclic
-                        subgraphs — merged without a search *)
-  | Search_acyclic  (** (d): same subgraph, no used path back (the
-                        order alone, or its discovery, showed it) *)
-  | Search_cycle    (** (d): same subgraph, the discovery found a used
-                        path back — blocked *)
+  | Search_acyclic  (** (d): no used path back (the order alone, or its
+                        discovery, showed it); this covers the paper's
+                        (c) too *)
+  | Search_cycle    (** (d): the discovery found a used path back —
+                        blocked *)
 
 val verdict_ok : verdict -> bool
 (** Whether the verdict admits the edge ([try_use_edge]'s boolean). *)
 
 val verdict_condition : verdict -> char
-(** The Section 4.6.1 condition label: ['a'] to ['d']. *)
+(** The Section 4.6.1 condition label: ['a'], ['b'] or ['d']. *)
 
 val verdict_to_string : verdict -> string
 
@@ -132,24 +116,19 @@ val try_use_edge_v : t -> from:int -> to_:int -> verdict
 (** [try_use_edge] returning the deciding condition instead of a bare
     boolean; identical state mutations and counter increments. *)
 
-val would_use_edge : t -> from:int -> to_:int -> bool
-(** Like [try_use_edge] but without committing: [true] iff the edge is
-    usable right now. Does not block the edge on failure. *)
-
 (** {1 Speculation: checkpoints and journals}
 
     Parallel Nue routes each destination of a round speculatively:
     against the round's snapshot of the CDG, recording the
-    state-changing operations — fresh channel uses, edge admissions,
-    edge blocks — into a journal. Then it {!replay}s the journals onto
+    state-changing operations — edge admissions and edge blocks — into
+    a journal. Then it {!replay}s the journals onto
     the authoritative graph one destination at a time, in round order.
 
     A speculation runs between {!checkpoint} and {!rollback}, so it
     costs only what its search touches. While a checkpoint is open,
-    every state write (edge states, channel omegas, union-find parents —
-    including path halving inside reads — group sizes and order
-    positions) first saves the old value on an undo trail. {!rollback} restores the writes
-    newest first, then the next fresh id and the search count. Visit
+    every state write (edge states and order positions) first saves the
+    old value on an undo trail. {!rollback} restores the writes newest
+    first, then the search count. Visit
     stamps are not restored; a monotone clock keeps them valid. With
     one domain the speculation runs on the authoritative graph itself;
     with several, each domain speculates on its own replica (a
@@ -170,9 +149,9 @@ val checkpoint : t -> unit
     @raise Invalid_argument if a checkpoint is already open. *)
 
 val rollback : t -> unit
-(** Undo every state change since the matching {!checkpoint}: omegas,
-    subgraph forest, topological order, next fresh id and search count
-    are exactly as they were, and the checkpoint is closed.
+(** Undo every state change since the matching {!checkpoint}: edge
+    states, topological order and search count are exactly as they
+    were, and the checkpoint is closed.
     @raise Invalid_argument if no checkpoint is open. *)
 
 type journal
@@ -183,8 +162,8 @@ val journal_clear : journal -> unit
 (** Forget the recorded ops (capacity is kept). *)
 
 val set_journal : t -> journal option -> unit
-(** Attach (or detach) the journal that [use_channel]/[try_use_edge]
-    record their state changes into. Recording costs one branch per
+(** Attach (or detach) the journal that [try_use_edge] records its
+    state changes into. Recording costs one branch per
     state-changing call when unset. *)
 
 val replay : t -> journal -> bool
@@ -211,9 +190,10 @@ val order : t -> int -> int
     and {!copy_state_into}/{!clone} carry it. *)
 
 val cycle_searches : t -> int
-(** Number of condition-(d) queries decided so far (Section 4.6.1),
-    whether the order settled them or a discovery ran — instruments
-    how effective the omega memoization is. *)
+(** Number of queries the edge states could not answer so far: every
+    [try_use_edge] on an unused edge, whether the order settled it or a
+    discovery ran — instruments how effective the memoization of
+    conditions (a) and (b) is. *)
 
 val used_digraph : t -> Acyclic_digraph.t
 (** The used subgraph re-checked into an {!Acyclic_digraph} (vertices are
@@ -228,9 +208,10 @@ val to_dot :
   t ->
   string
 (** Graphviz rendering of the complete CDG with its current state:
-    channels as boxes (filled while used, double-bordered when flagged
-    in [escape] — pass the escape tree's channel membership), dependency
-    edges gray/dotted while unused, blue with their subgraph id while
-    used, red/dashed once blocked. [highlight_path] overlays one pair's
+    channels as boxes labelled with their position in the order (filled
+    once a used edge touches them, double-bordered when flagged in
+    [escape] — pass the escape tree's channel membership), dependency
+    edges gray/dotted while unused, blue while used, red/dashed once
+    blocked. [highlight_path] overlays one pair's
     channel sequence (and the dependency edges between consecutive
     hops) in orange. *)

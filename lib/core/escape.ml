@@ -25,7 +25,6 @@ let prepare_gen ~strict cdg ~root ~dests =
   let tree = Graph_algo.spanning_tree net ~root in
   let t = { cdg; tree; initial_deps = 0 } in
   let expand c_out =
-    ignore (Complete_cdg.use_channel cdg c_out);
     (* Every tree channel into the node [c_out] leaves can carry escape
        traffic along it (any source may sit behind it), except the
        reverse of [c_out] (a U-turn is not a dependency). *)

@@ -80,7 +80,7 @@ type speculation = {
   sp_nexts : int array;
   sp_journal : Complete_cdg.journal;
   sp_stats : Nue_dijkstra.stats;
-  sp_searches : int; (* condition-(d) searches of this speculation alone *)
+  sp_searches : int; (* order-decided queries of this speculation alone *)
   sp_trail : Provenance.pending option;
 }
 

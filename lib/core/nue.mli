@@ -45,7 +45,9 @@ type run_stats = {
   shortcuts : int;
   impasse_dests : int;
   initial_deps : int;    (** escape-path dependencies over all layers *)
-  cycle_searches : int;  (** DFS count, all layers (Section 4.6.1) *)
+  cycle_searches : int;
+      (** queries the edge states could not answer, decided from the
+          order, all layers (Section 4.6.1) *)
   misspeculations : int;
   (** speculative destination routes discarded at commit time and
       re-routed sequentially (see DESIGN.md "Parallel execution

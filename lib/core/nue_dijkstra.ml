@@ -57,14 +57,14 @@ type state = {
 let edge_usable st ~from ~to_ =
   if not (Complete_cdg.is_edge st.cdg ~from ~to_) then begin
     if Provenance.enabled () then
-      Provenance.record_check ~channel:from ~onto:to_ ~omega_before:0
+      Provenance.record_check ~channel:from ~onto:to_ ~state_before:0
         Provenance.No_edge;
     false
   end
   else if Provenance.enabled () then begin
     let before = Complete_cdg.edge_omega st.cdg ~from ~to_ in
     let v = Complete_cdg.try_use_edge_v st.cdg ~from ~to_ in
-    Provenance.record_check ~channel:from ~onto:to_ ~omega_before:before
+    Provenance.record_check ~channel:from ~onto:to_ ~state_before:before
       (Provenance.Cdg_edge v);
     Complete_cdg.verdict_ok v
   end
@@ -87,10 +87,8 @@ let expand st n =
         let usable =
           if n = st.dest then begin
             if Provenance.enabled () then
-              Provenance.record_check ~channel:a ~onto:(-1)
-                ~omega_before:(Complete_cdg.channel_omega st.cdg a)
+              Provenance.record_check ~channel:a ~onto:(-1) ~state_before:0
                 Provenance.Into_destination;
-            ignore (Complete_cdg.use_channel st.cdg a);
             true
           end
           else edge_usable st ~from:a ~to_:e
@@ -136,37 +134,28 @@ let drain st =
 let try_switch ?(via = Provenance.Switch) st m ~to_channel:a =
   let x = Network.dst st.net a in
   st.routed.(x)
+  && (x = st.dest || edge_usable st ~from:a ~to_:(st.used_channel.(x)))
   && begin
-    let continue_ok =
-      if x = st.dest then begin
-        ignore (Complete_cdg.use_channel st.cdg a);
-        true
-      end
-      else edge_usable st ~from:a ~to_:(st.used_channel.(x))
-    in
-    continue_ok
-    && begin
-      let inc = Network.in_channels st.net m in
-      let ok = ref true in
-      let i = ref 0 in
-      while !ok && !i < Array.length inc do
-        let f = inc.(!i) in
-        incr i;
-        let y = Network.src st.net f in
-        (* y routes through m toward the current destination. *)
-        if st.routed.(y) && st.used_channel.(y) = f then
-          if not (edge_usable st ~from:f ~to_:a) then ok := false
-      done;
-      if !ok then begin
-        st.used_channel.(m) <- a;
-        st.ndist.(m) <- st.ndist.(x) +. st.weights.(a);
-        if Provenance.enabled () then
-          Provenance.record_finalize ~node:m ~channel:a ~dist:st.ndist.(m)
-            ~via;
-        true
-      end
-      else false
+    let inc = Network.in_channels st.net m in
+    let ok = ref true in
+    let i = ref 0 in
+    while !ok && !i < Array.length inc do
+      let f = inc.(!i) in
+      incr i;
+      let y = Network.src st.net f in
+      (* y routes through m toward the current destination. *)
+      if st.routed.(y) && st.used_channel.(y) = f then
+        if not (edge_usable st ~from:f ~to_:a) then ok := false
+    done;
+    if !ok then begin
+      st.used_channel.(m) <- a;
+      st.ndist.(m) <- st.ndist.(x) +. st.weights.(a);
+      if Provenance.enabled () then
+        Provenance.record_finalize ~node:m ~channel:a ~dist:st.ndist.(m)
+          ~via;
+      true
     end
+    else false
   end
 
 (* Try to route island node [w]: first a direct retry against each
@@ -212,11 +201,7 @@ let solve_island st w =
       let committed =
         match switch with
         | None ->
-          if m = st.dest then begin
-            ignore (Complete_cdg.use_channel st.cdg c);
-            true
-          end
-          else edge_usable st ~from:c ~to_:(st.used_channel.(m))
+          m = st.dest || edge_usable st ~from:c ~to_:(st.used_channel.(m))
         | Some a ->
           (* The island depends on c -> a; check it is not already
              doomed before disturbing m. *)

@@ -17,7 +17,7 @@ type check = {
   chk_channel : int;
   chk_onto : int;
   chk_subject : check_subject;
-  chk_omega_before : int;
+  chk_state_before : int;
 }
 
 let check_ok c =
@@ -194,12 +194,12 @@ let push step =
    call); the guards here make stray unguarded calls no-ops that do not
    allocate the step record either. *)
 
-let record_check ~channel ~onto ~omega_before subject =
+let record_check ~channel ~onto ~state_before subject =
   if enabled () then
     push
       (Check
          { chk_channel = channel; chk_onto = onto; chk_subject = subject;
-           chk_omega_before = omega_before })
+           chk_state_before = state_before })
 
 let record_finalize ~node ~channel ~dist ~via =
   if enabled () then push (Finalize { node; channel; dist; via })
@@ -380,11 +380,11 @@ let check_to_string net c =
     Printf.sprintf "%s %s: no CDG edge (180-degree turn, Definition 6)" edge
       towards
   | Cdg_edge v ->
-    Printf.sprintf "%s %s: %s (condition %c: %s, omega was %d)" edge towards
+    Printf.sprintf "%s %s: %s (condition %c: %s, state was %d)" edge towards
       (if Complete_cdg.verdict_ok v then "accepted" else "BLOCKED")
       (Complete_cdg.verdict_condition v)
       (Complete_cdg.verdict_to_string v)
-      c.chk_omega_before
+      c.chk_state_before
 
 let explanation_to_string (table : Table.t) e =
   let net = table.Table.net in

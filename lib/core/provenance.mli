@@ -6,7 +6,7 @@
     is answered by the sequence of CDG decisions taken while the
     destination was routed: which dependency edges were admitted (and
     under which condition of Section 4.6.1), which alternatives the
-    omega acyclicity check blocked, where the search hit an impasse,
+    acyclicity check blocked, where the search hit an impasse,
     backtracked, or fell back to the escape paths.
 
     This module records exactly that trail. Recording is {e off by
@@ -42,9 +42,10 @@ type check = {
   chk_onto : int;     (** downstream channel of the dependency; -1 when
                           the candidate ends at the destination *)
   chk_subject : check_subject;
-  chk_omega_before : int;
-      (** the edge's omega immediately before the check (-1 blocked,
-          0 unused, >= 1 its subgraph id); 0 for non-edges *)
+  chk_state_before : int;
+      (** the edge's state immediately before the check (-1 blocked,
+          0 unused, 1 used); 0 for non-edges and hops into the
+          destination *)
 }
 
 val check_ok : check -> bool
@@ -148,7 +149,7 @@ val end_dest : unit -> unit
     shorthand for "this destination's trail is final". *)
 
 val record_check :
-  channel:int -> onto:int -> omega_before:int -> check_subject -> unit
+  channel:int -> onto:int -> state_before:int -> check_subject -> unit
 
 val record_finalize : node:int -> channel:int -> dist:float -> via:via -> unit
 
@@ -171,7 +172,7 @@ type hop = {
           dependency edge; [None] for escape hops (pre-seeded, cycle-free
           by construction) and hops into the destination *)
   h_rejected : (check * int) list;
-      (** alternatives at this node the omega check (or Definition 6)
+      (** alternatives at this node the acyclicity check (or Definition 6)
           rejected, in first-decision order, deduplicated: the [int] is
           how many times the search re-tested and re-rejected that same
           dependency *)

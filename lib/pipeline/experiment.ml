@@ -587,7 +587,7 @@ let check_to_json net (c : Provenance.check) =
         ("verdict", Str (Nue_cdg.Complete_cdg.verdict_to_string v));
         ("condition",
          Str (String.make 1 (Nue_cdg.Complete_cdg.verdict_condition v)));
-        ("omega_before", Int c.Provenance.chk_omega_before) ]
+        ("state_before", Int c.Provenance.chk_state_before) ]
   in
   Obj (base @ detail)
 

@@ -247,7 +247,8 @@ val explanation_to_json :
     (layer, escape root, partition strategy, seed, VCs, fallback and
     backtrack counts) plus one object per hop with the admitted
     dependency check and the rejected alternatives (including which
-    omega condition fired and the deduplicated retry count). *)
+    condition fired, the edge state before the check and the
+    deduplicated retry count). *)
 
 (** {1 Observation (the observability layer)}
 

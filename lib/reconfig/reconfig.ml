@@ -1,5 +1,6 @@
 module Network = Nue_netgraph.Network
 module Fault = Nue_netgraph.Fault
+module Graph_algo = Nue_netgraph.Graph_algo
 module Digraph = Nue_cdg.Digraph
 module Complete_cdg = Nue_cdg.Complete_cdg
 module Escape = Nue_core.Escape
@@ -121,26 +122,6 @@ type step = {
   table : Table.t;
 }
 
-(* Unweighted hop distances from [root] over the duplex links of [net]. *)
-let bfs_dist net root =
-  let n = Network.num_nodes net in
-  let dist = Array.make n max_int in
-  let q = Queue.create () in
-  dist.(root) <- 0;
-  Queue.push root q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    Array.iter
-      (fun c ->
-         let v = Network.dst net c in
-         if dist.(v) = max_int then begin
-           dist.(v) <- dist.(u) + 1;
-           Queue.push v q
-         end)
-      (Network.out_channels net u)
-  done;
-  dist
-
 let row_incomplete (table : Table.t) pos d =
   let row = table.next_channel.(pos) in
   let bad = ref false in
@@ -173,7 +154,8 @@ let affected_dests (state : state) event =
         network. Destinations with incomplete rows are always affected
         (the repair may reconnect them). *)
      let net = state.remap.Fault.net in
-     let du = bfs_dist net u and dv = bfs_dist net v in
+     let du = Graph_algo.bfs_distances net u
+     and dv = Graph_algo.bfs_distances net v in
      for pos = Array.length table.dests - 1 downto 0 do
        let d = table.dests.(pos) in
        let gap =

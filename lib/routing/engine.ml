@@ -109,9 +109,6 @@ let route name s =
   | Some (module E) -> E.route s
   | None -> Error (Engine_error.Unknown_engine name)
 
-let capabilities_of name =
-  Option.map (fun (module E : ENGINE) -> E.capabilities) (find name)
-
 (* {1 Built-in engines}
 
    Everything below lives in this library; Nue registers from

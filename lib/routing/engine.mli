@@ -90,5 +90,3 @@ val names : unit -> string list
 val route : string -> spec -> (Table.t, Engine_error.t) result
 (** [route name spec] dispatches by name; unknown names yield
     [Engine_error.Unknown_engine]. *)
-
-val capabilities_of : string -> capabilities option

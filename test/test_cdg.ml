@@ -1,5 +1,5 @@
 (* Tests for lib/cdg: digraphs, the Pearce-Kelly incremental DAG and the
-   complete channel dependency graph with its omega bookkeeping. *)
+   complete channel dependency graph with its edge states and order. *)
 
 module Network = Nue_netgraph.Network
 module Digraph = Nue_cdg.Digraph
@@ -260,8 +260,6 @@ let cdg_non_edges_raise () =
       (raises (fun g -> ignore (Complete_cdg.try_use_edge g ~from ~to_)));
     Alcotest.(check bool) (name ^ ": try_use_edge_v raises") true
       (raises (fun g -> ignore (Complete_cdg.try_use_edge_v g ~from ~to_)));
-    Alcotest.(check bool) (name ^ ": would_use_edge raises") true
-      (raises (fun g -> ignore (Complete_cdg.would_use_edge g ~from ~to_)));
     let states g =
       let used = ref 0 and blocked = ref 0 and unused = ref 0 in
       Complete_cdg.count_states g ~used ~blocked ~unused;
@@ -273,10 +271,7 @@ let cdg_non_edges_raise () =
           = Complete_cdg.edge_omega before ~from:a ~to_:b
        && Complete_cdg.cycle_searches cdg = Complete_cdg.cycle_searches before
        && List.for_all
-            (fun c ->
-               Complete_cdg.channel_omega cdg c
-               = Complete_cdg.channel_omega before c
-               && Complete_cdg.order cdg c = Complete_cdg.order before c)
+            (fun c -> Complete_cdg.order cdg c = Complete_cdg.order before c)
             (List.init (Complete_cdg.num_channels cdg) Fun.id))
   in
   (* On a 4-ring, channel 0 (0->1) has the single successor 1->2; the
@@ -304,8 +299,8 @@ let cdg_non_edges_raise () =
     ~from:ab.(0) ~to_:back
 
 (* [create] and [clone] allocate only routing state: a byte per edge
-   slot (a slot per out-channel of each channel's head), ten words per
-   channel of state, layout and scratch, and a fixed undo trail. A word
+   slot (a slot per out-channel of each channel's head), seven words per
+   channel of order, layout and scratch, and a fixed undo trail. A word
    per slot, let alone the edges themselves, would not fit: the tree has
    over 8 edges per channel. *)
 let cdg_create_footprint () =
@@ -315,7 +310,7 @@ let cdg_create_footprint () =
   for c = 0 to nc - 1 do
     slots := !slots + Network.degree net (Network.dst net c)
   done;
-  let bound = (!slots / 8) + (12 * nc) + 2048 in
+  let bound = (!slots / 8) + (8 * nc) + 2048 in
   let cdg, created =
     Helpers.words_allocated (fun () -> Complete_cdg.create net)
   in
@@ -326,36 +321,11 @@ let cdg_create_footprint () =
     (fun (name, words) ->
        Alcotest.(check bool)
          (Printf.sprintf
-            "%s: %.0f words <= a byte per slot (%d) + 12 per channel (%d) + 2048"
+            "%s: %.0f words <= a byte per slot (%d) + 8 per channel (%d) + 2048"
             name words !slots nc)
          true
          (words <= float_of_int bound))
     [ ("create", created); ("clone", cloned) ]
-
-let cdg_use_channel_fresh_ids () =
-  let net = Helpers.ring5 ~with_terminals:false () in
-  let cdg = Complete_cdg.create net in
-  let a = Complete_cdg.use_channel cdg 0 in
-  let b = Complete_cdg.use_channel cdg 2 in
-  Alcotest.(check bool) "distinct subgraphs" true (a <> b);
-  Alcotest.(check int) "idempotent" a (Complete_cdg.use_channel cdg 0)
-
-let cdg_edge_merging () =
-  let net = Helpers.ring5 ~with_terminals:false () in
-  let cdg = Complete_cdg.create net in
-  (* Find a channel and one of its successors. *)
-  let c = 0 in
-  let q = (succs cdg c).(0) in
-  ignore (Complete_cdg.use_channel cdg c);
-  ignore (Complete_cdg.use_channel cdg q);
-  Alcotest.(check bool) "edge usable" true
-    (Complete_cdg.try_use_edge cdg ~from:c ~to_:q);
-  Alcotest.(check int) "subgraphs merged"
-    (Complete_cdg.channel_omega cdg c)
-    (Complete_cdg.channel_omega cdg q);
-  Alcotest.(check int) "edge in same subgraph"
-    (Complete_cdg.channel_omega cdg c)
-    (Complete_cdg.edge_omega cdg ~from:c ~to_:q)
 
 let cdg_blocks_ring_closure () =
   (* Use the whole clockwise ring of a 4-ring: the last edge that would
@@ -383,15 +353,22 @@ let cdg_blocks_ring_closure () =
   Alcotest.(check bool) "at least one DFS ran" true
     (Complete_cdg.cycle_searches cdg >= 1)
 
-let cdg_would_use_does_not_commit () =
+(* An admission under a checkpoint is undone by the rollback: the edge
+   is unused again, and asking again decides it again. *)
+let cdg_rolled_back_admission () =
   let net = Helpers.ring ~terminals:0 4 in
   let cdg = Complete_cdg.create net in
   let chan u v = Option.get (Network.find_channel net u v) in
   let a = chan 0 1 and b = chan 1 2 in
-  Alcotest.(check bool) "would be usable" true
-    (Complete_cdg.would_use_edge cdg ~from:a ~to_:b);
-  Alcotest.(check int) "but still unused" 0
-    (Complete_cdg.edge_omega cdg ~from:a ~to_:b)
+  Complete_cdg.checkpoint cdg;
+  Alcotest.(check bool) "usable" true
+    (Complete_cdg.try_use_edge cdg ~from:a ~to_:b);
+  Alcotest.(check int) "used under the checkpoint" 1
+    (Complete_cdg.edge_omega cdg ~from:a ~to_:b);
+  Complete_cdg.rollback cdg;
+  Alcotest.(check int) "unused after the rollback" 0
+    (Complete_cdg.edge_omega cdg ~from:a ~to_:b);
+  Alcotest.(check int) "no query counted" 0 (Complete_cdg.cycle_searches cdg)
 
 let cdg_random_usage_invariant () =
   (* Throw random edge-use requests at the CDG; the used subgraph must
@@ -405,7 +382,6 @@ let cdg_random_usage_invariant () =
     let succ = succs cdg c in
     if Array.length succ > 0 then begin
       let q = succ.(Prng.int p (Array.length succ)) in
-      ignore (Complete_cdg.use_channel cdg c);
       ignore (Complete_cdg.try_use_edge cdg ~from:c ~to_:q)
     end
   done;
@@ -438,7 +414,6 @@ let cdg_blocked_edges_justified () =
     let succ = succs cdg c in
     if Array.length succ > 0 then begin
       let q = succ.(Prng.int p (Array.length succ)) in
-      ignore (Complete_cdg.use_channel cdg c);
       ignore (Complete_cdg.try_use_edge cdg ~from:c ~to_:q)
     end
   done;
@@ -447,7 +422,7 @@ let cdg_blocked_edges_justified () =
   let g = Digraph.create nc in
   for c = 0 to nc - 1 do
     Complete_cdg.iter_succ cdg c (fun q ->
-        if Complete_cdg.edge_omega cdg ~from:c ~to_:q >= 1 then
+        if Complete_cdg.edge_omega cdg ~from:c ~to_:q = 1 then
           Digraph.add_edge g c q)
   done;
   Alcotest.(check bool) "used graph acyclic" true (Digraph.is_acyclic g);
@@ -462,31 +437,6 @@ let cdg_blocked_edges_justified () =
   done;
   Alcotest.(check bool) "some edges were blocked" true (!checked > 0)
 
-(* Subgraph ids are consistent: both endpoints of a used edge share the
-   edge's id. *)
-let cdg_omega_consistency () =
-  let net = Helpers.random_net ~switches:10 ~links:22 () in
-  let cdg = Complete_cdg.create net in
-  let p = Prng.create 43 in
-  let nc = Complete_cdg.num_channels cdg in
-  for _ = 1 to 600 do
-    let c = Prng.int p nc in
-    let succ = succs cdg c in
-    if Array.length succ > 0 then begin
-      ignore (Complete_cdg.use_channel cdg c);
-      let q = succ.(Prng.int p (Array.length succ)) in
-      ignore (Complete_cdg.try_use_edge cdg ~from:c ~to_:q)
-    end
-  done;
-  for c = 0 to nc - 1 do
-    Complete_cdg.iter_succ cdg c (fun q ->
-        let om = Complete_cdg.edge_omega cdg ~from:c ~to_:q in
-        if om >= 1 then begin
-          Alcotest.(check int) "tail id" om (Complete_cdg.channel_omega cdg c);
-          Alcotest.(check int) "head id" om (Complete_cdg.channel_omega cdg q)
-        end)
-  done
-
 (* {1 Speculation API: checkpoint, rollback, journal, replay} *)
 
 (* The offline answer to condition (d): breadth-first search from
@@ -500,7 +450,7 @@ let used_path cdg ~start ~target =
   while (not !found) && not (Queue.is_empty queue) do
     let c = Queue.pop queue in
     Complete_cdg.iter_succ cdg c (fun q ->
-        if Complete_cdg.edge_omega cdg ~from:c ~to_:q >= 1 && not seen.(q)
+        if Complete_cdg.edge_omega cdg ~from:c ~to_:q = 1 && not seen.(q)
         then begin
           if q = target then found := true;
           seen.(q) <- true;
@@ -509,13 +459,12 @@ let used_path cdg ~start ~target =
   done;
   !found
 
-let omegas cdg =
-  let nc = Complete_cdg.num_channels cdg in
-  ( Array.init nc (Complete_cdg.channel_omega cdg),
-    Array.init nc (fun c ->
-        Array.map
-          (fun q -> Complete_cdg.edge_omega cdg ~from:c ~to_:q)
-          (succs cdg c)) )
+(* Every edge's state, row by row. *)
+let states cdg =
+  Array.init (Complete_cdg.num_channels cdg) (fun c ->
+      Array.map
+        (fun q -> Complete_cdg.edge_omega cdg ~from:c ~to_:q)
+        (succs cdg c))
 
 let orders cdg = Array.init (Complete_cdg.num_channels cdg) (Complete_cdg.order cdg)
 
@@ -529,37 +478,31 @@ let order_valid cdg =
     let o = Complete_cdg.order cdg c in
     if o < 0 || o >= nc || seen.(o) then ok := false else seen.(o) <- true;
     Complete_cdg.iter_succ cdg c (fun q ->
-        if Complete_cdg.edge_omega cdg ~from:c ~to_:q >= 1
+        if Complete_cdg.edge_omega cdg ~from:c ~to_:q = 1
            && o >= Complete_cdg.order cdg q
         then ok := false)
   done;
   !ok
 
-(* A random burst of calls: fresh channel uses, committing edge
-   admissions and non-committing probes. Every verdict must agree with
+(* A random burst of edge admissions. Every verdict must agree with
    [used_path] taken just before the call — an edge is admissible
    exactly when no used path leads from its head back to its tail. That
-   covers condition (d), where the order and its discovery decide, and
-   (a)-(c), where the memo does. After every call the order must still
-   be valid. *)
+   covers the queries the order decides, and (a)-(b), where the edge
+   state does. After every call the order must still be valid. *)
 let random_ops cdg p n =
   let nc = Complete_cdg.num_channels cdg in
   let ok = ref true in
   for _ = 1 to n do
     let c = Prng.int p nc in
     let succ = succs cdg c in
-    (match Prng.int p 3 with
-     | 0 -> ignore (Complete_cdg.use_channel cdg c)
-     | op when Array.length succ > 0 ->
-       let q = succ.(Prng.int p (Array.length succ)) in
-       let admissible = not (used_path cdg ~start:q ~target:c) in
-       let verdict =
-         if op = 1 then
-           Complete_cdg.verdict_ok (Complete_cdg.try_use_edge_v cdg ~from:c ~to_:q)
-         else Complete_cdg.would_use_edge cdg ~from:c ~to_:q
-       in
-       if verdict <> admissible then ok := false
-     | _ -> ());
+    if Array.length succ > 0 then begin
+      let q = succ.(Prng.int p (Array.length succ)) in
+      let admissible = not (used_path cdg ~start:q ~target:c) in
+      let verdict =
+        Complete_cdg.verdict_ok (Complete_cdg.try_use_edge_v cdg ~from:c ~to_:q)
+      in
+      if verdict <> admissible then ok := false
+    end;
     if not (order_valid cdg) then ok := false
   done;
   !ok
@@ -578,14 +521,14 @@ let qcheck_speculation_round_trip =
        Complete_cdg.set_journal cdg (Some j);
        let ok_spec = random_ops cdg p 160 in
        Complete_cdg.set_journal cdg None;
-       let speculated = omegas cdg and speculated_order = orders cdg in
-       (* A replica refresh carries the order with the omegas. *)
+       let speculated = states cdg and speculated_order = orders cdg in
+       (* A replica refresh carries the order with the edge states. *)
        let replica = Complete_cdg.clone before in
        Complete_cdg.copy_state_into ~src:cdg ~dst:replica;
        let copied = orders replica = speculated_order in
        Complete_cdg.rollback cdg;
        let restored =
-         omegas cdg = omegas before
+         states cdg = states before
          && orders cdg = orders before
          && Complete_cdg.cycle_searches cdg = Complete_cdg.cycle_searches before
        in
@@ -593,90 +536,107 @@ let qcheck_speculation_round_trip =
           the speculation exactly, order included. *)
        let replayed =
          Complete_cdg.replay target j
-         && omegas target = speculated
+         && states target = speculated
          && orders target = speculated_order
        in
-       (* The next fresh id is restored too: the same unused channel gets
-          the same id on both. *)
-       let nc = Complete_cdg.num_channels cdg in
-       let rec first_unused c =
-         if c >= nc then None
-         else if Complete_cdg.channel_omega cdg c = 0 then Some c
-         else first_unused (c + 1)
-       in
-       let same_fresh_id =
-         match first_unused 0 with
-         | None -> true
-         | Some c ->
-           Complete_cdg.use_channel cdg c = Complete_cdg.use_channel before c
-       in
-       ok_before && ok_spec && copied && restored && replayed && same_fresh_id
+       ok_before && ok_spec && copied && restored && replayed
        && Complete_cdg.used_subgraph_acyclic target)
 
-(* A used edge belongs to the subgraph of both its channels: the (c)
-   merge and the (d) admission both put it in the subgraph that already
-   holds its tail, and subgraphs only ever merge. *)
-let used_edges_share_channel_omegas cdg =
-  let ok = ref true in
-  for c = 0 to Complete_cdg.num_channels cdg - 1 do
+(* The used and the blocked edges, each sorted. *)
+let edge_sets cdg =
+  let used = ref [] and blocked = ref [] in
+  for c = Complete_cdg.num_channels cdg - 1 downto 0 do
     Complete_cdg.iter_succ cdg c (fun q ->
-        let om = Complete_cdg.edge_omega cdg ~from:c ~to_:q in
-        if om >= 1
-           && (om <> Complete_cdg.channel_omega cdg c
-               || om <> Complete_cdg.channel_omega cdg q)
-        then ok := false)
+        match Complete_cdg.edge_omega cdg ~from:c ~to_:q with
+        | 1 -> used := (c, q) :: !used
+        | -1 -> blocked := (c, q) :: !blocked
+        | _ -> ())
   done;
-  !ok
+  (List.sort compare !used, List.sort compare !blocked)
 
-(* Random channel uses and edge admissions on a fabric with failed
-   links, cut into sequences by checkpoints, rollbacks and replica
-   refreshes (after a refresh the work goes on on the refreshed copy, as
-   Nue's speculation does). The property is checked after every
-   sequence, on both graphs. *)
-let qcheck_used_edge_omega_is_tails =
-  QCheck2.Test.make ~name:"a used edge's omega is its tail's and its head's"
-    ~count:40
-    QCheck2.Gen.(pair Helpers.arbitrary_net (int_range 0 1_000_000))
+(* Random fabrics (with failed links) and small tori. *)
+let arbitrary_fabric =
+  QCheck2.Gen.(
+    oneof
+      [ map2
+          (fun net seed ->
+             (Nue_netgraph.Fault.random_link_failures (Prng.create seed) net
+                ~fraction:0.1)
+               .Nue_netgraph.Fault.net)
+          Helpers.arbitrary_net (int_range 0 1_000_000);
+        map3
+          (fun x y z ->
+             (Topology.torus3d ~dims:(x, y, z) ~terminals_per_switch:1 ())
+               .Topology.net)
+          (int_range 2 4) (int_range 2 4) (int_range 2 3) ])
+
+(* The paper's Algorithm 3 ({!Algorithm3_reference}: subgraph ids, and
+   a plain search for (d)) and the order-decided one agree on every
+   query of a random sequence: the same admit/block verdict, the same
+   memo condition for (a) and (b), and in the end the same used and
+   blocked edges. The sequence is cut by checkpoints, rollbacks and
+   speculations replayed after other commits, as Nue's rounds run them:
+   the reference snapshots where the CDG checkpoints. *)
+let qcheck_algorithm3_reference =
+  QCheck2.Test.make ~name:"agrees with the omega Algorithm 3" ~count:60
+    QCheck2.Gen.(pair arbitrary_fabric (int_range 0 1_000_000))
     (fun (net, seed) ->
        let p = Prng.create seed in
-       let net =
-         (Nue_netgraph.Fault.random_link_failures p net ~fraction:0.1)
-           .Nue_netgraph.Fault.net
-       in
-       let cur = ref (Complete_cdg.create net) in
-       let other = ref (Complete_cdg.clone !cur) in
-       let nc = Complete_cdg.num_channels !cur in
-       let recording = ref false and ok = ref true in
-       let check () =
-         ok := !ok && used_edges_share_channel_omegas !cur
-               && used_edges_share_channel_omegas !other
-       in
-       for _ = 1 to 600 do
+       let cdg = Complete_cdg.create net in
+       let reference = ref (Algorithm3_reference.create net) in
+       let nc = Complete_cdg.num_channels cdg in
+       let ok = ref true in
+       (* One query on both; the decision as the reference recorded it. *)
+       let query () =
          let c = Prng.int p nc in
-         match Prng.int p 20 with
-         | 0 ->
-           if !recording then Complete_cdg.rollback !cur
-           else Complete_cdg.checkpoint !cur;
-           recording := not !recording;
-           check ()
-         | 1 ->
-           if !recording then Complete_cdg.rollback !cur;
-           recording := false;
-           Complete_cdg.copy_state_into ~src:!cur ~dst:!other;
-           let g = !cur in
-           cur := !other;
-           other := g;
-           check ()
-         | 2 | 3 | 4 -> ignore (Complete_cdg.use_channel !cur c)
-         | _ ->
-           let succ = succs !cur c in
-           if Array.length succ > 0 then
-             ignore
-               (Complete_cdg.try_use_edge !cur ~from:c
-                  ~to_:succ.(Prng.int p (Array.length succ)))
+         let succ = succs cdg c in
+         if Array.length succ = 0 then None
+         else begin
+           let q = succ.(Prng.int p (Array.length succ)) in
+           let v = Complete_cdg.try_use_edge_v cdg ~from:c ~to_:q in
+           let admitted, cond =
+             Algorithm3_reference.try_use_edge !reference ~from:c ~to_:q
+           in
+           let cond = if cond = 'c' then 'd' else cond in
+           if Complete_cdg.verdict_ok v <> admitted
+              || Complete_cdg.verdict_condition v <> cond
+           then ok := false;
+           Some (c, q, admitted)
+         end
+       in
+       let snapshot = ref None in
+       for _ = 1 to 300 do
+         match Prng.int p 20, !snapshot with
+         | 0, None ->
+           Complete_cdg.checkpoint cdg;
+           snapshot := Some (Algorithm3_reference.copy !reference)
+         | 0, Some saved ->
+           Complete_cdg.rollback cdg;
+           reference := saved;
+           snapshot := None
+         | 1, None ->
+           (* A speculation, rolled back; other commits; its replay. *)
+           let j = Complete_cdg.journal_create () in
+           let saved = Algorithm3_reference.copy !reference in
+           Complete_cdg.checkpoint cdg;
+           Complete_cdg.set_journal cdg (Some j);
+           let ops =
+             List.filter_map (fun _ -> query ()) (List.init 20 Fun.id)
+           in
+           Complete_cdg.set_journal cdg None;
+           Complete_cdg.rollback cdg;
+           reference := saved;
+           for _ = 1 to Prng.int p 10 do
+             ignore (query ())
+           done;
+           if Complete_cdg.replay cdg j
+              <> Algorithm3_reference.replay !reference ops
+           then ok := false
+         | _ -> ignore (query ())
        done;
-       check ();
-       !ok)
+       !ok
+       && edge_sets cdg = Algorithm3_reference.edge_sets !reference
+       && Complete_cdg.used_subgraph_acyclic cdg)
 
 let cdg_rollback_restores_live_graph () =
   (* The same round trip on a fixed fabric, with failures named. *)
@@ -684,13 +644,13 @@ let cdg_rollback_restores_live_graph () =
   let cdg = Complete_cdg.create net in
   let p = Prng.create 5 in
   Alcotest.(check bool) "verdicts before" true (random_ops cdg p 300);
-  let before = omegas cdg and searches = Complete_cdg.cycle_searches cdg in
+  let before = states cdg and searches = Complete_cdg.cycle_searches cdg in
   Complete_cdg.checkpoint cdg;
   Alcotest.(check bool) "verdicts under checkpoint" true (random_ops cdg p 600);
   Alcotest.(check bool) "speculation searched" true
     (Complete_cdg.cycle_searches cdg > searches);
   Complete_cdg.rollback cdg;
-  Alcotest.(check bool) "omegas restored" true (omegas cdg = before);
+  Alcotest.(check bool) "edge states restored" true (states cdg = before);
   Alcotest.(check int) "search count restored" searches
     (Complete_cdg.cycle_searches cdg);
   let misuse f =
@@ -746,7 +706,8 @@ let cdg_copy_state_checks_structure () =
   let p = Prng.create 9 in
   ignore (random_ops ring p 200);
   Complete_cdg.copy_state_into ~src:ring ~dst:replica;
-  Alcotest.(check bool) "replica refreshed" true (omegas replica = omegas ring);
+  Alcotest.(check bool) "replica refreshed" true
+    (states replica = states ring && orders replica = orders ring);
   Alcotest.(check int) "search count copied"
     (Complete_cdg.cycle_searches ring) (Complete_cdg.cycle_searches replica);
   Complete_cdg.checkpoint replica;
@@ -754,9 +715,9 @@ let cdg_copy_state_checks_structure () =
     (refused ~src:ring ~dst:replica);
   Complete_cdg.rollback replica
 
-let cdg_would_use_allocation_free () =
-  (* Condition (d) queries: unused edges between two channels of the
-     same subgraph, probed without committing. *)
+let cdg_order_queries_allocation_free () =
+  (* Queries the order decides: unused edges, each admitted or blocked
+     under a checkpoint and rolled back, as a speculation does. *)
   let net = Helpers.random_net ~switches:12 ~links:30 () in
   let cdg = Complete_cdg.create net in
   ignore (random_ops cdg (Prng.create 17) 800);
@@ -764,32 +725,44 @@ let cdg_would_use_allocation_free () =
   for c = Complete_cdg.num_channels cdg - 1 downto 0 do
     Array.iter
       (fun q ->
-         let om = Complete_cdg.channel_omega cdg c in
-         if om >= 1 && om = Complete_cdg.channel_omega cdg q
-            && Complete_cdg.edge_omega cdg ~from:c ~to_:q = 0
-         then edges := (c, q) :: !edges)
+         if Complete_cdg.edge_omega cdg ~from:c ~to_:q = 0 then
+           edges := (c, q) :: !edges)
       (succs cdg c)
   done;
   let edges = Array.of_list !edges in
   let n = Array.length edges in
+  let query (from, to_) =
+    Complete_cdg.checkpoint cdg;
+    let admitted = Complete_cdg.try_use_edge cdg ~from ~to_ in
+    let searches = Complete_cdg.cycle_searches cdg in
+    Complete_cdg.rollback cdg;
+    (admitted, searches)
+  in
+  (* The first pass also grows the undo trail to what a query needs. *)
   let admitted =
     Array.fold_left
-      (fun acc (from, to_) ->
-         if Complete_cdg.would_use_edge cdg ~from ~to_ then acc + 1 else acc)
+      (fun acc e -> if fst (query e) then acc + 1 else acc)
       0 edges
   in
   Alcotest.(check bool) "both answers occur" true (admitted > 0 && admitted < n);
   let searches = Complete_cdg.cycle_searches cdg in
+  let decided = ref 0 in
   let w0 = Gc.minor_words () in
   for i = 0 to 9_999 do
     let from, to_ = edges.(i mod n) in
-    ignore (Sys.opaque_identity (Complete_cdg.would_use_edge cdg ~from ~to_))
+    Complete_cdg.checkpoint cdg;
+    ignore (Sys.opaque_identity (Complete_cdg.try_use_edge cdg ~from ~to_));
+    if Complete_cdg.cycle_searches cdg = searches + 1 then incr decided;
+    Complete_cdg.rollback cdg
   done;
   let w1 = Gc.minor_words () in
-  Alcotest.(check int) "every probe is a (d) query" (searches + 10_000)
+  Alcotest.(check int) "every query is decided from the order" 10_000 !decided;
+  Alcotest.(check int) "rollback restores the count" searches
     (Complete_cdg.cycle_searches cdg);
+  Alcotest.(check bool) "the order's answers agree" true
+    (Array.for_all (fun e -> snd (query e) = searches + 1) edges);
   (* The two Gc.minor_words calls box a float each. *)
-  Alcotest.(check bool) "would_use_edge allocation-free" true (w1 -. w0 < 256.0)
+  Alcotest.(check bool) "order queries allocation-free" true (w1 -. w0 < 256.0)
 
 let suite =
   [ ("digraph",
@@ -811,23 +784,20 @@ let suite =
          cdg_definition6_parallel_links;
        test_case "non-edges raise" `Quick cdg_non_edges_raise;
        test_case "create allocates state only" `Quick cdg_create_footprint;
-       test_case "fresh subgraph ids" `Quick cdg_use_channel_fresh_ids;
-       test_case "edge use merges subgraphs" `Quick cdg_edge_merging;
        test_case "ring closure blocked" `Quick cdg_blocks_ring_closure;
-       test_case "would_use does not commit" `Quick cdg_would_use_does_not_commit;
+       test_case "rolled-back admission does not commit" `Quick
+         cdg_rolled_back_admission;
        test_case "random usage keeps acyclicity" `Quick cdg_random_usage_invariant;
        test_case "blocked is memoized" `Quick cdg_blocked_stays_blocked;
-       test_case "blocked edges justified" `Quick cdg_blocked_edges_justified;
-       test_case "omega consistency" `Quick cdg_omega_consistency ]);
+       test_case "blocked edges justified" `Quick cdg_blocked_edges_justified ]);
     ("cdg:speculation",
      [ QCheck_alcotest.to_alcotest qcheck_speculation_round_trip;
-       QCheck_alcotest.to_alcotest qcheck_used_edge_omega_is_tails;
+       QCheck_alcotest.to_alcotest qcheck_algorithm3_reference;
        test_case "rollback restores the live graph" `Quick
          cdg_rollback_restores_live_graph;
        test_case "replay detects misspeculation" `Quick
          cdg_replay_detects_misspeculation;
        test_case "copy_state_into checks structure" `Quick
          cdg_copy_state_checks_structure;
-       test_case "would_use_edge allocation-free" `Quick
-         cdg_would_use_allocation_free ]) ]
-
+       test_case "order queries allocation-free" `Quick
+         cdg_order_queries_allocation_free ]) ]

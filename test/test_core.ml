@@ -306,8 +306,7 @@ let escape_reference cdg ~root ~dests =
          let next = Nue_netgraph.Graph_algo.tree_next_channel net tree ~dest in
          for node = 0 to Network.num_nodes net - 1 do
            let c_out = next.(node) in
-           if node <> dest && c_out >= 0 then begin
-             ignore (Complete_cdg.use_channel cdg c_out);
+           if node <> dest && c_out >= 0 then
              Array.iter
                (fun c_in ->
                   if
@@ -319,7 +318,6 @@ let escape_reference cdg ~root ~dests =
                     then incr deps
                     else raise Exit)
                (Network.in_channels net node)
-           end
          done)
       dests
   with
@@ -327,7 +325,7 @@ let escape_reference cdg ~root ~dests =
   | exception Exit -> None
 
 (* Everything the escape set-up can change that a later search reads:
-   channel and edge omegas, the topological order, the search count. *)
+   the edge states, the topological order, the search count. *)
 let cdg_state cdg =
   let nc = Complete_cdg.num_channels cdg in
   let edges = ref [] in
@@ -335,8 +333,7 @@ let cdg_state cdg =
     Complete_cdg.iter_succ cdg c (fun q ->
         edges := Complete_cdg.edge_omega cdg ~from:c ~to_:q :: !edges)
   done;
-  ( Array.init nc (Complete_cdg.channel_omega cdg),
-    Array.init nc (Complete_cdg.order cdg),
+  ( Array.init nc (Complete_cdg.order cdg),
     !edges,
     Complete_cdg.cycle_searches cdg )
 

@@ -123,7 +123,7 @@ let explanations_agree_with_table () =
 let acceptance_pair_blocked_and_fallback () =
   (* The issue's acceptance scenario: on a seeded faulted torus at 1 VC
      there must exist a pair whose trail shows (1) an alternative the
-     omega check rejected, with the condition that fired, and (2) an
+     acyclicity check rejected, with the condition that fired, and (2) an
      escape-path fallback — while the reported path still matches the
      table exactly. The redundant 6x5x5 torus is the known fallback
      stress case (EXPERIMENTS.md, "124 of 300 destinations at k = 1"). *)
@@ -173,7 +173,7 @@ let acceptance_pair_blocked_and_fallback () =
        let path = Option.get (Table.path table ~src ~dest:dst) in
        Alcotest.(check (list int)) "fallback pair path matches table" path
          (List.map (fun h -> h.Provenance.h_channel) e.Provenance.e_hops);
-       (* The rendered text names the omega condition and the fallback. *)
+       (* The rendered text names the condition and the fallback. *)
        let text = Provenance.explanation_to_string table e in
        let contains needle =
          let nl = String.length needle and tl = String.length text in
@@ -186,8 +186,8 @@ let acceptance_pair_blocked_and_fallback () =
          (contains "escape fallback: YES");
        Alcotest.(check bool) "text reports a blocked condition" true
          (contains "BLOCKED (condition");
-       (* The omega condition of every blocked CDG alternative is one of
-          the paper's (a)-(d). *)
+       (* The condition of every blocked CDG alternative is one of the
+          paper's (a)-(d). *)
        List.iter
          (fun h ->
             List.iter
@@ -213,7 +213,7 @@ let disabled_recorder_does_not_allocate () =
     (Provenance.enabled ());
   let w0 = Gc.minor_words () in
   for i = 1 to 100_000 do
-    Provenance.record_check ~channel:i ~onto:(i + 1) ~omega_before:0
+    Provenance.record_check ~channel:i ~onto:(i + 1) ~state_before:0
       Provenance.No_edge;
     Provenance.record_finalize ~node:i ~channel:i ~dist:1.0
       ~via:Provenance.Dijkstra

@@ -420,7 +420,7 @@ let flamegraph_aggregates_by_path () =
   Alcotest.(check string) "empty flamegraph placeholder"
     "(no spans recorded)\n" (Span.flamegraph ())
 
-(* The omega-recheck payload counts the channels the forward discovery
+(* The forward-discovery payload counts the channels the discovery
    expanded itself, so a trace does not depend on whether the counter
    view is on. *)
 let trace_independent_of_counters () =
@@ -439,10 +439,10 @@ let trace_independent_of_counters () =
   let counted = trace [ Experiment.Spans; Experiment.Counters ] in
   let plain = trace [ Experiment.Spans ] in
   Alcotest.(check string) "same trace with counters on and off" counted plain;
-  Alcotest.(check bool) "rechecks report visited channels" true
+  Alcotest.(check bool) "discoveries report visited channels" true
     (List.exists
        (fun (e : Span.event) ->
-          e.Span.name = "cdg.omega_recheck"
+          e.Span.name = "cdg.forward_discovery"
           && (match List.assoc_opt "visited" e.Span.args with
               | Some (Span.Int v) -> v > 0
               | _ -> false))
