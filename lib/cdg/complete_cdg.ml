@@ -28,6 +28,12 @@ type journal = {
 
 type t = {
   net : Network.t;
+  (* The network's own endpoint and adjacency arrays, read in the hot
+     loops instead of a call per element. *)
+  srcs : int array;
+  dsts : int array;
+  outs : int array array;
+  ins : int array array;
   (* Definition 6 makes the edges a function of the adjacency, so only
      their state is stored: edge c -> q at [off.(c) + pos.(q)], where
      [off] sums the out-degrees of the channels' head nodes and
@@ -49,9 +55,10 @@ type t = {
   nedges : int; (* live slots: |E| of Definition 6 *)
   mutable searches : int;
   (* Discovery scratch: visit stamps bumped by a clock (one value per
-     discovery), the channels each direction discovered, and the old
-     order slots a reassignment hands out. Each channel is stamped when
-     listed, so no list holds more than nc ids. *)
+     discovery), the channels each direction discovered, and the
+     reorder's buckets by order position, all -1 between reorders. Each
+     channel is stamped when listed, so no list holds more than nc
+     ids. *)
   stamp : int array;
   mutable clock : int;
   fwd : int array;
@@ -97,14 +104,16 @@ let create net =
     done
   done;
   let nslots = off.(nc) in
-  { net; off; pos; edges = Bytes.make nslots edge_unused;
+  { net; srcs = Network.srcs net; dsts; outs = Network.out_adjacency net;
+    ins = Network.in_adjacency net;
+    off; pos; edges = Bytes.make nslots edge_unused;
     ord = Array.init nc Fun.id; nslots; nedges = nslots - !dead;
     searches = 0;
     stamp = Array.make nc 0;
     clock = 0;
     fwd = Array.make nc 0;
     bwd = Array.make nc 0;
-    pool = Array.make nc 0;
+    pool = Array.make nc (-1);
     trail = Array.make 1024 0;
     tlen = 0;
     recording = false;
@@ -123,7 +132,7 @@ let clone t =
     clock = 0;
     fwd = Array.make nc 0;
     bwd = Array.make nc 0;
-    pool = Array.make nc 0;
+    pool = Array.make nc (-1);
     trail = Array.make 1024 0;
     tlen = 0;
     recording = false;
@@ -216,9 +225,7 @@ let num_channels t = Array.length t.pos
 let num_edges t = t.nedges
 
 let is_edge t ~from ~to_ =
-  let net = t.net in
-  Network.dst net from = Network.src net to_
-  && Network.dst net to_ <> Network.src net from
+  t.dsts.(from) = t.srcs.(to_) && t.dsts.(to_) <> t.srcs.(from)
 
 (* Slot of the edge [from -> to_]. *)
 let edge t ~from ~to_ =
@@ -228,18 +235,12 @@ let edge t ~from ~to_ =
   t.off.(from) + t.pos.(to_)
 
 let iter_succ t c f =
-  let net = t.net in
-  let u = Network.src net c in
-  Array.iter
-    (fun q -> if Network.dst net q <> u then f q)
-    (Network.out_channels net (Network.dst net c))
+  let u = t.srcs.(c) in
+  Array.iter (fun q -> if t.dsts.(q) <> u then f q) t.outs.(t.dsts.(c))
 
 let iter_pred t c f =
-  let net = t.net in
-  let w = Network.dst net c in
-  Array.iter
-    (fun a -> if Network.src net a <> w then f a)
-    (Network.in_channels net (Network.src net c))
+  let w = t.dsts.(c) in
+  Array.iter (fun a -> if t.srcs.(a) <> w then f a) t.ins.(t.srcs.(c))
 
 let edge_omega t ~from ~to_ =
   let s = Bytes.get t.edges (edge t ~from ~to_) in
@@ -248,8 +249,9 @@ let edge_omega t ~from ~to_ =
 let order t c = t.ord.(c)
 
 (* The bounded discoveries of Pearce–Kelly. Both list the channels they
-   reach in [fwd]/[bwd] (breadth-first, each expanded once) and return
-   how many there are.
+   reach in [fwd]/[bwd] (breadth-first, each expanded once), add the
+   channels they expanded to [cdg.search_visited] once, and return how
+   many they listed.
 
    Forward from [q]: every channel reachable over used edges whose
    order is below [from]'s. A used path from [q] to [from] only climbs
@@ -260,7 +262,7 @@ let discover_forward t ~from ~q =
   t.clock <- t.clock + 1;
   let mark = t.clock in
   let ord = t.ord and ed = t.edges and stamp = t.stamp and fwd = t.fwd in
-  let net = t.net in
+  let outs = t.outs and dsts = t.dsts and off = t.off in
   let bound = ord.(from) in
   stamp.(q) <- mark;
   fwd.(0) <- q;
@@ -268,10 +270,9 @@ let discover_forward t ~from ~q =
   while (not !cycle) && !i < !n do
     let c = fwd.(!i) in
     incr i;
-    Obs.incr c_visited;
     (* Dead slots stay unused, so the used test alone skips 180-degree
        turns. The row holds one slot per entry of [s]. *)
-    let s = Network.out_channels net (Network.dst net c) and base = t.off.(c) in
+    let s = outs.(dsts.(c)) and base = off.(c) in
     for k = 0 to Array.length s - 1 do
       if Bytes.unsafe_get ed (base + k) = edge_used then begin
         let y = s.(k) in
@@ -284,6 +285,7 @@ let discover_forward t ~from ~q =
       end
     done
   done;
+  Obs.add c_visited !i;
   if !cycle then - !i else !n
 
 (* Backward from [from]: every channel that reaches it over used edges
@@ -292,7 +294,7 @@ let discover_backward t ~from ~q =
   t.clock <- t.clock + 1;
   let mark = t.clock in
   let ord = t.ord and ed = t.edges and stamp = t.stamp and bwd = t.bwd in
-  let net = t.net and off = t.off in
+  let ins = t.ins and srcs = t.srcs and off = t.off and pos = t.pos in
   let bound = ord.(q) in
   stamp.(from) <- mark;
   bwd.(0) <- from;
@@ -300,9 +302,8 @@ let discover_backward t ~from ~q =
   while !i < !n do
     let c = bwd.(!i) in
     incr i;
-    Obs.incr c_visited;
     (* Every a -> c sits at column pos(c) of a's row. *)
-    let p = Network.in_channels net (Network.src net c) and pc = t.pos.(c) in
+    let p = ins.(srcs.(c)) and pc = pos.(c) in
     for k = 0 to Array.length p - 1 do
       let a = p.(k) in
       if Bytes.unsafe_get ed (off.(a) + pc) = edge_used && ord.(a) > bound
@@ -314,11 +315,11 @@ let discover_backward t ~from ~q =
       end
     done
   done;
+  Obs.add c_visited !n;
   !n
 
-(* Heapsort of [a.(0 .. n-1)] by order, in place. Insertion sort would
-   be quadratic, and on the random bench fabric a discovered set
-   reaches two thousand channels. *)
+(* Heapsort of [a.(0 .. n-1)] by order, in place, for the reorders
+   that move too few channels to pay for a walk of their window. *)
 let sift_down ord a i n =
   let x = a.(i) in
   let kx = ord.(x) in
@@ -339,8 +340,7 @@ let sift_down ord a i n =
   done;
   a.(!i) <- x
 
-let sort_by_order t a n =
-  let ord = t.ord in
+let sort_by_order ord a n =
   for i = (n / 2) - 1 downto 0 do
     sift_down ord a i n
   done;
@@ -351,36 +351,82 @@ let sort_by_order t a n =
     sift_down ord a 0 last
   done
 
+(* The size rule of [reorder]: walk the window when more than 16
+   channels move and the window is at most 8 positions per channel;
+   sort otherwise. *)
+let reorders_by_window ~moved ~window = moved > 16 && window <= 8 * moved
+
 (* Restore the order after a used edge [from -> q] with
    ord(from) > ord(q) was added, given the forward set of [q] in
-   [fwd.(0 .. nf-1)]: the backward set of [from], then the forward set,
-   each in its old relative order, take the sorted pool of their old
-   slots. Every write is trailed. *)
+   [fwd.(0 .. nf-1)] (Pearce & Kelly): the backward set of [from], then
+   the forward set, each in its old relative order, take their old
+   slots in ascending order. Every write is trailed.
+
+   Both sets lie in the window [ord q, ord from], so one walk of it
+   lists each set in its old relative order and the freed slots
+   ascending, in O(moved + window) (Marchetti-Spaccamela, Nanni and
+   Rohnert, 1996): the assignment of sorting both sets by order,
+   without the O(moved log moved). A few channels in a wide window
+   (the bench fat-tree's reorders move about 3 in ~1,700 positions)
+   are sorted instead.
+   Either way the slots end up ascending in [pool.(lo .. lo+n-1)],
+   inside the window, and are cleared back to -1. *)
 let reorder t ~from ~q ~nf =
   let nb = discover_backward t ~from ~q in
-  let ord = t.ord and fwd = t.fwd and bwd = t.bwd in
-  sort_by_order t fwd nf;
-  sort_by_order t bwd nb;
-  (* Both lists are sorted, so the pool is their merge. *)
-  let pool = t.pool in
-  let i = ref 0 and j = ref 0 in
-  for k = 0 to nb + nf - 1 do
-    if !j >= nf || (!i < nb && ord.(bwd.(!i)) < ord.(fwd.(!j)))
-    then begin
-      pool.(k) <- ord.(bwd.(!i));
-      incr i
-    end
-    else begin
-      pool.(k) <- ord.(fwd.(!j));
-      incr j
-    end
-  done;
+  let ord = t.ord and fwd = t.fwd and bwd = t.bwd and pool = t.pool in
+  let lo = ord.(q) and n = nb + nf in
+  if reorders_by_window ~moved:n ~window:(ord.(from) - lo + 1) then begin
+    (* Bucket both sets by position, forward channels tagged by +nc. *)
+    let nc = Array.length ord in
+    for k = 0 to nb - 1 do
+      pool.(ord.(bwd.(k))) <- bwd.(k)
+    done;
+    for k = 0 to nf - 1 do
+      pool.(ord.(fwd.(k))) <- fwd.(k) + nc
+    done;
+    (* Walk the window, relisting each set in order and packing the
+       freed positions into [pool.(lo ..)], behind the walk. *)
+    let i = ref 0 and j = ref 0 in
+    for p = lo to ord.(from) do
+      let x = pool.(p) in
+      if x >= 0 then begin
+        pool.(p) <- -1;
+        if x < nc then begin
+          bwd.(!i) <- x;
+          incr i
+        end
+        else begin
+          fwd.(!j) <- x - nc;
+          incr j
+        end;
+        pool.(lo + !i + !j - 1) <- p
+      end
+    done
+  end
+  else begin
+    sort_by_order ord fwd nf;
+    sort_by_order ord bwd nb;
+    (* Both lists are sorted, so the slots are their merge. *)
+    let i = ref 0 and j = ref 0 in
+    for k = lo to lo + n - 1 do
+      if !j >= nf || (!i < nb && ord.(bwd.(!i)) < ord.(fwd.(!j)))
+      then begin
+        pool.(k) <- ord.(bwd.(!i));
+        incr i
+      end
+      else begin
+        pool.(k) <- ord.(fwd.(!j));
+        incr j
+      end
+    done
+  end;
   for k = 0 to nb - 1 do
-    set_ord t bwd.(k) pool.(k)
+    set_ord t bwd.(k) pool.(lo + k)
   done;
   for k = 0 to nf - 1 do
-    set_ord t fwd.(k) pool.(nb + k)
+    set_ord t fwd.(k) pool.(lo + nb + k)
   done;
+  Array.fill pool lo n (-1);
   Obs.incr c_reorder
 
 type verdict =
@@ -515,8 +561,7 @@ let replay t j =
 (* Every used edge, row by row. *)
 let iter_used t f =
   for c = 0 to num_channels t - 1 do
-    let s = Network.out_channels t.net (Network.dst t.net c)
-    and base = t.off.(c) in
+    let s = t.outs.(t.dsts.(c)) and base = t.off.(c) in
     for k = 0 to Array.length s - 1 do
       if Bytes.unsafe_get t.edges (base + k) = edge_used then f c s.(k)
     done

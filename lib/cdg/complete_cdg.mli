@@ -189,6 +189,13 @@ val order : t -> int -> int
     forward. It lives in the routing state, so {!rollback} restores it
     and {!copy_state_into}/{!clone} carry it. *)
 
+val reorders_by_window : moved:int -> window:int -> bool
+(** The size rule of an admission against the order: whether the
+    reorder that moves [moved] channels within [window] consecutive
+    positions of the order walks that window (more than 16 channels, at
+    most 8 positions each) rather than sorting the channels. Both give
+    the same order; the rule only picks the cheaper way. *)
+
 val cycle_searches : t -> int
 (** Number of queries the edge states could not answer so far: every
     [try_use_edge] on an unused edge, whether the order settled it or a

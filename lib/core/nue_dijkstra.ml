@@ -22,12 +22,14 @@ let fresh_stats () =
 
 (* The working memory of one search, kept per domain and reset per
    destination so routing a destination leaves no major-heap garbage
-   besides its returned row: the node-sized arrays and the heap. *)
+   besides its returned row: the node-sized arrays, the heap and the
+   cell its pops write their key into. *)
 type scratch = {
   s_ndist : float array;
   s_tent : float array;
   s_routed : bool array;
   s_heap : Fib_heap.t;
+  s_key : float array;
 }
 
 let create_scratch net =
@@ -35,11 +37,14 @@ let create_scratch net =
   { s_ndist = Array.make nn infinity;
     s_tent = Array.make nn infinity;
     s_routed = Array.make nn false;
-    s_heap = Fib_heap.create () }
+    s_heap = Fib_heap.create ();
+    s_key = [| 0.0 |] }
 
 type state = {
   cdg : Complete_cdg.t;
   net : Network.t;
+  srcs : int array;         (* the network's own arrays *)
+  ins : int array array;
   weights : float array;
   dest : int;
   ndist : float array;      (* node -> final distance to dest *)
@@ -47,6 +52,7 @@ type state = {
   used_channel : int array; (* node -> out-channel toward dest, -1 *)
   routed : bool array;
   heap : Fib_heap.t;
+  key : float array;        (* the last pop's key *)
 }
 
 (* Algorithm 3 on the dependency [from -> to_]; both are channels, and
@@ -77,10 +83,10 @@ let edge_usable st ~from ~to_ =
    dependency. *)
 let expand st n =
   let e = st.used_channel.(n) in
-  let inc = Network.in_channels st.net n in
+  let inc = st.ins.(n) in
   for i = 0 to Array.length inc - 1 do
     let a = inc.(i) in
-    let x = Network.src st.net a in
+    let x = st.srcs.(a) in
     if not st.routed.(x) then begin
       let key = st.ndist.(n) +. st.weights.(a) in
       if key < st.tent.(x) then begin
@@ -101,26 +107,27 @@ let expand st n =
     end
   done
 
-let finalize ?(via = Provenance.Dijkstra) st node ~channel ~dist =
+(* Route [node] over [channel] at the distance already in [ndist]; a
+   float argument would be boxed on every call. *)
+let finalize ?(via = Provenance.Dijkstra) st node ~channel =
   if Provenance.enabled () then
-    Provenance.record_finalize ~node ~channel ~dist ~via;
+    Provenance.record_finalize ~node ~channel ~dist:st.ndist.(node) ~via;
   st.routed.(node) <- true;
   st.used_channel.(node) <- channel;
-  st.ndist.(node) <- dist;
   expand st node
 
 (* Main Dijkstra loop: pop candidate channels in key order; the first
    pop routing a node fixes that node, later pops are stale. *)
 let drain st =
-  let rec go () =
-    match Fib_heap.extract_min st.heap with
-    | None -> ()
-    | Some (c, key) ->
-      let x = Network.src st.net c in
-      if not st.routed.(x) then finalize st x ~channel:c ~dist:key;
-      go ()
-  in
-  go ()
+  let c = ref (Fib_heap.extract_min st.heap st.key) in
+  while !c >= 0 do
+    let x = st.srcs.(!c) in
+    if not st.routed.(x) then begin
+      st.ndist.(x) <- st.key.(0);
+      finalize st x ~channel:!c
+    end;
+    c := Fib_heap.extract_min st.heap st.key
+  done
 
 (* Switch node [m]'s route to alternative out-channel [a] (Sections
    4.6.2/4.6.3). Valid only if (a) the dependency from [a] onto the next
@@ -210,7 +217,8 @@ let solve_island st w =
           && edge_usable st ~from:c ~to_:a
       in
       if committed then begin
-        finalize ~via:Provenance.Backtrack st w ~channel:c ~dist;
+        st.ndist.(w) <- dist;
+        finalize ~via:Provenance.Backtrack st w ~channel:c;
         true
       end
       else attempt rest
@@ -263,12 +271,14 @@ let route_destination cdg ~escape ~weights ~dest ?(use_backtracking = true)
       sc
   in
   let st =
-    { cdg; net; weights; dest;
+    { cdg; net; srcs = Network.srcs net; ins = Network.in_adjacency net;
+      weights; dest;
       ndist = sc.s_ndist;
       tent = sc.s_tent;
       used_channel = Array.make nn (-1);
       routed = sc.s_routed;
-      heap = sc.s_heap }
+      heap = sc.s_heap;
+      key = sc.s_key }
   in
   st.routed.(dest) <- true;
   st.ndist.(dest) <- 0.0;

@@ -53,7 +53,7 @@ let dijkstra_to_dest net ~weights ~dest =
   let n = Network.num_nodes net in
   let next = Array.make n (-1) in
   let dist = Array.make n infinity in
-  let heap = Fib_heap.create () in
+  let heap = Fib_heap.create () and key = [| 0.0 |] in
   dist.(dest) <- 0.0;
   Fib_heap.insert heap ~key:0.0 dest;
   let relax u =
@@ -80,14 +80,11 @@ let dijkstra_to_dest net ~weights ~dest =
       end
     done
   in
-  let rec loop () =
-    match Fib_heap.extract_min heap with
-    | None -> ()
-    | Some (u, d) ->
-      if d <= dist.(u) then relax u;
-      loop ()
-  in
-  loop ();
+  let u = ref (Fib_heap.extract_min heap key) in
+  while !u >= 0 do
+    if key.(0) <= dist.(!u) then relax !u;
+    u := Fib_heap.extract_min heap key
+  done;
   (next, dist)
 
 let shortest_path_dag_counts net ~dest =

@@ -138,6 +138,10 @@ let out_channels t i = t.out_adj.(i)
 
 let in_channels t i = t.in_adj.(i)
 
+let out_adjacency t = t.out_adj
+
+let in_adjacency t = t.in_adj
+
 let degree t i = Array.length t.out_adj.(i)
 
 let max_degree t =

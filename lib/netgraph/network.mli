@@ -94,6 +94,13 @@ val out_channels : t -> int -> int array
 val in_channels : t -> int -> int array
 (** Channels entering a node. Do not mutate. *)
 
+val out_adjacency : t -> int array array
+(** [out_channels] of every node, indexed by node id: the network's own
+    arrays, for loops that read many rows. Do not mutate. *)
+
+val in_adjacency : t -> int array array
+(** [in_channels] of every node, indexed by node id. Do not mutate. *)
+
 val degree : t -> int -> int
 (** Number of outgoing channels (= duplex links) of a node. *)
 

@@ -310,6 +310,8 @@ let trace_to_json (s : Obs.snapshot) =
            ("cdg_accept_rate",
             ratio (c "cdg.edges_accepted")
               (c "cdg.edges_accepted" + c "cdg.edges_rejected"));
+           ("cdg_reorder_rate",
+            ratio (c "cdg.reorders") (c "cdg.memo.miss_search"));
            ("heap_ops", Json.Int heap_ops);
            ("pk_reorder_rate", ratio (c "pk.add_reorder") (c "pk.add_calls"))
          ]) ]

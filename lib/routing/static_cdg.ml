@@ -16,7 +16,7 @@ let route ?(seed = 1) ?dests net =
          let nexts = Array.make nn (-1) in
          let ndist = Array.make nn infinity in
          let routed = Array.make nn false in
-         let heap = Fib_heap.create () in
+         let heap = Fib_heap.create () and key = [| 0.0 |] in
          routed.(dest) <- true;
          ndist.(dest) <- 0.0;
          let expand n =
@@ -34,20 +34,17 @@ let route ?(seed = 1) ?dests net =
              (Network.in_channels net n)
          in
          expand dest;
-         let rec drain () =
-           match Fib_heap.extract_min heap with
-           | None -> ()
-           | Some (a, key) ->
-             let x = Network.src net a in
-             if not routed.(x) then begin
-               routed.(x) <- true;
-               nexts.(x) <- a;
-               ndist.(x) <- key;
-               expand x
-             end;
-             drain ()
-         in
-         drain ();
+         let a = ref (Fib_heap.extract_min heap key) in
+         while !a >= 0 do
+           let x = Network.src net !a in
+           if not routed.(x) then begin
+             routed.(x) <- true;
+             nexts.(x) <- !a;
+             ndist.(x) <- key.(0);
+             expand x
+           end;
+           a := Fib_heap.extract_min heap key
+         done;
          nexts)
       dests
   in

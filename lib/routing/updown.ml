@@ -69,7 +69,7 @@ let route ?root ?dests ?sources net =
          (* Multi-source BFS is inexact for differing initial values;
             use a Dijkstra over unit weights seeded with every node that
             has an all-down continuation. *)
-         let heap = Nue_structures.Fib_heap.create () in
+         let heap = Nue_structures.Fib_heap.create () and key = [| 0.0 |] in
          for v = 0 to nn - 1 do
            if dd.(v) < max_int then
              Nue_structures.Fib_heap.insert heap ~key:(float_of_int l.(v)) v
@@ -78,10 +78,9 @@ let route ?root ?dests ?sources net =
             matches [l] are stale and skipped. Only the final levels are
             read, and they do not depend on the pop order. *)
          let rec drain () =
-           match Nue_structures.Fib_heap.extract_min heap with
-           | None -> ()
-           | Some (u, d) ->
-             if int_of_float d = l.(u) then begin
+           let u = Nue_structures.Fib_heap.extract_min heap key in
+           if u >= 0 then begin
+             if int_of_float key.(0) = l.(u) then begin
                let inc = Network.in_channels net u in
                for i = 0 to Array.length inc - 1 do
                  let c = inc.(i) in
@@ -98,6 +97,7 @@ let route ?root ?dests ?sources net =
                done
              end;
              drain ()
+           end
          in
          drain ();
          let nexts = Array.make nn (-1) in

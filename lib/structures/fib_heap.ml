@@ -89,6 +89,7 @@ let add_root t n =
   end
 
 let insert t ~key v =
+  if v < 0 then invalid_arg "Fib_heap.insert: negative payload";
   if t.next = Array.length t.value then grow t;
   let n = t.next in
   t.next <- n + 1;
@@ -102,7 +103,6 @@ let insert t ~key v =
 
 (* Make [child] a child of [root]; both are singleton trees. *)
 let link t ~root ~child =
-  Obs.incr c_link;
   let c = t.child.(root) in
   if c < 0 then begin
     t.left.(child) <- child;
@@ -129,7 +129,7 @@ let consolidate t =
   if t.min >= 0 then begin
     let n = collect t t.min in
     let buf = t.collected and slots = t.slots and key = t.key in
-    let top = ref 0 in
+    let top = ref 0 and links = ref 0 in
     (* Last-collected root first; each becomes a singleton candidate
        and links with the stored tree of its degree, the smaller key
        (or, on a tie, the candidate) becoming the root. *)
@@ -146,11 +146,13 @@ let consolidate t =
           link t ~root:other ~child:!r;
           r := other
         end;
+        incr links;
         d := t.degree.(!r)
       done;
       slots.(!d) <- !r;
       if !d >= !top then top := !d + 1
     done;
+    Obs.add c_link !links;
     t.min <- -1;
     for d = 0 to !top - 1 do
       let r = slots.(d) in
@@ -161,9 +163,9 @@ let consolidate t =
     done
   end
 
-let extract_min t =
+let extract_min t key =
   let m = t.min in
-  if m < 0 then None
+  if m < 0 then -1
   else begin
     (* Promote the children of the minimum to roots, last-collected
        first; each lands right of [m]. *)
@@ -189,5 +191,6 @@ let extract_min t =
     t.count <- t.count - 1;
     if t.count = 0 then t.next <- 0 else consolidate t;
     Obs.incr c_extract;
-    Some (t.value.(m), t.key.(m))
+    key.(0) <- t.key.(m);
+    t.value.(m)
   end

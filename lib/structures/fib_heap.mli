@@ -8,12 +8,13 @@
     re-insert and skip stale pops), so the heap offers only the two
     operations they use, plus {!clear} for reuse.
 
-    Keys are floats; each element carries an int payload (a channel or
-    node id in every caller). A node is an index into parallel arrays
-    (key, payload, child, left and right sibling, degree); indices are
-    handed out in insertion order and start again from 0 whenever the
-    heap is empty, so a heap reused across searches keeps its arrays
-    and allocates only when one search outgrows every earlier one.
+    Keys are floats; each element carries a non-negative int payload (a
+    channel or node id in every caller). A node is an index into
+    parallel arrays (key, payload, child, left and right sibling,
+    degree); indices are handed out in insertion order and start again
+    from 0 whenever the heap is empty, so a heap reused across searches
+    keeps its arrays and allocates only when one search outgrows every
+    earlier one.
 
     Elements with equal keys pop in an order fixed by the heap's
     linking rule; Nue's and static-cdg's tables depend on it, so that
@@ -26,12 +27,14 @@ val create : unit -> t
 (** A fresh empty heap. *)
 
 val insert : t -> key:float -> int -> unit
-(** [insert t ~key v] adds [v] with priority [key]; amortized O(1). *)
+(** [insert t ~key v] adds [v] with priority [key]; amortized O(1).
+    @raise Invalid_argument if [v] is negative. *)
 
-val extract_min : t -> (int * float) option
-(** Remove and return the payload and key with the smallest key;
-    amortized O(log n). Returns [None] on an empty heap. Allocates only
-    the result. *)
+val extract_min : t -> float array -> int
+(** [extract_min t key] removes an element with the smallest key,
+    writes that key into [key.(0)] and returns its payload; on an empty
+    heap it returns -1 and leaves [key] alone. Amortized O(log n);
+    allocates nothing. *)
 
 val clear : t -> unit
 (** Drop every element, keeping the arrays. *)

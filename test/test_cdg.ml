@@ -638,6 +638,118 @@ let qcheck_algorithm3_reference =
        && edge_sets cdg = Algorithm3_reference.edge_sets !reference
        && Complete_cdg.used_subgraph_acyclic cdg)
 
+(* The window walk of [reorder] and its sort-and-merge reference
+   ({!Reorder_reference}) give the same order after every query of a
+   random sequence, and the same verdicts, across checkpoints,
+   rollbacks and speculations replayed after other commits. Random
+   walks admitted from their far end build long used chains that later
+   admissions move whole, so both sides of the size rule run; each
+   reorder is classified by it, and both classes must occur over the
+   run. *)
+let reorders_walked = ref 0
+let reorders_sorted = ref 0
+
+let qcheck_reorder_reference =
+  QCheck2.Test.make ~name:"reorder agrees with sort-and-merge" ~count:40
+    QCheck2.Gen.(
+      pair
+        (oneof
+           [ arbitrary_fabric;
+             map3
+               (fun x y z ->
+                  (Topology.torus3d ~dims:(x, y, z) ~terminals_per_switch:1 ())
+                    .Topology.net)
+               (int_range 3 5) (int_range 3 5) (int_range 2 3) ])
+        (int_range 0 1_000_000))
+    (fun (net, seed) ->
+       let p = Prng.create seed in
+       let cdg = Complete_cdg.create net in
+       let nc = Complete_cdg.num_channels cdg in
+       let reference = ref (Reorder_reference.create nc) in
+       let ok = ref true in
+       let query c q =
+         let v = Complete_cdg.try_use_edge_v cdg ~from:c ~to_:q in
+         let admitted, moved =
+           Reorder_reference.try_use_edge !reference ~from:c ~to_:q
+         in
+         (match moved with
+          | Some (moved, window) ->
+            if Complete_cdg.reorders_by_window ~moved ~window then
+              incr reorders_walked
+            else incr reorders_sorted
+          | None -> ());
+         if Complete_cdg.verdict_ok v <> admitted
+            || orders cdg <> Reorder_reference.order !reference
+         then ok := false;
+         (c, q, admitted)
+       in
+       (* One random edge, or a random walk of 8 to 47 edges admitted
+          from its far end back to its start. *)
+       let queries () =
+         let c = Prng.int p nc in
+         let succ = succs cdg c in
+         if Array.length succ = 0 then []
+         else if Prng.int p 4 > 0 then
+           [ query c succ.(Prng.int p (Array.length succ)) ]
+         else begin
+           let rec walk c k acc =
+             let succ = succs cdg c in
+             if k = 0 || Array.length succ = 0 then acc
+             else begin
+               let q = succ.(Prng.int p (Array.length succ)) in
+               walk q (k - 1) ((c, q) :: acc)
+             end
+           in
+           List.map (fun (c, q) -> query c q) (walk c (8 + Prng.int p 40) [])
+         end
+       in
+       let snapshot = ref None in
+       for _ = 1 to 200 do
+         match Prng.int p 20, !snapshot with
+         | 0, None ->
+           Complete_cdg.checkpoint cdg;
+           snapshot := Some (Reorder_reference.copy !reference)
+         | 0, Some saved ->
+           Complete_cdg.rollback cdg;
+           reference := saved;
+           snapshot := None
+         | 1, None ->
+           (* A speculation, rolled back; other commits; its replay. *)
+           let j = Complete_cdg.journal_create () in
+           let saved = Reorder_reference.copy !reference in
+           Complete_cdg.checkpoint cdg;
+           Complete_cdg.set_journal cdg (Some j);
+           let ops = List.concat (List.init 5 (fun _ -> queries ())) in
+           Complete_cdg.set_journal cdg None;
+           Complete_cdg.rollback cdg;
+           reference := saved;
+           for _ = 1 to Prng.int p 5 do
+             ignore (queries ())
+           done;
+           if Complete_cdg.replay cdg j
+              <> Reorder_reference.replay !reference ops
+              || orders cdg <> Reorder_reference.order !reference
+           then ok := false
+         | _ -> ignore (queries ())
+       done;
+       !ok && order_valid cdg)
+
+let reorder_reference_both_paths =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest qcheck_reorder_reference
+  in
+  ( name,
+    speed,
+    fun () ->
+      reorders_walked := 0;
+      reorders_sorted := 0;
+      run ();
+      Alcotest.(check bool)
+        (Printf.sprintf "both paths ran (%d walked, %d sorted)"
+           !reorders_walked !reorders_sorted)
+        true
+        (!reorders_walked > 0 && !reorders_sorted > 0) )
+
 let cdg_rollback_restores_live_graph () =
   (* The same round trip on a fixed fabric, with failures named. *)
   let net = Helpers.random_net ~switches:12 ~links:30 () in
@@ -793,6 +905,7 @@ let suite =
     ("cdg:speculation",
      [ QCheck_alcotest.to_alcotest qcheck_speculation_round_trip;
        QCheck_alcotest.to_alcotest qcheck_algorithm3_reference;
+       reorder_reference_both_paths;
        test_case "rollback restores the live graph" `Quick
          cdg_rollback_restores_live_graph;
        test_case "replay detects misspeculation" `Quick

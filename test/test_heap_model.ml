@@ -34,11 +34,13 @@ end
    key; which of several equal-key payloads comes out is the golden
    test's business. *)
 let pop_and_check ctx heap model =
-  match (Fib_heap.extract_min heap, Model.min_key model) with
-  | None, None -> false
-  | None, Some _ -> Alcotest.failf "%s: heap empty, model not" ctx
-  | Some _, None -> Alcotest.failf "%s: model empty, heap not" ctx
-  | Some (id, k), Some mk ->
+  let key = [| nan |] in
+  match (Fib_heap.extract_min heap key, Model.min_key model) with
+  | -1, None -> false
+  | -1, Some _ -> Alcotest.failf "%s: heap empty, model not" ctx
+  | _, None -> Alcotest.failf "%s: model empty, heap not" ctx
+  | id, Some mk ->
+    let k = key.(0) in
     Alcotest.(check (float 0.0)) (ctx ^ ": minimum key") mk k;
     Alcotest.(check (option (float 0.0)))
       (Printf.sprintf "%s: payload %d key" ctx id)
@@ -77,12 +79,11 @@ let golden_order =
     11; 16; 26 ]
 
 let equal_key_order_golden () =
-  let heap = Fib_heap.create () in
+  let heap = Fib_heap.create () and key = [| 0.0 |] in
   let out = ref [] in
   let pop () =
-    match Fib_heap.extract_min heap with
-    | Some (v, _) -> out := v :: !out
-    | None -> ()
+    let v = Fib_heap.extract_min heap key in
+    if v >= 0 then out := v :: !out
   in
   for i = 0 to 59 do
     Fib_heap.insert heap ~key:(float_of_int (((i * 7) + (i / 5)) mod 4)) i;
@@ -103,17 +104,17 @@ let equal_key_order_golden () =
 let long_stream_digest = "c10267bf00ffb956cc543a8fdec40c62"
 
 let long_stream_order_golden () =
-  let heap = Fib_heap.create () in
+  let heap = Fib_heap.create () and key = [| 0.0 |] in
   let buf = Buffer.create 65536 in
   let pops = ref 0 in
   let pop () =
-    match Fib_heap.extract_min heap with
-    | Some (v, _) ->
+    let v = Fib_heap.extract_min heap key in
+    if v >= 0 then begin
       incr pops;
       Buffer.add_string buf (string_of_int v);
-      Buffer.add_char buf ' ';
-      true
-    | None -> false
+      Buffer.add_char buf ' '
+    end;
+    v >= 0
   in
   let x = ref 12345 in
   for round = 0 to 2 do
@@ -130,14 +131,14 @@ let long_stream_order_golden () =
   Alcotest.(check string) "long-stream pop order" long_stream_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
-(* A reused heap allocates nothing but each pop's result: the option
-   (2 words), the pair (3) and the boxed key (2). 100 rounds of 100
-   inserts and a full drain are 10,000 insert/extract pairs; the keys
-   are boxed once, up front, in a list. *)
-let words_per_pop = 7
+(* A reused heap allocates nothing: a pop writes its key into the
+   caller's float array and returns the payload as an int. 100 rounds
+   of 100 inserts and a full drain are 10,000 insert/extract pairs; the
+   keys are boxed once, up front, in a list. *)
+let words_per_pop = 0
 
 let allocation_per_pop () =
-  let heap = Fib_heap.create () in
+  let heap = Fib_heap.create () and key = [| 0.0 |] in
   let keys = List.init 100 (fun i -> float_of_int (((i * 5) + (i / 8)) land 7)) in
   let rec fill i = function
     | [] -> ()
@@ -146,7 +147,7 @@ let allocation_per_pop () =
       fill (i + 1) rest
   in
   let rec drain n =
-    match Fib_heap.extract_min heap with Some _ -> drain (n + 1) | None -> n
+    if Fib_heap.extract_min heap key < 0 then n else drain (n + 1)
   in
   (* The first round grows the arrays. *)
   fill 0 keys;

@@ -206,16 +206,23 @@ let derived_rates_are_ratios () =
     Obs.find snap "cdg.memo.hit_blocked" + Obs.find snap "cdg.memo.hit_used"
   in
   let calls = Obs.find snap "cdg.usable_calls" in
+  let reorders = Obs.find snap "cdg.reorders"
+  and decided = Obs.find snap "cdg.memo.miss_search" in
   Alcotest.(check bool) "calls observed" true (calls > 0);
+  Alcotest.(check bool) "reorders observed" true (reorders > 0);
   (match Experiment.trace_to_json snap with
    | Json.Obj fields ->
      (match List.assoc "derived" fields with
       | Json.Obj derived ->
-        (match List.assoc "omega_memo_hit_rate" derived with
-         | Json.Float r ->
-           Alcotest.(check (float 1e-9)) "hit rate"
-             (float_of_int hits /. float_of_int calls) r
-         | _ -> Alcotest.fail "hit rate not a float")
+        let rate name num den =
+          match List.assoc name derived with
+          | Json.Float r ->
+            Alcotest.(check (float 1e-9)) name
+              (float_of_int num /. float_of_int den) r
+          | _ -> Alcotest.failf "%s not a float" name
+        in
+        rate "omega_memo_hit_rate" hits calls;
+        rate "cdg_reorder_rate" reorders decided
       | _ -> Alcotest.fail "no derived object")
    | _ -> Alcotest.fail "trace not an object");
   scrub ()

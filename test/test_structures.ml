@@ -82,21 +82,26 @@ let prng_sample_without_replacement () =
 (* {1 Fib_heap} *)
 
 let heap_insert_extract_sorted () =
-  let h = Fib_heap.create () in
+  let h = Fib_heap.create () and key = [| 0.0 |] in
   let keys = [ 5.0; 1.0; 3.0; 2.0; 4.0; 0.5; 2.5 ] in
   List.iteri (fun i k -> Fib_heap.insert h ~key:k i) keys;
   let out = ref [] in
   let rec drain () =
-    match Fib_heap.extract_min h with
-    | None -> ()
-    | Some (i, k) ->
-      Alcotest.(check (float 0.0)) "key of payload" (List.nth keys i) k;
-      out := k :: !out;
+    let i = Fib_heap.extract_min h key in
+    if i >= 0 then begin
+      Alcotest.(check (float 0.0)) "key of payload" (List.nth keys i) key.(0);
+      out := key.(0) :: !out;
       drain ()
+    end
   in
   drain ();
   Alcotest.(check (list (float 0.0)))
-    "sorted output" (List.rev (List.sort compare keys)) !out
+    "sorted output" (List.rev (List.sort compare keys)) !out;
+  Alcotest.(check int) "empty pop" (-1) (Fib_heap.extract_min h key);
+  Alcotest.(check (float 0.0)) "empty pop leaves the key" 5.0 key.(0);
+  Alcotest.check_raises "negative payload"
+    (Invalid_argument "Fib_heap.insert: negative payload") (fun () ->
+        Fib_heap.insert h ~key:1.0 (-1))
 
 (* {1 Bitset} *)
 
@@ -137,12 +142,11 @@ let qcheck_heap_sort =
   QCheck2.Test.make ~name:"fib_heap sorts any float list" ~count:200
     QCheck2.Gen.(list (float_bound_exclusive 1e6))
     (fun keys ->
-       let h = Fib_heap.create () in
+       let h = Fib_heap.create () and key = [| 0.0 |] in
        List.iteri (fun i k -> Fib_heap.insert h ~key:k i) keys;
        let rec drain acc =
-         match Fib_heap.extract_min h with
-         | None -> List.rev acc
-         | Some (_, k) -> drain (k :: acc)
+         if Fib_heap.extract_min h key < 0 then List.rev acc
+         else drain (key.(0) :: acc)
        in
        drain [] = List.sort compare keys)
 
