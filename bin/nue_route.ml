@@ -684,7 +684,7 @@ let explain_cmd =
     Term.(const run $ build_t $ vcs_t $ src_t $ dst_t $ format_t)
 
 let inspect_cmd =
-  let run built vcs layer pair dot_cdg dot_acyclic dot_witness =
+  let run built vcs layer pair dot_cdg dot_witness =
     let _o, table, run = run_with_provenance built vcs in
     let layers = run.Provenance.r_layers in
     (* The pair overlay pins the layer: a path only makes sense in the
@@ -732,14 +732,6 @@ let inspect_cmd =
       close_out oc;
       Printf.printf "wrote %s (layer %d)\n" dot_cdg layer
     end;
-    if dot_acyclic <> "" then begin
-      let oc = open_out dot_acyclic in
-      output_string oc
-        (Nue_cdg.Acyclic_digraph.to_dot
-           (Nue_cdg.Complete_cdg.used_digraph cap.Provenance.l_cdg));
-      close_out oc;
-      Printf.printf "wrote %s (layer %d)\n" dot_acyclic layer
-    end;
     if dot_witness <> "" then begin
       let report = Verify.check table in
       match report.Verify.dependency_cycle with
@@ -769,15 +761,10 @@ let inspect_cmd =
     Arg.(value & opt string ""
          & info [ "dot-cdg" ] ~docv:"PATH"
              ~doc:"Write the layer's complete CDG as DOT: channels as \
-                   boxes (escape channels double-bordered), dependency \
-                   edges gray/dotted while unused, blue while used, red/\
-                   dashed once blocked.")
-  in
-  let dot_acyclic_t =
-    Arg.(value & opt string ""
-         & info [ "dot-acyclic" ] ~docv:"PATH"
-             ~doc:"Write the layer's acyclic digraph (the used subgraph \
-                   with its Pearce-Kelly topological order) as DOT.")
+                   boxes labelled with their position in the kept \
+                   topological order (escape channels double-bordered), \
+                   dependency edges gray/dotted while unused, blue while \
+                   used, red/dashed once blocked.")
   in
   let dot_witness_t =
     Arg.(value & opt string ""
@@ -789,10 +776,9 @@ let inspect_cmd =
   Cmd.v
     (Cmd.info "inspect"
        ~doc:"Introspect a Nue run: per-layer CDG statistics and DOT \
-             renderings of the complete CDG, the acyclic digraph and any \
-             deadlock witness")
+             renderings of the complete CDG and any deadlock witness")
     Term.(const run $ build_t $ vcs_t $ layer_t $ pair_t $ dot_cdg_t
-          $ dot_acyclic_t $ dot_witness_t)
+          $ dot_witness_t)
 
 let churn_cmd =
   let module Event = Nue_reconfig.Event in

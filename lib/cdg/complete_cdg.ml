@@ -55,10 +55,10 @@ type t = {
   nedges : int; (* live slots: |E| of Definition 6 *)
   mutable searches : int;
   (* Discovery scratch: visit stamps bumped by a clock (one value per
-     discovery), the channels each direction discovered, and the
-     reorder's buckets by order position, all -1 between reorders. Each
-     channel is stamped when listed, so no list holds more than nc
-     ids. *)
+     discovery), the channels each direction discovered ([bwd] is also
+     the forward discovery's stack), and the reorder's buckets by order
+     position, all -1 between reorders. Each channel is stamped when
+     listed, so no list holds more than nc ids. *)
   stamp : int array;
   mutable clock : int;
   fwd : int array;
@@ -249,27 +249,34 @@ let edge_omega t ~from ~to_ =
 let order t c = t.ord.(c)
 
 (* The bounded discoveries of Pearce–Kelly. Both list the channels they
-   reach in [fwd]/[bwd] (breadth-first, each expanded once), add the
-   channels they expanded to [cdg.search_visited] once, and return how
-   many they listed.
+   reach in [fwd]/[bwd] (each expanded once), add the channels they
+   expanded to [cdg.search_visited] once, and return how many they
+   listed. The reorder reads the lists by order position, so the order
+   they list in does not change the order.
 
-   Forward from [q]: every channel reachable over used edges whose
-   order is below [from]'s. A used path from [q] to [from] only climbs
-   in the order, so it stays inside that bound; reaching [from] means
-   the edge [from -> q] would close a cycle, reported at once as minus
-   the number of channels expanded so far (at least 1). *)
+   Forward from [q], depth-first: every channel reachable over used
+   edges whose order is below [from]'s. A used path from [q] to [from]
+   only climbs in the order, so it stays inside that bound; reaching
+   [from] means the edge [from -> q] would close a cycle, reported
+   after that row as minus the number of channels expanded (at least
+   1). Most forward expansions are in discoveries that end in a cycle,
+   and going deep reaches [from] sooner on random fabrics. The stack of
+   listed channels not yet expanded lives in [bwd], which is free until
+   the backward discovery. *)
 let discover_forward t ~from ~q =
   t.clock <- t.clock + 1;
   let mark = t.clock in
   let ord = t.ord and ed = t.edges and stamp = t.stamp and fwd = t.fwd in
-  let outs = t.outs and dsts = t.dsts and off = t.off in
+  let stack = t.bwd and outs = t.outs and dsts = t.dsts and off = t.off in
   let bound = ord.(from) in
   stamp.(q) <- mark;
   fwd.(0) <- q;
-  let n = ref 1 and i = ref 0 and cycle = ref false in
-  while (not !cycle) && !i < !n do
-    let c = fwd.(!i) in
-    incr i;
+  stack.(0) <- q;
+  let n = ref 1 and sp = ref 1 and expanded = ref 0 and cycle = ref false in
+  while (not !cycle) && !sp > 0 do
+    decr sp;
+    let c = stack.(!sp) in
+    incr expanded;
     (* Dead slots stay unused, so the used test alone skips 180-degree
        turns. The row holds one slot per entry of [s]. *)
     let s = outs.(dsts.(c)) and base = off.(c) in
@@ -280,13 +287,15 @@ let discover_forward t ~from ~q =
         else if ord.(y) < bound && stamp.(y) <> mark then begin
           stamp.(y) <- mark;
           fwd.(!n) <- y;
-          incr n
+          incr n;
+          stack.(!sp) <- y;
+          incr sp
         end
       end
     done
   done;
-  Obs.add c_visited !i;
-  if !cycle then - !i else !n
+  Obs.add c_visited !expanded;
+  if !cycle then - !expanded else !n
 
 (* Backward from [from]: every channel that reaches it over used edges
    and whose order is above [q]'s. *)
@@ -518,6 +527,9 @@ let try_use_edge_v t ~from ~to_:q =
 
 let try_use_edge t ~from ~to_ = verdict_ok (try_use_edge_v t ~from ~to_)
 
+(* Removing an edge keeps every order valid, so only the byte moves. *)
+let release t ~from ~to_ = set_edge t (edge t ~from ~to_) edge_unused
+
 (* Replay a speculation's journal onto the authoritative graph. The
    speculation ran against snapshot + its own ops (on a replica, or on
    this graph under a checkpoint since rolled back); the real
@@ -583,13 +595,6 @@ let count_states t ~used ~blocked ~unused =
   done
 
 let cycle_searches t = t.searches
-
-let used_digraph t =
-  let g = Acyclic_digraph.create (num_channels t) in
-  iter_used t (fun c q ->
-      if not (Acyclic_digraph.try_add_edge g c q) then
-        invalid_arg "Complete_cdg.used_digraph: used edges contain a cycle");
-  g
 
 (* Graphviz rendering of the complete CDG with its routing state.
    Vertices are channels (labelled with their endpoints and their

@@ -30,7 +30,9 @@
     subgraphs, so the order admits the edge without needing the
     subgraph ids. Admissions against the order reassign it locally.
     All mutations keep the used subgraph acyclic — this is the
-    invariant Nue's deadlock-freedom proof (Lemma 2) rests on. *)
+    invariant Nue's deadlock-freedom proof (Lemma 2) rests on. LASH
+    asks each of its layers the same question, one complete CDG per
+    layer, and takes a rejected path back out with {!release}. *)
 
 type t
 
@@ -87,8 +89,8 @@ val try_use_edge : t -> from:int -> to_:int -> bool
 (** Algorithm 3 on edge [from -> to_]. Returns [true] and marks the edge
     used if this keeps the used subgraph acyclic; returns [false] and
     marks the edge blocked otherwise.
-    Blocked edges stay blocked: the used subgraph only grows, so a
-    once-detected cycle never disappears. *)
+    Blocked edges stay blocked: without {!release} the used subgraph
+    only grows, so a once-detected cycle never disappears. *)
 
 (** Which of Section 4.6.1's conditions decided a [try_use_edge] call —
     the provenance layer records this per rejected (and accepted)
@@ -115,6 +117,19 @@ val verdict_to_string : verdict -> string
 val try_use_edge_v : t -> from:int -> to_:int -> verdict
 (** [try_use_edge] returning the deciding condition instead of a bare
     boolean; identical state mutations and counter increments. *)
+
+val release : t -> from:int -> to_:int -> unit
+(** Set the edge back to unused, leaving the order as it is: an order
+    stays valid when edges are removed. Like every state write it is
+    trailed while a checkpoint is open.
+
+    This is LASH's undo of a path that a layer rejects: the layer
+    admits a path's dependencies all or none. The caller releases the
+    edges it admitted ({!Search_acyclic}; a {!Used_memo} edge belongs to
+    an earlier path) and also every verdict taken since then that may
+    rest on them: for LASH, the rejected edge itself, so no blocked slot
+    survives. Nue never releases. Its blocked edges, and the soundness
+    of {!replay}, rest on the used subgraph only growing. *)
 
 (** {1 Speculation: checkpoints and journals}
 
@@ -201,13 +216,6 @@ val cycle_searches : t -> int
     [try_use_edge] on an unused edge, whether the order settled it or a
     discovery ran — instruments how effective the memoization of
     conditions (a) and (b) is. *)
-
-val used_digraph : t -> Acyclic_digraph.t
-(** The used subgraph re-checked into an {!Acyclic_digraph} (vertices are
-    channel ids). Its Pearce-Kelly topological order is what
-    [nue_route inspect --dot-acyclic] renders.
-    @raise Invalid_argument if the used edges contain a cycle (the
-    incremental invariant makes this impossible). *)
 
 val to_dot :
   ?highlight_path:int list ->

@@ -312,9 +312,7 @@ let trace_to_json (s : Obs.snapshot) =
               (c "cdg.edges_accepted" + c "cdg.edges_rejected"));
            ("cdg_reorder_rate",
             ratio (c "cdg.reorders") (c "cdg.memo.miss_search"));
-           ("heap_ops", Json.Int heap_ops);
-           ("pk_reorder_rate", ratio (c "pk.add_reorder") (c "pk.add_calls"))
-         ]) ]
+           ("heap_ops", Json.Int heap_ops) ]) ]
 
 let sim_to_json (o : Sim.outcome) =
   Json.Obj

@@ -300,9 +300,8 @@ val trace_to_json : Nue_obs.Obs.snapshot -> Json.t
 (** Render a snapshot as [{"counters": ..., "timers": ..., "derived":
     ...}]. The derived section reports the paper's headline
     instrumentation quantities — omega-memoization hit rate
-    (Section 4.6.1), CDG search/accept rates, total heap ops, and two
-    Pearce-Kelly reorder rates: [cdg_reorder_rate], the share of the
-    order-decided queries of Nue's complete CDG that reordered, and
-    [pk_reorder_rate], LASH's [Acyclic_digraph] admissions that did.
-    Counters are sorted by name, so output is stable under registration
-    order. *)
+    (Section 4.6.1), CDG search/accept rates, total heap ops, and the
+    Pearce-Kelly [cdg_reorder_rate]: the share of the order-decided
+    queries that reordered, over every complete CDG the run used (Nue's
+    and LASH's layers alike). Counters are sorted by name, so output is
+    stable under registration order. *)

@@ -1,6 +1,6 @@
 module Network = Nue_netgraph.Network
 module Graph_algo = Nue_netgraph.Graph_algo
-module Acyclic_digraph = Nue_cdg.Acyclic_digraph
+module Complete_cdg = Nue_cdg.Complete_cdg
 module Bitset = Nue_structures.Bitset
 
 (* Minimal-path next-channel tree toward one destination (lowest channel
@@ -23,15 +23,34 @@ let min_hop_tree net dest =
   done;
   nexts
 
+(* A layer admits a path's dependencies all or none. A rejected path
+   releases the edge that closed the cycle and the edges it admitted
+   (removal keeps the order valid), so no edge stays blocked and
+   [Blocked_memo] cannot occur; a [Used_memo] edge belongs to an earlier
+   path and stays. *)
+let admit_path g edges =
+  let rec admit added = function
+    | [] -> true
+    | (a, b) :: rest ->
+      (match Complete_cdg.try_use_edge_v g ~from:a ~to_:b with
+       | Complete_cdg.Used_memo -> admit added rest
+       | Complete_cdg.Search_acyclic -> admit ((a, b) :: added) rest
+       | Complete_cdg.Search_cycle | Complete_cdg.Blocked_memo ->
+         List.iter
+           (fun (x, y) -> Complete_cdg.release g ~from:x ~to_:y)
+           ((a, b) :: added);
+         false)
+  in
+  admit [] edges
+
 (* [trees] is indexed by destination-switch position; [src_pos] maps a
    source switch id to its position in [src_switches]. The resulting
    layer table is flat: entry [dpos * |src_switches| + spos], 0 where no
    assignment happened (sw = dw pairs). Layers open as paths need them,
    so the count returned is the requirement. *)
 let assign_layers net ~trees ~dest_switches ~src_switches ~src_pos =
-  let nc = Network.num_channels net in
   let nsrc = Array.length src_switches in
-  let layers = ref [| Acyclic_digraph.create nc |] in
+  let layers = ref [| Complete_cdg.create net |] in
   let layer_of = Array.make (Array.length dest_switches * nsrc) 0 in
   Array.iteri
     (fun dpos dw ->
@@ -39,27 +58,14 @@ let assign_layers net ~trees ~dest_switches ~src_switches ~src_pos =
        Array.iter
          (fun sw ->
             if sw <> dw then begin
+              (* Min-hop paths never turn back, so every dependency is an
+                 edge of the layer's complete CDG. *)
               let edges = Layers.path_edges net ~nexts ~dest:dw ~src:sw in
-              (* First layer that accepts all dependencies; rollback on
-                 partial failure (removal keeps the order valid). *)
+              (* First layer that admits all dependencies. *)
               let rec try_layer l =
                 if l >= Array.length !layers then
-                  layers :=
-                    Array.append !layers [| Acyclic_digraph.create nc |];
-                let g = !layers.(l) in
-                let rec add added = function
-                  | [] -> true
-                  | (a, b) :: rest ->
-                    if Acyclic_digraph.try_add_edge g a b then
-                      add ((a, b) :: added) rest
-                    else begin
-                      List.iter
-                        (fun (x, y) -> Acyclic_digraph.remove_edge g x y)
-                        added;
-                      false
-                    end
-                in
-                if add [] edges then l else try_layer (l + 1)
+                  layers := Array.append !layers [| Complete_cdg.create net |];
+                if admit_path !layers.(l) edges then l else try_layer (l + 1)
               in
               layer_of.((dpos * nsrc) + src_pos.(sw)) <- try_layer 0
             end)

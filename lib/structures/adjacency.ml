@@ -66,12 +66,6 @@ let iter t u f =
     f t.heads.(s + i)
   done
 
-let iter_mult t u f =
-  let s = t.start.(u) in
-  for i = 0 to t.len.(u) - 1 do
-    f t.heads.(s + i) t.mults.(s + i)
-  done
-
 let fold t u f acc =
   let s = t.start.(u) in
   let acc = ref acc in

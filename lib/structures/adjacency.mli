@@ -4,8 +4,7 @@
     (successor ids plus aligned multiplicities): membership is a binary
     search, iteration is cache-linear in ascending successor order, and
     the whole structure costs two ints per distinct edge plus three per
-    vertex — no per-binding boxing. Backs {!Nue_cdg.Digraph} and
-    {!Nue_cdg.Acyclic_digraph}. *)
+    vertex — no per-binding boxing. Backs {!Nue_cdg.Digraph}. *)
 
 type t
 
@@ -39,8 +38,5 @@ val succ_ix : t -> int -> int -> int
 
 val iter : t -> int -> (int -> unit) -> unit
 (** Iterate the distinct successors of a vertex in ascending order. *)
-
-val iter_mult : t -> int -> (int -> int -> unit) -> unit
-(** [iter_mult t u f] calls [f v mult] per distinct successor, ascending. *)
 
 val fold : t -> int -> ('a -> int -> 'a) -> 'a -> 'a

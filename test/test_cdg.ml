@@ -1,9 +1,9 @@
-(* Tests for lib/cdg: digraphs, the Pearce-Kelly incremental DAG and the
-   complete channel dependency graph with its edge states and order. *)
+(* Tests for lib/cdg: digraphs and the complete channel dependency graph
+   with its edge states and its Pearce-Kelly order, under Nue's
+   Algorithm 3 and under LASH's all-or-nothing admission of a path. *)
 
 module Network = Nue_netgraph.Network
 module Digraph = Nue_cdg.Digraph
-module Acyclic_digraph = Nue_cdg.Acyclic_digraph
 module Complete_cdg = Nue_cdg.Complete_cdg
 module Prng = Nue_structures.Prng
 module Topology = Nue_netgraph.Topology
@@ -67,88 +67,6 @@ let closes_cycle g u v =
   Digraph.remove_edge g u v;
   cyclic
 
-(* {1 Acyclic_digraph (Pearce-Kelly)} *)
-
-let pk_accepts_dag () =
-  let g = Acyclic_digraph.create 6 in
-  Alcotest.(check bool) "1" true (Acyclic_digraph.try_add_edge g 5 0);
-  Alcotest.(check bool) "2" true (Acyclic_digraph.try_add_edge g 0 3);
-  Alcotest.(check bool) "3" true (Acyclic_digraph.try_add_edge g 3 1);
-  Alcotest.(check bool) "4" true (Acyclic_digraph.try_add_edge g 5 1);
-  (* Topological order respects all edges. *)
-  List.iter
-    (fun (u, v) ->
-       Alcotest.(check bool) "order consistent" true
-         (Acyclic_digraph.order g u < Acyclic_digraph.order g v))
-    [ (5, 0); (0, 3); (3, 1); (5, 1) ]
-
-let pk_rejects_cycle () =
-  let g = Acyclic_digraph.create 4 in
-  ignore (Acyclic_digraph.try_add_edge g 0 1);
-  ignore (Acyclic_digraph.try_add_edge g 1 2);
-  ignore (Acyclic_digraph.try_add_edge g 2 3);
-  Alcotest.(check bool) "closing edge rejected" false
-    (Acyclic_digraph.try_add_edge g 3 0);
-  Alcotest.(check bool) "graph unchanged" false (Acyclic_digraph.mem_edge g 3 0);
-  (* The DAG still accepts other edges afterwards. *)
-  Alcotest.(check bool) "other edge ok" true (Acyclic_digraph.try_add_edge g 0 3)
-
-let pk_multiplicity_and_removal () =
-  let g = Acyclic_digraph.create 3 in
-  ignore (Acyclic_digraph.try_add_edge g 0 1);
-  ignore (Acyclic_digraph.try_add_edge g 0 1);
-  Alcotest.(check int) "multiplicity 2" 2 (Acyclic_digraph.multiplicity g 0 1);
-  Acyclic_digraph.remove_edge g 0 1;
-  Alcotest.(check bool) "still present" true (Acyclic_digraph.mem_edge g 0 1);
-  Acyclic_digraph.remove_edge g 0 1;
-  Alcotest.(check bool) "absent" false (Acyclic_digraph.mem_edge g 0 1);
-  (* Removal re-enables previously cycle-closing edges. *)
-  ignore (Acyclic_digraph.try_add_edge g 1 0);
-  Alcotest.(check bool) "reverse now fine" true (Acyclic_digraph.mem_edge g 1 0)
-
-let pk_agrees_with_offline_check () =
-  (* Random edge insertions: PK must accept exactly the edges an
-     offline DAG check accepts (given identical insertion order). *)
-  let p = Prng.create 99 in
-  for _round = 1 to 20 do
-    let n = 15 in
-    let pk = Acyclic_digraph.create n in
-    let model = Digraph.create n in
-    for _ = 1 to 60 do
-      let u = Prng.int p n and v = Prng.int p n in
-      if u <> v then begin
-        let model_ok = not (closes_cycle model u v) in
-        let pk_ok = Acyclic_digraph.try_add_edge pk u v in
-        if model_ok <> pk_ok then
-          Alcotest.failf "disagreement on %d->%d" u v;
-        if model_ok then Digraph.add_edge model u v
-      end
-    done
-  done
-
-let pk_stress_order_invariant () =
-  let p = Prng.create 123 in
-  let n = 40 in
-  let g = Acyclic_digraph.create n in
-  let edges = ref [] in
-  for _ = 1 to 400 do
-    let u = Prng.int p n and v = Prng.int p n in
-    if u <> v && Acyclic_digraph.try_add_edge g u v then
-      edges := (u, v) :: !edges
-  done;
-  List.iter
-    (fun (u, v) ->
-       Alcotest.(check bool) "ord(u) < ord(v)" true
-         (Acyclic_digraph.order g u < Acyclic_digraph.order g v))
-    !edges;
-  (* Orders form a permutation. *)
-  let seen = Array.make n false in
-  for v = 0 to n - 1 do
-    let o = Acyclic_digraph.order g v in
-    if o < 0 || o >= n || seen.(o) then Alcotest.fail "order not a permutation";
-    seen.(o) <- true
-  done
-
 (* {1 Complete CDG} *)
 
 (* Successors of [c], in the CDG's order. *)
@@ -156,6 +74,19 @@ let succs cdg c =
   let l = ref [] in
   Complete_cdg.iter_succ cdg c (fun q -> l := q :: !l);
   Array.of_list (List.rev !l)
+
+(* A random U-turn-free walk of up to [k] dependencies from channel [c],
+   its last step first. *)
+let random_walk cdg p c k =
+  let rec walk c k acc =
+    let succ = succs cdg c in
+    if k = 0 || Array.length succ = 0 then acc
+    else begin
+      let q = succ.(Prng.int p (Array.length succ)) in
+      walk q (k - 1) ((c, q) :: acc)
+    end
+  in
+  walk c k []
 
 let cdg_fig3_structure () =
   (* Fig. 3: the complete CDG of the 5-ring with shortcut has 12
@@ -260,6 +191,8 @@ let cdg_non_edges_raise () =
       (raises (fun g -> ignore (Complete_cdg.try_use_edge g ~from ~to_)));
     Alcotest.(check bool) (name ^ ": try_use_edge_v raises") true
       (raises (fun g -> ignore (Complete_cdg.try_use_edge_v g ~from ~to_)));
+    Alcotest.(check bool) (name ^ ": release raises") true
+      (raises (fun g -> Complete_cdg.release g ~from ~to_));
     let states g =
       let used = ref 0 and blocked = ref 0 and unused = ref 0 in
       Complete_cdg.count_states g ~used ~blocked ~unused;
@@ -570,6 +503,62 @@ let arbitrary_fabric =
                .Topology.net)
           (int_range 2 4) (int_range 2 4) (int_range 2 3) ])
 
+(* LASH's all-or-nothing admission ({!Nue_routing.Lash.admit_path})
+   of random U-turn-free channel walks, last step first as LASH admits
+   a path, into one complete CDG. Each
+   walk's verdict must be the offline one: the used edges plus the
+   walk, as a plain digraph, are acyclic. After every attempt the used
+   edges are exactly the model's (an accepted walk adds its edges, a
+   rejected one leaves the graph as it was, so a released edge can be
+   admitted again), no slot is blocked, and the order is a permutation
+   under which every used edge goes forward. Walks revisit used edges,
+   so rejected walks that cross an earlier walk's edges occur too. *)
+let walks_accepted = ref 0
+let walks_rejected = ref 0
+
+let qcheck_all_or_nothing =
+  QCheck2.Test.make ~name:"all-or-nothing walks agree with an offline check"
+    ~count:40
+    QCheck2.Gen.(pair arbitrary_fabric (int_range 0 1_000_000))
+    (fun (net, seed) ->
+       let p = Prng.create seed in
+       let cdg = Complete_cdg.create net in
+       let nc = Complete_cdg.num_channels cdg in
+       let model = Digraph.create nc in
+       let ok = ref true in
+       for _ = 1 to 60 do
+         let w = random_walk cdg p (Prng.int p nc) (1 + Prng.int p 12) in
+         (* The oracle: add the walk to the model, keep it if acyclic. *)
+         List.iter (fun (a, b) -> Digraph.add_edge model a b) w;
+         let acyclic = Digraph.is_acyclic model in
+         if not acyclic then
+           List.iter (fun (a, b) -> Digraph.remove_edge model a b) w;
+         let admitted = Nue_routing.Lash.admit_path cdg w in
+         if admitted then incr walks_accepted else incr walks_rejected;
+         let used, blocked = edge_sets cdg in
+         if admitted <> acyclic
+            || List.length used <> Digraph.num_edges model
+            || not
+                 (List.for_all (fun (c, q) -> Digraph.mem_edge model c q) used)
+            || blocked <> [] || not (order_valid cdg)
+         then ok := false
+       done;
+       !ok)
+
+let all_or_nothing_both_verdicts =
+  let name, speed, run = QCheck_alcotest.to_alcotest qcheck_all_or_nothing in
+  ( name,
+    speed,
+    fun () ->
+      walks_accepted := 0;
+      walks_rejected := 0;
+      run ();
+      Alcotest.(check bool)
+        (Printf.sprintf "both verdicts occur (%d accepted, %d rejected)"
+           !walks_accepted !walks_rejected)
+        true
+        (!walks_accepted > 0 && !walks_rejected > 0) )
+
 (* The paper's Algorithm 3 ({!Algorithm3_reference}: subgraph ids, and
    a plain search for (d)) and the order-decided one agree on every
    query of a random sequence: the same admit/block verdict, the same
@@ -691,17 +680,10 @@ let qcheck_reorder_reference =
          if Array.length succ = 0 then []
          else if Prng.int p 4 > 0 then
            [ query c succ.(Prng.int p (Array.length succ)) ]
-         else begin
-           let rec walk c k acc =
-             let succ = succs cdg c in
-             if k = 0 || Array.length succ = 0 then acc
-             else begin
-               let q = succ.(Prng.int p (Array.length succ)) in
-               walk q (k - 1) ((c, q) :: acc)
-             end
-           in
-           List.map (fun (c, q) -> query c q) (walk c (8 + Prng.int p 40) [])
-         end
+         else
+           List.map
+             (fun (c, q) -> query c q)
+             (random_walk cdg p c (8 + Prng.int p 40))
        in
        let snapshot = ref None in
        for _ = 1 to 200 do
@@ -882,12 +864,6 @@ let suite =
        test_case "acyclic dag" `Quick digraph_acyclic_dag;
        test_case "finds cycle" `Quick digraph_finds_cycle;
        test_case "self loop" `Quick digraph_self_loop_cycle ]);
-    ("acyclic_digraph",
-     [ test_case "accepts dag" `Quick pk_accepts_dag;
-       test_case "rejects cycle" `Quick pk_rejects_cycle;
-       test_case "multiplicity and removal" `Quick pk_multiplicity_and_removal;
-       test_case "agrees with offline check" `Quick pk_agrees_with_offline_check;
-       test_case "order invariant under stress" `Quick pk_stress_order_invariant ]);
     ("complete_cdg",
      [ test_case "Fig. 3 structure" `Quick cdg_fig3_structure;
        test_case "no u-turns" `Quick cdg_no_u_turns;
@@ -901,7 +877,8 @@ let suite =
          cdg_rolled_back_admission;
        test_case "random usage keeps acyclicity" `Quick cdg_random_usage_invariant;
        test_case "blocked is memoized" `Quick cdg_blocked_stays_blocked;
-       test_case "blocked edges justified" `Quick cdg_blocked_edges_justified ]);
+       test_case "blocked edges justified" `Quick cdg_blocked_edges_justified;
+       all_or_nothing_both_verdicts ]);
     ("cdg:speculation",
      [ QCheck_alcotest.to_alcotest qcheck_speculation_round_trip;
        QCheck_alcotest.to_alcotest qcheck_algorithm3_reference;

@@ -177,8 +177,61 @@ let coverage_floor () =
   Alcotest.(check bool) "at least 200 cases" true
     (List.length families * cases_per_family >= 200)
 
+(* A known answer (Cano et al., HOTI 2025): on a fault-free full mesh
+   a minimal path crosses at most one switch-to-switch channel, so it
+   makes no switch-to-switch-to-switch dependency and minimal routing
+   is deadlock-free on one VL. With t terminals per switch and
+   N = switches * t terminals, each source reaches t - 1 terminals in 2
+   hops and N - t in 3, and every switch-to-switch channel carries the
+   t * t pairs between its two switches. Each engine that routes a
+   full mesh minimally must meet all three; Nue does because
+   [Balance.tie_break_scale] keeps a three-channel path's weight below
+   every longer path's. Static-CDG need not (max 25 at 16 x 4). *)
+let known_answer_engines =
+  [ "nue"; "minhop"; "sssp"; "dfsssp"; "lash"; "updown" ]
+
+let qcheck_full_mesh =
+  QCheck2.Test.make ~name:"full mesh: one VL, minimal, t^2 on every channel"
+    ~count:30
+    QCheck2.Gen.(triple (int_range 3 16) (int_range 1 4) (int_range 1 1000))
+    (fun (switches, t, seed) ->
+       let built =
+         Experiment.build
+           (Experiment.setup ~seed
+              (Experiment.Fully_connected { switches; terminals = t }))
+       in
+       let n = switches * t in
+       let hops =
+         float_of_int ((2 * (t - 1)) + (3 * (n - t))) /. float_of_int (n - 1)
+       in
+       let load = float_of_int (t * t) in
+       List.for_all
+         (fun engine ->
+            match (Experiment.run ~vcs:1 ~engine built).Experiment.metrics with
+            | None -> QCheck2.Test.fail_reportf "%s: no table" engine
+            | Some m ->
+              let v = m.Experiment.verify
+              and f = m.Experiment.forwarding
+              and avg = m.Experiment.paths.Nue_metrics.Pathstats.avg_hops in
+              if v.Verify.connected && v.Verify.deadlock_free
+                 && m.Experiment.vls_used = 1
+                 && Float.abs (avg -. hops) < 1e-9
+                 && f.Nue_metrics.Forwarding_index.min = load
+                 && f.Nue_metrics.Forwarding_index.max = load
+              then true
+              else
+                QCheck2.Test.fail_reportf
+                  "%s on %d x %d: %d VL(s), avg hops %g (want %g), load %g..%g \
+                   (want %g)"
+                  engine switches t m.Experiment.vls_used avg hops
+                  f.Nue_metrics.Forwarding_index.min
+                  f.Nue_metrics.Forwarding_index.max load)
+         known_answer_engines)
+
 let suite =
-  [ ("invariants:theorem2",
+  [ ("invariants:fullmesh",
+     [ QCheck_alcotest.to_alcotest qcheck_full_mesh ]);
+    ("invariants:theorem2",
      test_case "coverage floor (>=4 families, >=200 cases)" `Quick
        coverage_floor
      :: List.map

@@ -158,7 +158,7 @@ let json_stable_under_key_ordering () =
      lists: shuffled input renders to the identical string. *)
   let counters =
     [ ("cdg.usable_calls", 10); ("cdg.memo.hit_used", 4);
-      ("cdg.memo.hit_blocked", 1); ("heap.inserts", 7); ("pk.add_calls", 3) ]
+      ("cdg.memo.hit_blocked", 1); ("heap.inserts", 7); ("cdg.reorders", 3) ]
   in
   let timers =
     [ ("engine.nue", { Obs.seconds = 0.25; activations = 2 });

@@ -9,7 +9,6 @@ module Network = Nue_netgraph.Network
 module Serialize = Nue_netgraph.Serialize
 module Fault = Nue_netgraph.Fault
 module Complete_cdg = Nue_cdg.Complete_cdg
-module Acyclic_digraph = Nue_cdg.Acyclic_digraph
 module Table = Nue_routing.Table
 module Verify = Nue_routing.Verify
 module Provenance = Nue_core.Provenance
@@ -381,9 +380,7 @@ let cdg_dot_well_formed () =
      check_dot ~name:"complete-cdg+path"
        (Complete_cdg.to_dot ~highlight_path:channels
           ~escape:cap.Provenance.l_escape_channels cap.Provenance.l_cdg)
-   | None -> Alcotest.fail "no explanation for the overlay pair");
-  check_dot ~name:"acyclic-digraph"
-    (Acyclic_digraph.to_dot (Complete_cdg.used_digraph cap.Provenance.l_cdg))
+   | None -> Alcotest.fail "no explanation for the overlay pair")
 
 let witness_rendering_well_formed () =
   let _, table, _ = Lazy.force recorded_run in
