@@ -15,8 +15,12 @@
      export   write network/DOT/LFT files
      compare  run every registered engine side by side
      explain  hop-by-hop provenance trail of one (src, dst) pair
-     inspect  render the per-layer complete CDG / acyclic digraph as DOT
+     inspect  render a virtual layer's complete CDG as DOT
      churn    replay a live fault/repair stream with incremental rerouting
+     profile  route with per-phase allocation and pool-utilization profiling
+
+   Exit codes: 0 ok, 1 routing failure or unbuildable input, 2 table not
+   connected or not deadlock-free, 3 simulated deadlock, 124 usage error.
 
    Example:
      nue_route route --topology torus --dims 4x4x3 --terminals 4 \
@@ -38,13 +42,16 @@ module Verify = Nue_routing.Verify
 
 (* {1 Topology construction} *)
 
-let parse_dims s =
-  match String.split_on_char 'x' s with
-  | [ a; b; c ] -> (int_of_string a, int_of_string b, int_of_string c)
-  | _ -> failwith "expected DIMS like 4x4x3"
+(* Print an input error the fabric or a stream cannot be built from and
+   exit 1. *)
+let input_error msg =
+  Printf.eprintf "nue_route: %s\n" msg;
+  exit 1
 
-let parse_dims_nd s =
-  Array.of_list (List.map int_of_string (String.split_on_char 'x' s))
+let read_input path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> s
+  | exception Sys_error msg -> input_error msg
 
 let build_topology ~topology ~dims ~terminals ~switches ~links ~seed
     ~kill_switches ~link_failures ~file =
@@ -52,14 +59,13 @@ let build_topology ~topology ~dims ~terminals ~switches ~links ~seed
     if file <> "" then Experiment.From_file file
     else
       match topology with
-      | "mesh" -> Experiment.Mesh { dims = parse_dims_nd dims; terminals }
-      | "torusnd" ->
-        Experiment.Torus_nd { dims = parse_dims_nd dims; terminals }
+      | "mesh" -> Experiment.Mesh { dims; terminals }
+      | "torusnd" -> Experiment.Torus_nd { dims; terminals }
       | "hypercube" -> Experiment.Hypercube { dim = switches; terminals }
       | "full" -> Experiment.Fully_connected { switches; terminals }
       | "torus" ->
         Experiment.Torus3d
-          { dims = parse_dims dims; terminals; redundancy = 1 }
+          { dims = (dims.(0), dims.(1), dims.(2)); terminals; redundancy = 1 }
       | "random" -> Experiment.Random { switches; links; terminals }
       | "fattree" -> Experiment.Kary_ntree { k = switches; n = 3; terminals }
       | "dragonfly" ->
@@ -70,14 +76,17 @@ let build_topology ~topology ~dims ~terminals ~switches ~links ~seed
           { degree = switches; diameter = 3; terminals; redundancy = 1 }
       | "cascade" -> Experiment.Cascade
       | "tsubame" -> Experiment.Tsubame25
-      | other -> failwith (Printf.sprintf "unknown topology %S" other)
+      | other -> input_error (Printf.sprintf "unknown topology %S" other)
   in
   let faults =
     if kill_switches <> [] then Experiment.Kill_switches kill_switches
-    else if link_failures > 0.0 then Experiment.Link_failures link_failures
+    else if link_failures <> 0.0 then Experiment.Link_failures link_failures
     else Experiment.No_faults
   in
-  Experiment.build (Experiment.setup ~faults ~seed topo)
+  match Experiment.build (Experiment.setup ~faults ~seed topo) with
+  | built -> built
+  | exception (Invalid_argument msg | Failure msg | Sys_error msg) ->
+    input_error msg
 
 (* {1 Reporting} *)
 
@@ -176,8 +185,10 @@ let file_t =
            ~doc:"Load the network from a file (overrides --topology).")
 
 let dims_t =
-  Arg.(value & opt string "4x4x3"
-       & info [ "dims" ] ~docv:"AxBxC" ~doc:"Torus dimensions.")
+  Arg.(value & opt (list ~sep:'x' int) [ 4; 4; 3 ]
+       & info [ "dims" ] ~docv:"AxBxC"
+           ~doc:"Dimensions: three for $(b,torus), any number for \
+                 $(b,mesh) and $(b,torusnd).")
 
 let terminals_t =
   Arg.(value & opt int 2
@@ -244,11 +255,19 @@ let trace_t =
 
 let build_t =
   let make topology dims terminals switches links seed kill linkfail file =
-    build_topology ~topology ~dims ~terminals ~switches ~links ~seed
-      ~kill_switches:kill ~link_failures:linkfail ~file
+    if file = "" && topology = "torus" && List.length dims <> 3 then
+      `Error (true, "--dims: a torus takes three dimensions, AxBxC")
+    else if kill <> [] && linkfail <> 0.0 then
+      `Error (true, "--kill-switches and --link-failures cannot be combined")
+    else
+      `Ok
+        (build_topology ~topology ~dims:(Array.of_list dims) ~terminals
+           ~switches ~links ~seed ~kill_switches:kill ~link_failures:linkfail
+           ~file)
   in
-  Term.(const make $ topology_t $ dims_t $ terminals_t $ switches_t $ links_t
-        $ seed_t $ kill_t $ linkfail_t $ file_t)
+  Term.(ret
+          (const make $ topology_t $ dims_t $ terminals_t $ switches_t
+           $ links_t $ seed_t $ kill_t $ linkfail_t $ file_t))
 
 (* {1 Subcommands} *)
 
@@ -387,18 +406,9 @@ let sweep_cmd =
     set_jobs jobs;
     let spec =
       if replay <> "" then begin
-        let contents =
-          let ic = open_in replay in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () ->
-               really_input_string ic (in_channel_length ic))
-        in
-        match Traffic.trace_of_string contents with
+        match Traffic.trace_of_string (read_input replay) with
         | Ok msgs -> Traffic.Trace msgs
-        | Error e ->
-          Printf.eprintf "bad trace %s: %s\n" replay e;
-          exit 1
+        | Error e -> input_error (Printf.sprintf "bad trace %s: %s" replay e)
       end
       else
         match Traffic.spec_of_string workload with
@@ -789,15 +799,9 @@ let churn_cmd =
     let net = built.Experiment.net in
     let stream =
       if replay <> "" then begin
-        let ic = open_in replay in
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        close_in ic;
-        match Event.stream_of_string s with
+        match Event.stream_of_string (read_input replay) with
         | Ok evs -> evs
-        | Error msg ->
-          Printf.eprintf "%s: %s\n" replay msg;
-          exit 1
+        | Error msg -> input_error (Printf.sprintf "%s: %s" replay msg)
       end
       else begin
         let prng = Nue_structures.Prng.create seed in

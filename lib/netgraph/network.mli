@@ -71,7 +71,8 @@ val num_terminals : t -> int
 (** {1 Channels}
 
     Channels are dense ids [0 .. num_channels - 1]. Channel [c] goes from
-    [src t c] to [dst t c]; [rev t c] is its duplex partner. *)
+    [src t c] to [dst t c]; [rev t c] is its duplex partner. The [l]-th
+    duplex link (in [connect] order) is channels [2l] and [2l + 1]. *)
 
 val num_channels : t -> int
 
@@ -89,7 +90,7 @@ val dsts : t -> int array
 (** [dst] of every channel, indexed by channel id. Do not mutate. *)
 
 val out_channels : t -> int -> int array
-(** Channels leaving a node. Do not mutate. *)
+(** Channels leaving a node, ascending. Do not mutate. *)
 
 val in_channels : t -> int -> int array
 (** Channels entering a node. Do not mutate. *)
@@ -111,8 +112,8 @@ val find_channel : t -> int -> int -> int option
 (** [find_channel t u v] is some channel from [u] to [v] if one exists. *)
 
 val duplex_pairs : t -> (int * int) array
-(** One (u, v) entry per duplex link, with the lower channel id's
-    orientation. Parallel links appear once each. *)
+(** One (u, v) entry per duplex link, indexed by link id, with the lower
+    channel id's orientation. Parallel links appear once each. *)
 
 val terminal_attachment : t -> int -> int
 (** The switch (or, degenerately, node) a terminal is attached to.

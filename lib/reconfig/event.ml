@@ -48,10 +48,10 @@ let stream_of_string s =
 (* {1 Generators}
 
    Generators track the multiset of failed links and validate every
-   candidate failure against [Fault.remove_links], which raises when a
-   removal disconnects (or the pair has no surviving copy) — the same
-   connectivity oracle the planner applies later, so generated streams
-   replay cleanly. *)
+   candidate failure with [Fault.can_remove_links], which is false when
+   a removal disconnects (or the pair has no surviving copy) — the same
+   connectivity predicate the planner's [Fault.remove_links] applies
+   later, so generated streams replay cleanly. *)
 
 let eligible_pairs net =
   let out = ref [] in
@@ -61,11 +61,6 @@ let eligible_pairs net =
          out := (u, v) :: !out)
     (Network.duplex_pairs net);
   Array.of_list (List.rev !out)
-
-let removable net failed pair =
-  match Fault.remove_links net (pair :: failed) with
-  | _ -> true
-  | exception Invalid_argument _ -> false
 
 let rec drop_one x = function
   | [] -> []
@@ -98,7 +93,8 @@ let random_churn prng net ~events =
           while !found = None && !tries > 0 do
             decr tries;
             let pair = Prng.pick prng eligible in
-            if removable net !failed pair then found := Some pair
+            if Fault.can_remove_links net (pair :: !failed) then
+              found := Some pair
           done;
           match !found with
           | Some (u, v) ->
@@ -126,7 +122,7 @@ let burst_outage prng net ~fail =
     decr tries;
     if Array.length eligible > 0 then begin
       let pair = Prng.pick prng eligible in
-      if removable net !failed pair then begin
+      if Fault.can_remove_links net (pair :: !failed) then begin
         failed := pair :: !failed;
         fails := pair :: !fails
       end
@@ -144,7 +140,7 @@ let flapping_link prng net ~flaps =
     decr tries;
     if Array.length eligible > 0 then begin
       let pair = Prng.pick prng eligible in
-      if removable net [] pair then found := Some pair
+      if Fault.can_remove_links net [ pair ] then found := Some pair
     end
   done;
   match !found with

@@ -21,7 +21,6 @@ let () = Nue_core.Nue_engine.ensure_registered ()
 
 type state = {
   base : Network.t;
-  failed : (int * int) list;
   remap : Fault.remap;
   table : Table.t;
   engine : string;
@@ -31,46 +30,14 @@ type state = {
 
 (* {1 Lifting} *)
 
-(* Degraded-channel -> base-channel id map (and its inverse), pairing
-   the surviving parallel copies of each (src, dst) in ascending
-   channel-id order on both sides. *)
-let channel_maps ~base dnet =
-  let by_pair = Hashtbl.create 97 in
-  for c = Network.num_channels base - 1 downto 0 do
-    let key = (Network.src base c, Network.dst base c) in
-    let prev = Option.value (Hashtbl.find_opt by_pair key) ~default:[] in
-    Hashtbl.replace by_pair key (c :: prev)
-  done;
-  let d2b = Array.make (Network.num_channels dnet) (-1) in
-  for c = 0 to Network.num_channels dnet - 1 do
-    let key = (Network.src dnet c, Network.dst dnet c) in
-    match Hashtbl.find_opt by_pair key with
-    | Some (b :: rest) ->
-      d2b.(c) <- b;
-      Hashtbl.replace by_pair key rest
-    | Some [] | None ->
-      invalid_arg "Reconfig: degraded channel has no base counterpart"
-  done;
-  let b2d = Array.make (Network.num_channels base) (-1) in
-  Array.iteri (fun dch bch -> b2d.(bch) <- dch) d2b;
-  (d2b, b2d)
-
 let lift ~base (remap : Fault.remap) (table : Table.t) =
   let dnet = remap.net in
   if table.net != dnet then
     invalid_arg "Reconfig.lift: table is not on the remap's network";
-  let n = Network.num_nodes base in
-  if Network.num_nodes dnet <> n then
+  if Array.exists (fun o -> o < 0) remap.of_old then
     invalid_arg
       "Reconfig.lift: remap removed nodes (only link faults are liftable)";
-  Array.iteri
-    (fun i o ->
-       if o <> i then
-         invalid_arg
-           "Reconfig.lift: remap renumbers nodes (only link faults are \
-            liftable)")
-    remap.to_old;
-  let chan_map, _ = channel_maps ~base dnet in
+  let chan_map = Fault.base_channels ~base remap in
   let next_channel =
     Array.map
       (Array.map (fun c -> if c < 0 then -1 else chan_map.(c)))
@@ -104,7 +71,7 @@ let init ?(engine = "nue") ?(vcs = 4) ?(seed = 1) base =
   let remap = Fault.identity base in
   match route_lifted ~engine ~vcs ~seed ~base remap () with
   | Error _ as e -> e
-  | Ok table -> Ok { base; failed = []; remap; table; engine; vcs; seed }
+  | Ok table -> Ok { base; remap; table; engine; vcs; seed }
 
 (* {1 Affected destinations} *)
 
@@ -222,7 +189,9 @@ let nue_incremental (state : state) (remap : Fault.remap) affected =
     if Network.num_nodes dnet <> Network.num_nodes state.base then None
     else begin
       try
-        let d2b, b2d = channel_maps ~base:state.base dnet in
+        let d2b = Fault.base_channels ~base:state.base remap in
+        let b2d = Array.make (Network.num_channels state.base) (-1) in
+        Array.iteri (fun dch bch -> b2d.(bch) <- dch) d2b;
         let is_affected = Array.make (Network.num_nodes state.base) false in
         Array.iter (fun d -> is_affected.(d) <- true) affected;
         let num_vls = old_t.num_vls in
@@ -462,27 +431,25 @@ let table_valid table =
   report.Verify.connected && report.Verify.cycle_free
   && report.Verify.deadlock_free
 
-let update_failed (state : state) event =
+(* The cut links after [event]: the remap's, with one copy of the pair
+   added or taken back. *)
+let cut_after (state : state) event =
+  let cut = snd (Fault.removed state.base state.remap) in
   match event with
-  | Event.Fail (u, v) -> Ok ((u, v) :: state.failed)
+  | Event.Fail (u, v) -> Ok ((u, v) :: cut)
   | Event.Repair (u, v) ->
-    let rec drop = function
-      | [] -> None
-      | p :: rest when p = (u, v) || p = (v, u) -> Some rest
-      | p :: rest -> Option.map (fun r -> p :: r) (drop rest)
-    in
-    (match drop state.failed with
-     | Some rest -> Ok rest
-     | None ->
+    (match List.partition (( = ) (min u v, max u v)) cut with
+     | _ :: again, rest -> Ok (again @ rest)
+     | [], _ ->
        Error
          (Printf.sprintf "repair of a link that is not failed: %d -- %d" u v))
 
 let apply ?(threshold = 0.5) (state : state) event =
   let t0 = Sys.time () in
-  match update_failed state event with
+  match cut_after state event with
   | Error _ as e -> e
-  | Ok failed ->
-    (match Fault.remove_links state.base failed with
+  | Ok cut ->
+    (match Fault.remove_links state.base cut with
      | exception Invalid_argument msg ->
        Error (Printf.sprintf "%s: %s" (Event.to_string event) msg)
      | remap ->
@@ -538,7 +505,7 @@ let apply ?(threshold = 0.5) (state : state) event =
             { event; affected; affected_fraction; kind; verdict; seconds;
               table }
           in
-          Ok ({ state with failed; remap; table }, step)))
+          Ok ({ state with remap; table }, step)))
 
 let plan ?threshold state events =
   let rec go state acc i = function

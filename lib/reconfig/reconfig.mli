@@ -3,9 +3,9 @@
     This module closes the loop between fault injection
     ({!Nue_netgraph.Fault}), routing ({!Nue_routing.Engine}), transition
     verification ({!Transition}) and the simulator
-    ({!Nue_sim.Sim.run_with_swaps}): a {!state} tracks the currently
-    failed links of a base network together with the active routing
-    table, {!apply} reacts to one {!Event.t} by recomputing routes —
+    ({!Nue_sim.Sim.run_with_swaps}): a {!state} tracks the current fault
+    plan on a base network together with the active routing table,
+    {!apply} reacts to one {!Event.t} by recomputing routes —
     incrementally when few destinations are affected, fully otherwise —
     and certifying the table transition, and {!simulate_churn} replays a
     whole event stream against live traffic.
@@ -24,10 +24,10 @@
 
 type state = {
   base : Nue_netgraph.Network.t;
-  failed : (int * int) list;
-      (** currently failed duplex links, most recent first (a pair
-          appears once per failed parallel copy) *)
-  remap : Nue_netgraph.Fault.remap;  (** base -> current degraded net *)
+  remap : Nue_netgraph.Fault.remap;
+      (** base -> current degraded net; its cut links,
+          [snd (Fault.removed base remap)], are the failed links (one
+          entry per failed parallel copy) *)
   table : Nue_routing.Table.t;       (** active table, on [base] ids *)
   engine : string;
   vcs : int;
@@ -40,11 +40,13 @@ val lift :
   Nue_routing.Table.t ->
   Nue_routing.Table.t
 (** Re-express a table routed on [remap.net] on the base network:
-    identical routes, channel ids translated by matching the surviving
-    parallel copies of each (src, dst) pair in ascending id order.
+    identical routes, every channel translated to the base channel the
+    remap records for it ({!Nue_netgraph.Fault.base_channels}), so a
+    lifted table never names a cut parallel copy.
     @raise Invalid_argument if the remap removed nodes (switch faults
-    renumber nodes; only link faults are liftable), if the table is not
-    on [remap.net], or if its VL assignment is [Per_hop]. *)
+    renumber nodes; only link faults are liftable), if the remap is not
+    of [base], if the table is not on [remap.net], or if its VL
+    assignment is [Per_hop]. *)
 
 val init :
   ?engine:string ->

@@ -218,11 +218,13 @@ let cdg_counts_on_torus () =
 
 let fault_remove_terminal_rejected () =
   let net = Helpers.ring5 () in
-  let t = (Network.terminals net).(0) in
-  Alcotest.(check bool) "terminal not a switch" true
-    (match Fault.remove_switches net [ t ] with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
+  (* A terminal, and ids outside the network, are not switches. *)
+  List.iter
+    (fun s ->
+       Alcotest.check_raises "not a switch"
+         (Invalid_argument "Fault.remove_switches: node is not a switch")
+         (fun () -> ignore (Fault.remove_switches net [ s ])))
+    [ (Network.terminals net).(0); -1; Network.num_nodes net ]
 
 let fault_disconnecting_removal_rejected () =
   let net = Helpers.line 3 in

@@ -441,10 +441,13 @@ let remove_links_by_pair () =
 
 let remove_links_missing_pair () =
   let net = Helpers.ring5 ~with_terminals:false () in
-  Alcotest.(check bool) "absent link rejected" true
-    (match Fault.remove_links net [ (0, 3) ] with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
+  (* An absent pair, a self pair and ids outside the network. *)
+  List.iter
+    (fun pair ->
+       Alcotest.check_raises "absent link rejected"
+         (Invalid_argument "Fault.remove_links: no such link")
+         (fun () -> ignore (Fault.remove_links net [ pair ])))
+    [ (0, 3); (1, 1); (-1, 0); (0, Network.num_nodes net) ]
 
 let random_failures_keep_connectivity () =
   let t = Topology.torus3d ~dims:(4, 4, 4) ~terminals_per_switch:2 () in
@@ -464,6 +467,68 @@ let random_failures_never_hit_terminals () =
   let r = Fault.random_link_failures prng net ~fraction:0.2 in
   Alcotest.(check int) "terminals intact" (Network.num_terminals net)
     (Network.num_terminals r.Fault.net)
+
+(* A fraction outside [0, 1], NaN included, is rejected, not clamped. *)
+let fault_fraction_rejected () =
+  let net = Helpers.ring5 () in
+  List.iter
+    (fun fraction ->
+       let raises msg f =
+         Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+             ignore (f (Prng.create 1) ~fraction))
+       in
+       raises "Fault.random_link_failures: fraction outside [0, 1]" (fun p ->
+           Fault.random_link_failures p net);
+       raises "Fault.random_link_repairs: fraction outside [0, 1]" (fun p ->
+           Fault.random_link_repairs p ~base:net (Fault.identity net)))
+    [ 1.5; -0.1; Float.nan; Float.infinity ]
+
+(* The fault plan decided by one walk per candidate and built once gives
+   the network, node maps and surviving links of the per-candidate
+   rebuild, on random fabrics and on tori with and without parallel
+   links. *)
+let faultable_base =
+  QCheck2.Gen.(
+    oneof
+      [ Helpers.arbitrary_net;
+        map
+          (fun (x, y, z, redundancy) ->
+             (Topology.torus3d ~dims:(x, y, z) ~terminals_per_switch:1
+                ~redundancy ())
+               .Topology.net)
+          (quad (int_range 2 4) (int_range 2 4) (int_range 2 3)
+             (int_range 1 2)) ])
+
+let qcheck_failures_reference =
+  QCheck2.Test.make ~name:"random failures agree with the per-candidate rebuild"
+    ~count:150
+    QCheck2.Gen.(
+      triple faultable_base
+        (oneof [ pure 0.0; pure 1.0; float_bound_inclusive 1.0 ])
+        (int_range 0 1_000_000))
+    (fun (base, fraction, seed) ->
+       let r = Fault.random_link_failures (Prng.create seed) base ~fraction in
+       let e =
+         Fault_reference.random_link_failures (Prng.create seed) base ~fraction
+       in
+       let net = r.Fault.net in
+       let kinds n = Array.init (Network.num_nodes n) (Network.kind n) in
+       let to_base = Fault.base_channels ~base r in
+       let same_endpoints c =
+         Network.src base to_base.(c) = r.Fault.to_old.(Network.src net c)
+         && Network.dst base to_base.(c) = r.Fault.to_old.(Network.dst net c)
+       in
+       Network.name net = Network.name e.Fault_reference.net
+       && kinds net = kinds e.Fault_reference.net
+       && Network.duplex_pairs net = Network.duplex_pairs e.Fault_reference.net
+       && r.Fault.to_old = e.Fault_reference.to_old
+       && r.Fault.of_old = e.Fault_reference.of_old
+       && Array.for_all Fun.id
+            (Array.init (Network.num_channels net) (fun c ->
+                 same_endpoints c
+                 && to_base.(c) = (2 * e.Fault_reference.kept.(c / 2)) + (c mod 2)))
+       && List.length (snd (Fault.removed base r))
+          = (Network.num_channels base - Network.num_channels net) / 2)
 
 let qcheck_random_topology_valid =
   QCheck2.Test.make ~name:"random topologies are connected and valid"
@@ -518,4 +583,7 @@ let suite =
        test_case "random failures keep connectivity" `Quick
          random_failures_keep_connectivity;
        test_case "random failures spare terminals" `Quick
-         random_failures_never_hit_terminals ]) ]
+         random_failures_never_hit_terminals;
+       test_case "fractions outside [0, 1] rejected" `Quick
+         fault_fraction_rejected;
+       QCheck_alcotest.to_alcotest qcheck_failures_reference ]) ]

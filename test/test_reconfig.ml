@@ -145,6 +145,92 @@ let lift_preserves_paths () =
     Alcotest.(check bool) "lifted deadlock-free" true
       report.Verify.deadlock_free
 
+(* {1 Parallel copies}
+
+   Switches 0 and 9 of the redundancy-2 3x3x3 torus are joined by links
+   0 and 1 (channels 0-3); cutting the pair cuts link 0 first. *)
+
+let torus333_redundant () =
+  (Topology.torus3d ~dims:(3, 3, 3) ~terminals_per_switch:1 ~redundancy:2 ())
+    .Topology.net
+
+let uses_channel (t : Table.t) c =
+  Array.exists (Array.exists (( = ) c)) t.Table.next_channel
+
+(* No row of [t] names a channel of a link the remap cut. *)
+let avoids_cut (remap : Fault.remap) (t : Table.t) =
+  Array.for_all
+    (Array.for_all (fun c ->
+         c < 0 || not (Nue_structures.Bitset.mem remap.Fault.dead_links (c / 2))))
+    t.Table.next_channel
+
+let lift_avoids_cut_copy () =
+  let net = torus333_redundant () in
+  let pairs = Network.duplex_pairs net in
+  Alcotest.(check (list (pair int int))) "links 0 and 1 join 0 and 9"
+    [ (0, 9); (0, 9) ] [ pairs.(0); pairs.(1) ];
+  let remap = Fault.remove_links net [ (0, 9) ] in
+  Alcotest.(check (list (pair int int))) "removed lists the pair once"
+    [ (0, 9) ] (snd (Fault.removed net remap));
+  match Engine.route "nue" (Engine.spec ~vcs:2 remap.Fault.net) with
+  | Error e ->
+    Alcotest.failf "routing failed: %s" (Nue_routing.Engine_error.to_string e)
+  | Ok degraded ->
+    let lifted = Reconfig.lift ~base:net remap degraded in
+    Alcotest.(check bool) "cut copy unused" false
+      (uses_channel lifted 0 || uses_channel lifted 1);
+    Alcotest.(check bool) "surviving copy used" true
+      (uses_channel lifted 2 || uses_channel lifted 3)
+
+(* Fail both copies of the pair, then repair them: every table passes
+   Verify and avoids the copies cut at its step. *)
+let fail_repair_parallel_copies () =
+  let net = torus333_redundant () in
+  match Reconfig.init ~vcs:2 net with
+  | Error msg -> Alcotest.failf "init failed: %s" msg
+  | Ok state ->
+    let step state (event, cut) =
+      match Reconfig.apply state event with
+      | Error msg -> Alcotest.failf "%s: %s" (Event.to_string event) msg
+      | Ok (state, _) ->
+        let what = Event.to_string event in
+        let report = Verify.check state.Reconfig.table in
+        Alcotest.(check bool) (what ^ ": connected") true report.Verify.connected;
+        Alcotest.(check bool) (what ^ ": deadlock-free") true
+          report.Verify.deadlock_free;
+        Alcotest.(check (list (pair int int))) (what ^ ": cut copies") cut
+          (snd (Fault.removed net state.Reconfig.remap));
+        Alcotest.(check bool) (what ^ ": avoids the cut copies") true
+          (avoids_cut state.Reconfig.remap state.Reconfig.table);
+        state
+    in
+    ignore
+      (List.fold_left step state
+         [ (Event.Fail (0, 9), [ (0, 9) ]);
+           (Event.Fail (9, 0), [ (0, 9); (0, 9) ]);
+           (Event.Repair (0, 9), [ (0, 9) ]);
+           (Event.Repair (9, 0), []) ])
+
+let churn_parallel_copies () =
+  let net = torus333_redundant () in
+  match Reconfig.init ~vcs:2 net with
+  | Error msg -> Alcotest.failf "init failed: %s" msg
+  | Ok state ->
+    let events =
+      [ Event.Fail (0, 9); Event.Fail (0, 9); Event.Repair (0, 9);
+        Event.Repair (0, 9) ]
+    in
+    (match
+       Reconfig.simulate_churn ~interval:300 ~warmup:200 ~message_bytes:256
+         state events
+     with
+     | Error msg -> Alcotest.failf "churn failed: %s" msg
+     | Ok churn ->
+       let o = churn.Reconfig.outcome in
+       Alcotest.(check bool) "no deadlock" false o.Sim.deadlock;
+       Alcotest.(check int) "every packet delivered" o.Sim.total_packets
+         o.Sim.delivered_packets)
+
 (* {1 Transition verification} *)
 
 (* The classic counterexample: on a 4-switch ring, one table holds the
@@ -286,13 +372,13 @@ let incremental_single_link () =
            Alcotest.(check bool) "new table deadlock-free" true
              report.Verify.deadlock_free;
            Alcotest.(check int) "one failed link" 1
-             (List.length state'.Reconfig.failed);
+             (List.length (snd (Fault.removed net state'.Reconfig.remap)));
            (* Fail then repair returns to an intact network. *)
            match Reconfig.apply state' (Event.Repair (u, v)) with
            | Error msg -> Alcotest.failf "repair failed: %s" msg
            | Ok (state'', _) ->
              Alcotest.(check int) "no failed links" 0
-               (List.length state''.Reconfig.failed);
+               (List.length (snd (Fault.removed net state''.Reconfig.remap)));
              Alcotest.(check int) "all channels restored"
                (Network.num_channels net)
                (Network.num_channels state''.Reconfig.remap.Fault.net))
@@ -428,6 +514,11 @@ let suite =
     ("reconfig:repairs",
      [ test_case "repairs deterministic" `Quick repairs_deterministic;
        test_case "full repair restores base" `Quick full_repair_restores_base ]);
+    ("reconfig:parallel",
+     [ test_case "lift avoids the cut copy" `Quick lift_avoids_cut_copy;
+       test_case "fail and repair both copies" `Quick
+         fail_repair_parallel_copies;
+       test_case "churn delivers every packet" `Quick churn_parallel_copies ]);
     ("reconfig:transition",
      [ test_case "lift preserves paths" `Quick lift_preserves_paths;
        test_case "union-CDG counterexample" `Quick transition_counterexample;
